@@ -240,10 +240,6 @@ class Multiplier:
         return f"Multiplier({self.name})"
 
 
-def identity_multiplier() -> Multiplier:
-    return Multiplier("1", lambda a: a, lambda a: a)
-
-
 def mul_group(pair: Supergroup, g: GroupPoint) -> Multiplier:
     """Left/right translation multiplier attached to a group point."""
     from .enveloping import apply_auto
@@ -390,11 +386,6 @@ def element_sample_difference(a: CrossedElement, b: CrossedElement, points=None)
         fb = b.terms.get(w, GaussianPoly())
         worst = max(worst, max_sample_difference(fa, fb, points))
     return worst
-
-
-def element_l1_seminorm(a: CrossedElement) -> float:
-    """Sum of per-term L1 bounds; the seminorm used by derivative checks."""
-    return sum(l1_bound(f) for f in a.terms.values())
 
 
 def orbit_derivative_check(pair: Supergroup, a: CrossedElement, h: float) -> float:

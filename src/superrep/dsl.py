@@ -24,6 +24,7 @@ carries a line and column.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,7 +87,10 @@ def _classify(text: str, line: int, col: int) -> Atom:
     m = _FLOAT.match(text)
     if m and any(ch in text for ch in ".eE"):
         body = text[:-1] if m.group(3) else text
-        return Atom("imag-float" if m.group(3) else "float", float(body), line, col)
+        value = float(body)
+        if not math.isfinite(value):
+            raise DslError(f"number {text!r} is not finite", line, col)
+        return Atom("imag-float" if m.group(3) else "float", value, line, col)
     return Atom("symbol", text, line, col)
 
 
@@ -172,9 +176,16 @@ def _scalar(node) -> GaussianRational:
                    node.line, node.col)
 
 
+def _float(node: Atom) -> float:
+    try:
+        return float(node.value)
+    except OverflowError:
+        raise DslError("number is too large for a float", node.line, node.col) from None
+
+
 def _number(node) -> float:
     if isinstance(node, Atom) and node.kind in ("rational", "float"):
-        return float(node.value)
+        return _float(node)
     raise DslError("expected a real number", node.line, node.col)
 
 
@@ -182,9 +193,9 @@ def _complex_entry(node) -> complex:
     """Numeric literal allowing floats; used for matrices and Gaussians."""
     if isinstance(node, Atom):
         if node.kind in ("rational", "float"):
-            return complex(float(node.value))
+            return complex(_float(node))
         if node.kind in ("imag-rational", "imag-float"):
-            return complex(0.0, float(node.value))
+            return complex(0.0, _float(node))
         raise DslError("expected a numeric entry", node.line, node.col)
     if _head(node) == "c" and len(node.items) == 3:
         return complex(_number(node.items[1]), _number(node.items[2]))
@@ -542,6 +553,7 @@ def _build_rep(ws: Workspace, form: SList):
     rho: dict[int, np.ndarray] = {}
     pi_table: dict[int, np.ndarray] = {}
     freq = None
+    matrix_nodes = []  # every rho/pi matrix, checked against the grading size
     for clause in form.items[3:]:
         clause = _expect_list(clause, "rep clause")
         ck = _head(clause)
@@ -557,6 +569,7 @@ def _build_rep(ws: Workspace, form: SList):
                 raise DslError(f"unknown basis element {nm!r}",
                                clause.items[1].line, clause.items[1].col) from None
             rho[idx] = _matrix(clause.items[2])
+            matrix_nodes.append(clause.items[2])
         elif ck == "pi":
             if pair.group.kind != FINITE:
                 raise DslError("(pi ...) clauses only apply to finite pairs",
@@ -569,6 +582,7 @@ def _build_rep(ws: Workspace, form: SList):
                 raise DslError(f"unknown group element {nm!r}",
                                clause.items[1].line, clause.items[1].col)
             pi_table[names.index(nm)] = _matrix(clause.items[2])
+            matrix_nodes.append(clause.items[2])
         elif ck == "freq":
             if pair.group.kind != LINE:
                 raise DslError("(freq ...) only applies to line pairs",
@@ -579,6 +593,11 @@ def _build_rep(ws: Workspace, form: SList):
     if grading is None:
         raise DslError("rep needs a (grading ...) clause", form.line, form.col)
     dim = grading.shape[0]
+    for node in matrix_nodes:
+        size = len(node.items)
+        if size != dim:
+            raise DslError(f"{size}x{size} matrix does not match the {dim}-entry grading",
+                           node.line, node.col)
     rho_list = tuple(rho.get(i, np.zeros((dim, dim), dtype=complex))
                      for i in range(algebra.dim))
     if pair.group.kind == FINITE:

@@ -12,8 +12,6 @@ ones), which the norm-bound recursion needs.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import MismatchError, StructureError
 from .scalars import GR_HALF, GR_MINUS_I, GR_ONE, GaussianRational
 from .superalgebra import ODD, SuperAlgebra
@@ -33,13 +31,23 @@ def _order_key(algebra: SuperAlgebra, order: str):
     raise ValueError(f"unknown basis order {order!r}")
 
 
-@lru_cache(maxsize=None)
 def _straighten(algebra: SuperAlgebra, word: Word, order: str, strategy: str):
     """Rewrite ``word`` into PBW normal form; returns ((word, coeff), ...).
 
     ``strategy`` picks which violation to reduce first ('left' or 'right');
     both must give the same result (confluence), which the tests check.
+    Results are memoized on the algebra itself, so a probe hashes only the
+    small key and the memo is freed together with its algebra.
     """
+    memo = algebra.straighten_memo
+    probe = (word, order, strategy)
+    hit = memo.get(probe)
+    if hit is None:
+        hit = memo[probe] = _straighten_uncached(algebra, word, order, strategy)
+    return hit
+
+
+def _straighten_uncached(algebra: SuperAlgebra, word: Word, order: str, strategy: str):
     key = _order_key(algebra, order)
     par = algebra.parity
 

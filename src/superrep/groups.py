@@ -180,16 +180,6 @@ class Supergroup:
             ]
         return out
 
-    def parity_flip_matrix(self):
-        n = self.algebra.dim
-        return [
-            [
-                (Fraction(-1) if self.algebra.parity[i] else Fraction(1)) if i == j else Fraction(0)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-
     def ad_point(self, p: GroupPoint):
         """Exact adjoint matrix of a point of the epsilon-extension."""
         if self.group.kind == FINITE:
@@ -197,7 +187,10 @@ class Supergroup:
         else:
             mat = self.line_ad_matrix(Fraction(p.base))
         if p.eps:
-            mat = linalg.mat_mul(mat, self.parity_flip_matrix())
+            # right-multiplying by the parity matrix diag(+-1) negates the
+            # odd columns
+            par = self.algebra.parity
+            mat = [[-v if par[j] else v for j, v in enumerate(row)] for row in mat]
         return mat
 
     def line_ad_is_trivial(self) -> bool:
@@ -354,9 +347,3 @@ def build_pair(name: str, group: GroupData, algebra: SuperAlgebra) -> Supergroup
     pair = Supergroup(name, group, algebra)
     validate_pair(pair).raise_if_failed()
     return pair
-
-
-def ad_eps_extend(pair: Supergroup):
-    """The adjoint action extended to the epsilon-extension, as a callable
-    GroupPoint -> exact matrix."""
-    return pair.ad_point

@@ -1,4 +1,4 @@
-"""Small exact linear algebra over the rationals (row reduction, spans).
+"""Small exact linear algebra over the rationals (row reduction, rank).
 
 Dimensions here are tiny (the algebras in the catalog have <= 4 basis
 elements), so naive fraction-based elimination is plenty.
@@ -37,20 +37,11 @@ def rank(rows: list[list[Fraction]]) -> int:
     return len(row_reduce(rows))
 
 
-def in_span(rows: list[list[Fraction]], vec: list[Fraction]) -> bool:
-    base = row_reduce(rows)
-    return rank(base + [list(vec)]) == len(base)
-
-
 def mat_mul(a, b):
     n, m, p = len(a), len(b), len(b[0]) if b else 0
     return [
         [sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)] for i in range(n)
     ]
-
-
-def mat_vec(a, v):
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
 
 def identity_matrix(n: int):

@@ -8,7 +8,7 @@ compatibility and the graded Jacobi identity on all basis triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -29,6 +29,9 @@ class SuperAlgebra:
     basis_names: tuple[str, ...]
     parity: tuple[int, ...]
     constants: Constants
+    # PBW normal forms keyed by (word, order, strategy), filled by
+    # enveloping._straighten; outside equality, hashing and repr
+    straighten_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.dim

@@ -119,3 +119,29 @@ def test_seed_changes_probe_but_not_verdict(capsys):
     assert code1 == code2 == 0
     assert json.loads(out1)["ok"] and json.loads(out2)["ok"]
     assert out1 != out2
+
+
+TINY_LINE = (
+    "(superalgebra tiny (basis (z even) (x odd)) (bracket x x (1 z)))\n"
+    "(pair tinyline tiny (line z))\n"
+)
+
+
+def test_non_finite_rate_exits_2(capsys, tmp_path):
+    src = tmp_path / "inf.sexp"
+    src.write_text(TINY_LINE + "(element a tinyline"
+                   " (tensor (ue (1 x)) (linefunc (plus (gauss 1e999 0 1)))))\n")
+    code, out = run(capsys, "--file", str(src), "bound", "--elem", "a")
+    assert code == 2
+    assert json.loads(out) == {"error": "3:63: number '1e999' is not finite"}
+
+
+def test_rep_matrix_larger_than_grading_exits_2(capsys, tmp_path):
+    src = tmp_path / "shape.sexp"
+    src.write_text(TINY_LINE + "(rep r tinyline (grading -1)\n"
+                   "  (rho z ((1.0i 0.0) (0.0 1.0i))) (freq 1.0))\n")
+    code, out = run(capsys, "--file", str(src), "validate", "--pair", "tinyline")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "4:10: 2x2 matrix does not match the 1-entry grading"
+    }

@@ -54,6 +54,29 @@ def test_zero_denominator_is_a_lexical_error():
     assert exc.value.col is not None
 
 
+def test_non_finite_numbers_are_located_errors():
+    for text in ("1e999", "-1e999", "1e999i"):
+        with pytest.raises(DslError, match="is not finite") as exc:
+            read_forms(f"(gauss 1.0 0.0\n  {text})")
+        assert (exc.value.line, exc.value.col) == (2, 3)
+    huge = "1" + "0" * 400
+    with pytest.raises(DslError, match="too large for a float") as exc:
+        parse(HC_SOURCE.replace("(gauss 1 0 1)", f"(gauss {huge} 0 1)"))
+    assert exc.value.line == 7
+
+
+def test_pi_matrix_checked_against_grading():
+    src = (
+        "(superalgebra p (basis (x odd)))\n"
+        "(pair pz2 p (finite (elements e s) (table (e s) (s e))"
+        " (ad e ((1))) (ad s ((-1)))))\n"
+        "(rep wide pz2 (grading 1) (pi s ((1 0) (0 -1))))"
+    )
+    with pytest.raises(DslError, match="2x2 matrix does not match the 1-entry grading") as exc:
+        parse(src)
+    assert (exc.value.line, exc.value.col) == (3, 33)
+
+
 def test_unknown_name_diagnostics():
     with pytest.raises(DslError, match="unknown algebra 'ghost'"):
         parse("(pair p ghost (line z))")

@@ -1,6 +1,8 @@
 """Normal forms, confluence, associativity and the formal adjoint."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 from superrep.enveloping import (
@@ -15,7 +17,7 @@ from superrep.enveloping import (
     ue_multiply,
 )
 from superrep.scalars import GR_HALF, GR_I, GR_ONE, GaussianRational
-from superrep.superalgebra import ODD
+from superrep.superalgebra import ODD, build_superalgebra
 
 
 def random_word(rng, algebra, max_len=6):
@@ -162,3 +164,37 @@ def test_parity_flip_is_bracket_automorphism(hc2, rng):
         assert parity_flip(ue_multiply(a, b)) == ue_multiply(
             parity_flip(a), parity_flip(b)
         )
+
+
+def rebuild(algebra):
+    """An equal algebra built separately, with its own empty memo."""
+    return build_superalgebra(
+        algebra.name, algebra.basis_names, algebra.parity, algebra.constants
+    )
+
+
+def test_straighten_memo_freed_with_algebra(workspace):
+    algebra = rebuild(workspace.algebras["gl11"])
+    a = normal_form(algebra, (3, 2, 1, 0, 3))
+    ue_multiply(a, dagger(a))
+    ref = weakref.ref(algebra)
+    del algebra, a
+    gc.collect()
+    assert ref() is None
+
+
+def test_straighten_memo_outside_hash_and_equality(workspace):
+    rng = random.Random(13)
+    algebra = rebuild(workspace.algebras["gl11"])
+    twin = rebuild(algebra)
+    before = hash(algebra), repr(algebra)
+    assert algebra == twin and hash(twin) == before[0]
+    words = [random_word(rng, algebra) for _ in range(40)]
+    for order in (DECL_ORDER, ODD_MAJOR_ORDER):
+        for w in words:
+            here = normal_form(algebra, w, order=order)
+            assert normal_form(twin, w, order=order).terms == here.terms
+    assert algebra.straighten_memo is not twin.straighten_memo
+    assert len(twin.straighten_memo) == len(algebra.straighten_memo) > 0
+    assert (hash(algebra), repr(algebra)) == before
+    assert algebra == twin and hash(twin) == before[0]

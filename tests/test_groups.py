@@ -13,7 +13,8 @@ from superrep.groups import (
     build_pair,
     validate_pair,
 )
-from superrep.superalgebra import build_superalgebra
+from superrep.linalg import mat_mul
+from superrep.superalgebra import ODD, build_superalgebra
 
 
 def test_catalog_pairs_validate(workspace):
@@ -92,7 +93,7 @@ def test_line_pair_rejects_odd_generator():
     assert any(c.name == "generator_even" for c in report.failures())
 
 
-def test_line_one_parameter_exponential():
+def heis3_line_pair():
     # a line pair whose generator acts nontrivially but nilpotently:
     # [z, x] = y, [z, y] = 0 with x, y odd
     alg = build_superalgebra(
@@ -105,8 +106,46 @@ def test_line_one_parameter_exponential():
             [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
         ],
     )
-    pair = build_pair("heis3line", GroupData(LINE, "line", generator_name="z"), alg)
+    return build_pair("heis3line", GroupData(LINE, "line", generator_name="z"), alg)
+
+
+def test_line_one_parameter_exponential():
+    pair = heis3_line_pair()
     assert not pair.line_ad_is_trivial()
     m = pair.line_ad_matrix(Fraction(1, 2))
     # Ad(exp(t z)) x = x + t y exactly
     assert [row[1] for row in m] == [Fraction(0), Fraction(1), Fraction(1, 2)]
+
+
+def eps_reference(pair, p):
+    """Ad(g) times diag(+-1), the parity matrix, by plain matrix product."""
+    if pair.group.kind == FINITE:
+        mat = [list(r) for r in pair.group.ad_matrices[p.base]]
+    else:
+        mat = pair.line_ad_matrix(Fraction(p.base))
+    if not p.eps:
+        return mat
+    n = pair.algebra.dim
+    flip = [
+        [Fraction(-1 if pair.algebra.parity[i] == ODD else 1) if i == j else Fraction(0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    return mat_mul(mat, flip)
+
+
+def test_ad_point_matches_parity_product(workspace):
+    finite = [pair for pair in workspace.pairs.values() if pair.group.kind == FINITE]
+    assert finite
+    cases = [(pair, p) for pair in finite for p in pair.points()]
+    ts = (Fraction(0), Fraction(7, 3), Fraction(-5, 2))
+    for pair in (workspace.pairs["hcline"], heis3_line_pair()):
+        cases += [(pair, GroupPoint(t, eps)) for t in ts for eps in (False, True)]
+    for pair, p in cases:
+        expected = eps_reference(pair, p)
+        assert pair.ad_point(p) == expected, (pair.name, p)
+        mat = pair.ad_point(p)
+        mat[0][0] += 1
+        mat[-1].append(Fraction(9))
+        assert pair.ad_point(p) == expected, (pair.name, p)
+
