@@ -479,6 +479,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         emit({"error": str(exc)}, args.out)
         return 2
+    except Exception as exc:
+        # a structured error, never a traceback
+        emit({"error": f"internal error: {type(exc).__name__}: {exc}"}, args.out)
+        return 1
     emit(doc, args.out)
     return 0 if ok else 1
 

@@ -31,7 +31,7 @@ from .functions import (
     right_translate,
 )
 from .groups import FINITE, LINE, GroupPoint, Supergroup
-from .scalars import GaussianRational
+from .scalars import GR_ONE, GR_ZERO, GaussianRational
 
 Word = tuple[int, ...]
 
@@ -128,7 +128,7 @@ class CrossedElement:
 
 def _scale_function(f, scalar):
     if isinstance(f, FiniteFunction):
-        return f.scale(GaussianRational.of(scalar) if not isinstance(scalar, GaussianRational) else scalar)
+        return f.scale(scalar)
     if isinstance(f, GaussianPoly):
         if isinstance(scalar, GaussianRational):
             scalar = complex(scalar)
@@ -154,12 +154,12 @@ def xp_multiply(a: CrossedElement, b: CrossedElement) -> CrossedElement:
 
         for wa, fa in a.terms.items():
             for wb, fb in b.terms.items():
-                mono_b = UEElement(algebra, {wb: GaussianRational.of(1)})
+                mono_b = UEElement(algebra, {wb: GR_ONE})
                 for g, val in fa.values.items():
                     phi = _phi_from_matrix(pair.ad_point(g))
                     twisted = apply_auto(algebra, phi, mono_b, checked=True)
                     product = ue_multiply(
-                        UEElement(algebra, {wa: GaussianRational.of(1)}), twisted
+                        UEElement(algebra, {wa: GR_ONE}), twisted
                     )
                     func = left_translate(pair, g, fb).scale(val)
                     out._add_ue(product, func)
@@ -167,9 +167,9 @@ def xp_multiply(a: CrossedElement, b: CrossedElement) -> CrossedElement:
 
     # line instance: the group part acts trivially, epsilon flips parity
     for wa, fa in a.terms.items():
-        mono_a = UEElement(algebra, {wa: GaussianRational.of(1)})
+        mono_a = UEElement(algebra, {wa: GR_ONE})
         for wb, fb in b.terms.items():
-            mono_b = UEElement(algebra, {wb: GaussianRational.of(1)})
+            mono_b = UEElement(algebra, {wb: GR_ONE})
             plain = ue_multiply(mono_a, mono_b)
             flipped = ue_multiply(mono_a, parity_flip(mono_b))
             # contribution of the G-part of fa (no twist on D_2)
@@ -204,7 +204,7 @@ def xp_star(a: CrossedElement) -> CrossedElement:
         from .enveloping import apply_auto
 
         for w, f in a.terms.items():
-            dag = dagger(UEElement(algebra, {w: GaussianRational.of(1)}))
+            dag = dagger(UEElement(algebra, {w: GR_ONE}))
             for g0, val in f.values.items():
                 g = pair.inverse(g0)  # the result is supported where f(g^{-1}) != 0
                 phi = _phi_from_matrix(pair.ad_point(g))
@@ -215,7 +215,7 @@ def xp_star(a: CrossedElement) -> CrossedElement:
         return out
 
     for w, f in a.terms.items():
-        dag = dagger(UEElement(algebra, {w: GaussianRational.of(1)}))
+        dag = dagger(UEElement(algebra, {w: GR_ONE}))
         reflected = f.conjugate().reflect()
         out._add_ue(dag, GaussianPoly(reflected.plus, ()))
         out._add_ue(parity_flip(dag), GaussianPoly((), reflected.eps))
@@ -251,7 +251,7 @@ def mul_group(pair: Supergroup, g: GroupPoint) -> Multiplier:
         out = CrossedElement.zero(pair)
         phi = _phi_from_matrix(pair.ad_point(g))
         for w, f in a.terms.items():
-            mono = UEElement(algebra, {w: GaussianRational.of(1)})
+            mono = UEElement(algebra, {w: GR_ONE})
             twisted = apply_auto(algebra, phi, mono, checked=True)
             out._add_ue(twisted, left_translate(pair, g, f))
         return out
@@ -274,8 +274,8 @@ def mul_lie(pair: Supergroup, coords) -> Multiplier:
     the basis; a bare index is also accepted)."""
     algebra = pair.algebra
     if isinstance(coords, int):
-        vec = [GaussianRational.of(0)] * algebra.dim
-        vec[coords] = GaussianRational.of(1)
+        vec = [GR_ZERO] * algebra.dim
+        vec[coords] = GR_ONE
         coords = vec
     coords = [GaussianRational.of(c) for c in coords]
     x_elem = UEElement.from_vector(algebra, coords)
@@ -283,7 +283,7 @@ def mul_lie(pair: Supergroup, coords) -> Multiplier:
     def lam(a: CrossedElement) -> CrossedElement:
         out = CrossedElement.zero(pair)
         for w, f in a.terms.items():
-            mono = UEElement(algebra, {w: GaussianRational.of(1)})
+            mono = UEElement(algebra, {w: GR_ONE})
             out._add_ue(ue_multiply(x_elem, mono), f)
         return out
 
@@ -292,7 +292,7 @@ def mul_lie(pair: Supergroup, coords) -> Multiplier:
         out = CrossedElement.zero(pair)
         if pair.group.kind == FINITE:
             for w, f in a.terms.items():
-                mono = UEElement(algebra, {w: GaussianRational.of(1)})
+                mono = UEElement(algebra, {w: GR_ONE})
                 for g, val in f.values.items():
                     mat = pair.ad_point(g)
                     twisted_x = UEElement.from_vector(
@@ -301,7 +301,7 @@ def mul_lie(pair: Supergroup, coords) -> Multiplier:
                             sum(
                                 (GaussianRational.of(mat[k][j]) * coords[j]
                                  for j in range(algebra.dim)),
-                                GaussianRational(),
+                                GR_ZERO,
                             )
                             for k in range(algebra.dim)
                         ],
@@ -316,7 +316,7 @@ def mul_lie(pair: Supergroup, coords) -> Multiplier:
         ]
         x_flip = UEElement.from_vector(algebra, flipped)
         for w, f in a.terms.items():
-            mono = UEElement(algebra, {w: GaussianRational.of(1)})
+            mono = UEElement(algebra, {w: GR_ONE})
             out._add_ue(ue_multiply(mono, x_elem), GaussianPoly(f.plus, ()))
             out._add_ue(ue_multiply(mono, x_flip), GaussianPoly((), f.eps))
         return out

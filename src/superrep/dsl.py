@@ -43,7 +43,7 @@ from .groups import (
     build_pair,
 )
 from .reps import MatrixRep, validate_rep
-from .scalars import GaussianRational
+from .scalars import GR_ZERO, GaussianRational
 from .superalgebra import EVEN, ODD, build_superalgebra
 
 import numpy as np
@@ -441,7 +441,7 @@ def _function_literal(ws: Workspace, pair: Supergroup, node):
                 raise DslError("expected (delta POINT COEF)", entry.line, entry.col)
             point = _point(pair, entry.items[1])
             coef = _scalar(entry.items[2])
-            values[point] = values.get(point, GaussianRational()) + coef
+            values[point] = values.get(point, GR_ZERO) + coef
         return FiniteFunction(pair, values)
     if head == "linefunc":
         if pair.group.kind != LINE:

@@ -13,7 +13,7 @@ ones), which the norm-bound recursion needs.
 from __future__ import annotations
 
 from .errors import MismatchError, StructureError
-from .scalars import GR_HALF, GR_MINUS_I, GR_ONE, GaussianRational
+from .scalars import GR_HALF, GR_MINUS_I, GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational
 from .superalgebra import ODD, SuperAlgebra
 from .validation import ValidationReport
 
@@ -79,7 +79,7 @@ def _straighten_uncached(algebra: SuperAlgebra, word: Word, order: str, strategy
             if c != 0:
                 fold(word[:i] + (k,) + word[i + 2:], GR_HALF * GaussianRational.of(c))
     else:
-        sign = GaussianRational.of(-1 if (par[a] and par[b]) else 1)
+        sign = GR_MINUS_ONE if (par[a] and par[b]) else GR_ONE
         fold(word[:i] + (b, a) + word[i + 2:], sign)
         for k, c in enumerate(algebra.bracket_basis(a, b)):
             if c != 0:
@@ -156,7 +156,7 @@ class UEElement:
         return out
 
     def __neg__(self) -> "UEElement":
-        return self.scale(GaussianRational.of(-1))
+        return self.scale(GR_MINUS_ONE)
 
     def scale(self, scalar) -> "UEElement":
         scalar = GaussianRational.of(scalar)
@@ -232,7 +232,7 @@ def dagger(a: UEElement) -> UEElement:
     for w, c in a.terms.items():
         factor = GR_ONE
         for i in w:
-            factor = factor * (GR_MINUS_I if par[i] == ODD else GaussianRational.of(-1))
+            factor = factor * (GR_MINUS_I if par[i] == ODD else GR_MINUS_ONE)
         piece = normal_form(a.algebra, tuple(reversed(w)), c.conjugate() * factor, a.order)
         for ww, cc in piece.terms.items():
             _accumulate(out.terms, ww, cc)
@@ -261,7 +261,7 @@ def check_automorphism(algebra: SuperAlgebra, phi) -> ValidationReport:
     for i in range(n):
         for j in range(n):
             lhs = algebra.bracket(phi[i], phi[j])
-            rhs = [GaussianRational() for _ in range(n)]
+            rhs = [GR_ZERO] * n
             for k, c in enumerate(algebra.bracket_basis(i, j)):
                 if c != 0:
                     for m in range(n):

@@ -16,7 +16,7 @@ from math import comb, exp, gamma, pi, sqrt
 
 from .errors import MismatchError, StructureError
 from .groups import FINITE, GroupPoint, Supergroup
-from .scalars import GaussianRational
+from .scalars import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational
 
 # ---------------------------------------------------------------------------
 # finite groups
@@ -41,10 +41,10 @@ class FiniteFunction:
 
     @staticmethod
     def delta(pair: Supergroup, point: GroupPoint) -> "FiniteFunction":
-        return FiniteFunction(pair, {point: GaussianRational.of(1)})
+        return FiniteFunction(pair, {point: GR_ONE})
 
     def __call__(self, point: GroupPoint) -> GaussianRational:
-        return self.values.get(point, GaussianRational())
+        return self.values.get(point, GR_ZERO)
 
     def support(self):
         return self.values.keys()
@@ -57,11 +57,11 @@ class FiniteFunction:
         self._check(other)
         out = dict(self.values)
         for p, v in other.values.items():
-            out[p] = out.get(p, GaussianRational()) + v
+            out[p] = out.get(p, GR_ZERO) + v
         return FiniteFunction(self.pair, out)
 
     def __sub__(self, other: "FiniteFunction") -> "FiniteFunction":
-        return self + other.scale(GaussianRational.of(-1))
+        return self + other.scale(GR_MINUS_ONE)
 
     def scale(self, scalar) -> "FiniteFunction":
         scalar = GaussianRational.of(scalar)
@@ -145,8 +145,6 @@ def _gauss_moment(k: int, rate: float) -> float:
 
 def _abs_moment(k: int, rate: float) -> float:
     """integral of |t|^k exp(-rate t^2) dt over the line."""
-    if k % 2 == 0:
-        return _gauss_moment(k, rate)
     return gamma((k + 1) / 2.0) / rate ** ((k + 1) / 2.0)
 
 
@@ -240,14 +238,6 @@ class GaussianPoly:
             tuple(d(t) for t in self.plus), tuple(d(t) for t in self.eps)
         )
 
-    def pointwise_mul(self, other: "GaussianPoly") -> "GaussianPoly":
-        """Pointwise product per component (not the convolution)."""
-        plus = [_term_pointwise(a, b) for a in self.plus for b in other.plus]
-        eps = [_term_pointwise(a, b) for a in self.eps for b in other.eps]
-        return GaussianPoly(
-            tuple(t for t in plus if t), tuple(t for t in eps if t)
-        )
-
     def is_zero(self) -> bool:
         return not self.plus and not self.eps
 
@@ -283,15 +273,6 @@ def _merge_terms(terms) -> tuple[GaussTerm, ...]:
         if coeffs:
             out.append(GaussTerm(coeffs, key[0], key[1]))
     return tuple(out)
-
-
-def _term_pointwise(a: GaussTerm, b: GaussTerm) -> GaussTerm | None:
-    # exp(-p(t-mu)^2) exp(-q(t-nu)^2) = C exp(-(p+q)(t-kappa)^2)
-    p, q = a.rate, b.rate
-    kappa = (p * a.center + q * b.center) / (p + q)
-    const = exp(-p * q / (p + q) * (a.center - b.center) ** 2)
-    coeffs = _poly_trim(c * const for c in _poly_mul(a.coeffs, b.coeffs))
-    return GaussTerm(coeffs, p + q, kappa) if coeffs else None
 
 
 def _bivariate_from_poly(coeffs, cu: complex, cs: complex, c0: complex):
@@ -390,7 +371,7 @@ def convolve(f, h):
         for g, fv in f.values.items():
             for g2, hv in h.values.items():
                 target = pair.multiply(g, g2)
-                out[target] = out.get(target, GaussianRational()) + fv * hv
+                out[target] = out.get(target, GR_ZERO) + fv * hv
         return FiniteFunction(pair, out)
     if isinstance(f, GaussianPoly) and isinstance(h, GaussianPoly):
         plus = _convolve_sides(f.plus, h.plus) + _convolve_sides(f.eps, h.eps)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import MismatchError, StructureError
-from .scalars import GaussianRational
+from .scalars import GR_ZERO, GaussianRational
 from .validation import ValidationReport
 
 EVEN = 0
@@ -77,7 +77,7 @@ class SuperAlgebra:
             )
         u = [GaussianRational.of(x) for x in u]
         v = [GaussianRational.of(x) for x in v]
-        out = [GaussianRational() for _ in range(n)]
+        out = [GR_ZERO] * n
         for i in range(n):
             if u[i].is_zero():
                 continue

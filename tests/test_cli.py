@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from superrep import cli
 from superrep.cli import main
 
 
@@ -145,3 +146,15 @@ def test_rep_matrix_larger_than_grading_exits_2(capsys, tmp_path):
     assert json.loads(out) == {
         "error": "4:10: 2x2 matrix does not match the 1-entry grading"
     }
+
+
+def test_unexpected_exception_is_a_structured_error(capsys, monkeypatch):
+    def broken(ws, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    code = main(["--catalog", "hc", "validate", "--pair", "hcline"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {"error": "internal error: RuntimeError: boom"}
+    assert "Traceback" not in captured.err

@@ -5,6 +5,10 @@ import random
 import weakref
 from fractions import Fraction
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from superrep.enveloping import (
     DECL_ORDER,
     ODD_MAJOR_ORDER,
@@ -65,6 +69,20 @@ def test_confluence_200_random_words(workspace):
             left = normal_form(algebra, w, order=order, strategy="left")
             right = normal_form(algebra, w, order=order, strategy="right")
             assert left.terms == right.terms, (algebra.name, w, order)
+
+
+@pytest.mark.parametrize("name", ["gl11", "hc2"])
+@given(data=st.data())
+def test_confluence_property(workspace, name, data):
+    # Bergman's diamond lemma: both reduction strategies reach one normal form
+    algebra = workspace.algebras[name]
+    word = data.draw(st.lists(st.integers(0, algebra.dim - 1), max_size=6), label="word")
+    coeff = GaussianRational(data.draw(st.fractions(max_denominator=12), label="re"),
+                             data.draw(st.fractions(max_denominator=12), label="im"))
+    for order in (DECL_ORDER, ODD_MAJOR_ORDER):
+        left = normal_form(algebra, word, coeff, order=order, strategy="left")
+        right = normal_form(algebra, word, coeff, order=order, strategy="right")
+        assert left.terms == right.terms
 
 
 def test_orders_agree_after_reordering(hc2, rng):
