@@ -6,6 +6,11 @@ folded into the functions).  Finite instances are exact; line instances
 require the group to act trivially on the algebra (the epsilon flip is the
 only twist), which keeps the Gaussian-polynomial class closed.
 
+Every product, star and integral below is one twisted-convolution loop for
+both function classes: ``f.twist_split()`` cuts f into pieces on which the
+adjoint action is constant, and ``_twist`` applies that action alpha_g,
+memoized per monomial on the pair.
+
 Group elements and Lie-algebra elements act as multipliers: pairs of
 left/right maps represented symbolically and evaluated on demand.
 """
@@ -15,22 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .enveloping import (
-    UEElement,
-    dagger,
-    normal_form,
-    parity_flip,
-    ue_multiply,
-)
-from .errors import MismatchError, StructureError, UnsupportedInstanceError
+from .enveloping import UEElement, _accumulate, apply_auto, dagger, ue_multiply
+from .errors import MismatchError, UnsupportedInstanceError
 from .functions import (
-    FiniteFunction,
     GaussianPoly,
+    breve,
+    convolve,
     l1_bound,
     left_translate,
+    max_sample_difference,
     right_translate,
 )
-from .groups import FINITE, LINE, GroupPoint, Supergroup
+from .groups import LINE, GroupPoint, Supergroup
 from .scalars import GR_ONE, GR_ZERO, GaussianRational
 
 Word = tuple[int, ...]
@@ -41,6 +42,24 @@ def _phi_from_matrix(mat):
     image vectors per basis index."""
     n = len(mat)
     return [[mat[k][j] for k in range(n)] for j in range(n)]
+
+
+def _twist(pair: Supergroup, g: GroupPoint, D: UEElement) -> UEElement:
+    """alpha_g(D), the automorphism induced by Ad(g).  The image of each
+    monomial is memoized on the pair, keyed by (g, word, order)."""
+    algebra = pair.algebra
+    memo = pair.twist_memo
+    out = UEElement.zero(algebra, D.order)
+    for w, c in D.terms.items():
+        probe = (g, w, D.order)
+        image = memo.get(probe)
+        if image is None:
+            phi = _phi_from_matrix(pair.ad_point(g))
+            mono = UEElement(algebra, {w: GR_ONE}, D.order)
+            image = memo[probe] = apply_auto(algebra, phi, mono, checked=True)
+        for ww, cc in image.terms.items():
+            _accumulate(out.terms, ww, c * cc)
+    return out
 
 
 class CrossedElement:
@@ -66,7 +85,7 @@ class CrossedElement:
             raise MismatchError("enveloping element belongs to a different algebra")
         out = CrossedElement(pair)
         for w, c in element.terms.items():
-            out._add_term(w, _scale_function(f, c))
+            out._add_term(w, f.scale(c))
         return out
 
     def _check(self, other: "CrossedElement"):
@@ -88,7 +107,7 @@ class CrossedElement:
 
     def _add_ue(self, element: UEElement, f):
         for w, c in element.terms.items():
-            self._add_term(w, _scale_function(f, c))
+            self._add_term(w, f.scale(c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CrossedElement):
@@ -108,7 +127,7 @@ class CrossedElement:
     def scale(self, scalar) -> "CrossedElement":
         out = CrossedElement(self.pair)
         for w, f in self.terms.items():
-            out._add_term(w, _scale_function(f, scalar))
+            out._add_term(w, f.scale(scalar))
         return out
 
     def is_zero(self) -> bool:
@@ -126,99 +145,36 @@ class CrossedElement:
         return "CrossedElement[" + "; ".join(parts) + "]" if parts else "CrossedElement[0]"
 
 
-def _scale_function(f, scalar):
-    if isinstance(f, FiniteFunction):
-        return f.scale(scalar)
-    if isinstance(f, GaussianPoly):
-        if isinstance(scalar, GaussianRational):
-            scalar = complex(scalar)
-        return f.scale(scalar)
-    raise MismatchError("unsupported function class")
-
-
-def _require_supported(pair: Supergroup):
-    if pair.group.kind == LINE:
-        pair.require_trivial_line_ad()
-
-
 def xp_multiply(a: CrossedElement, b: CrossedElement) -> CrossedElement:
-    """Twisted convolution product."""
+    """Twisted convolution product: (D_a (x) f_a)(D_b (x) f_b) sums
+    D_a alpha_g(D_b) (x) (piece * f_b) over the twist pieces of f_a."""
     a._check(b)
     pair = a.pair
-    _require_supported(pair)
+    pair.require_trivial_line_ad()
     algebra = pair.algebra
     out = CrossedElement.zero(pair)
-
-    if pair.group.kind == FINITE:
-        from .enveloping import apply_auto
-
-        for wa, fa in a.terms.items():
-            for wb, fb in b.terms.items():
-                mono_b = UEElement(algebra, {wb: GR_ONE})
-                for g, val in fa.values.items():
-                    phi = _phi_from_matrix(pair.ad_point(g))
-                    twisted = apply_auto(algebra, phi, mono_b, checked=True)
-                    product = ue_multiply(
-                        UEElement(algebra, {wa: GR_ONE}), twisted
-                    )
-                    func = left_translate(pair, g, fb).scale(val)
-                    out._add_ue(product, func)
-        return out
-
-    # line instance: the group part acts trivially, epsilon flips parity
     for wa, fa in a.terms.items():
         mono_a = UEElement(algebra, {wa: GR_ONE})
+        split = fa.twist_split()
         for wb, fb in b.terms.items():
             mono_b = UEElement(algebra, {wb: GR_ONE})
-            plain = ue_multiply(mono_a, mono_b)
-            flipped = ue_multiply(mono_a, parity_flip(mono_b))
-            # contribution of the G-part of fa (no twist on D_2)
-            part0 = GaussianPoly(
-                _conv_terms(fa.plus, fb.plus), _conv_terms(fa.plus, fb.eps)
-            )
-            out._add_ue(plain, part0)
-            # contribution of the eps-part of fa (parity flip on D_2,
-            # component swap from the group law)
-            part1 = GaussianPoly(
-                _conv_terms(fa.eps, fb.eps), _conv_terms(fa.eps, fb.plus)
-            )
-            out._add_ue(flipped, part1)
+            for g, piece in split:
+                product = ue_multiply(mono_a, _twist(pair, g, mono_b))
+                out._add_ue(product, convolve(piece, fb))
     return out
 
 
-def _conv_terms(f_terms, h_terms):
-    from .functions import _convolve_sides
-
-    return _convolve_sides(f_terms, h_terms)
-
-
 def xp_star(a: CrossedElement) -> CrossedElement:
-    """The involution: conjugate, invert the argument, twist the monomial
-    and apply the dagger."""
+    """The involution: apply breve to the function, then the dagger of the
+    monomial twisted by each point of the result."""
     pair = a.pair
-    _require_supported(pair)
+    pair.require_trivial_line_ad()
     algebra = pair.algebra
     out = CrossedElement.zero(pair)
-
-    if pair.group.kind == FINITE:
-        from .enveloping import apply_auto
-
-        for w, f in a.terms.items():
-            dag = dagger(UEElement(algebra, {w: GR_ONE}))
-            for g0, val in f.values.items():
-                g = pair.inverse(g0)  # the result is supported where f(g^{-1}) != 0
-                phi = _phi_from_matrix(pair.ad_point(g))
-                twisted = apply_auto(algebra, phi, dag, checked=True)
-                delta_inv = GaussianRational.of(1 / pair.modular(g0))
-                func = FiniteFunction(pair, {g: val.conjugate() * delta_inv})
-                out._add_ue(twisted, func)
-        return out
-
     for w, f in a.terms.items():
         dag = dagger(UEElement(algebra, {w: GR_ONE}))
-        reflected = f.conjugate().reflect()
-        out._add_ue(dag, GaussianPoly(reflected.plus, ()))
-        out._add_ue(parity_flip(dag), GaussianPoly((), reflected.eps))
+        for g, piece in breve(f).twist_split():
+            out._add_ue(_twist(pair, g, dag), piece)
     return out
 
 
@@ -242,28 +198,23 @@ class Multiplier:
 
 def mul_group(pair: Supergroup, g: GroupPoint) -> Multiplier:
     """Left/right translation multiplier attached to a group point."""
-    from .enveloping import apply_auto
-
     algebra = pair.algebra
 
     def lam(a: CrossedElement) -> CrossedElement:
-        _require_supported(pair)
+        pair.require_trivial_line_ad()
         out = CrossedElement.zero(pair)
-        phi = _phi_from_matrix(pair.ad_point(g))
         for w, f in a.terms.items():
             mono = UEElement(algebra, {w: GR_ONE})
-            twisted = apply_auto(algebra, phi, mono, checked=True)
-            out._add_ue(twisted, left_translate(pair, g, f))
+            out._add_ue(_twist(pair, g, mono), left_translate(g, f))
         return out
 
     def rho(a: CrossedElement) -> CrossedElement:
-        _require_supported(pair)
+        pair.require_trivial_line_ad()
         out = CrossedElement.zero(pair)
         gi = pair.inverse(g)
-        delta_inv = 1 / pair.modular(g)
+        delta_inv = GaussianRational.of(1 / pair.modular(g))
         for w, f in a.terms.items():
-            func = _scale_function(right_translate(pair, gi, f), GaussianRational.of(delta_inv))
-            out._add_term(w, func)
+            out._add_term(w, right_translate(gi, f).scale(delta_inv))
         return out
 
     return Multiplier(f"group{g!r}", lam, rho)
@@ -288,37 +239,12 @@ def mul_lie(pair: Supergroup, coords) -> Multiplier:
         return out
 
     def rho(a: CrossedElement) -> CrossedElement:
-        _require_supported(pair)
+        pair.require_trivial_line_ad()
         out = CrossedElement.zero(pair)
-        if pair.group.kind == FINITE:
-            for w, f in a.terms.items():
-                mono = UEElement(algebra, {w: GR_ONE})
-                for g, val in f.values.items():
-                    mat = pair.ad_point(g)
-                    twisted_x = UEElement.from_vector(
-                        algebra,
-                        [
-                            sum(
-                                (GaussianRational.of(mat[k][j]) * coords[j]
-                                 for j in range(algebra.dim)),
-                                GR_ZERO,
-                            )
-                            for k in range(algebra.dim)
-                        ],
-                    )
-                    out._add_ue(
-                        ue_multiply(mono, twisted_x),
-                        FiniteFunction(pair, {g: val}),
-                    )
-            return out
-        flipped = [
-            -c if algebra.parity[k] else c for k, c in enumerate(coords)
-        ]
-        x_flip = UEElement.from_vector(algebra, flipped)
         for w, f in a.terms.items():
             mono = UEElement(algebra, {w: GR_ONE})
-            out._add_ue(ue_multiply(mono, x_elem), GaussianPoly(f.plus, ()))
-            out._add_ue(ue_multiply(mono, x_flip), GaussianPoly((), f.eps))
+            for g, piece in f.twist_split():
+                out._add_ue(ue_multiply(mono, _twist(pair, g, x_elem)), piece)
         return out
 
     return Multiplier("lie", lam, rho)
@@ -349,36 +275,15 @@ def mul_star(m: Multiplier) -> Multiplier:
 def gamma_integral(pair: Supergroup, f, D: UEElement, h) -> CrossedElement:
     """The integral over the group of g -> f(g) alpha_g(D) (x) L_g h, which
     must equal (1 (x) f)(D (x) h)."""
-    _require_supported(pair)
-    algebra = pair.algebra
+    pair.require_trivial_line_ad()
     out = CrossedElement.zero(pair)
-
-    if pair.group.kind == FINITE:
-        from .enveloping import apply_auto
-
-        for g, val in f.values.items():
-            phi = _phi_from_matrix(pair.ad_point(g))
-            twisted = apply_auto(algebra, phi, D, checked=True)
-            out._add_ue(twisted, left_translate(pair, g, h).scale(val))
-        return out
-
-    # line: integrate the G-part (plain convolution) and the eps-part
-    # (parity twist plus component swap) separately
-    out._add_ue(
-        D,
-        GaussianPoly(_conv_terms(f.plus, h.plus), _conv_terms(f.plus, h.eps)),
-    )
-    out._add_ue(
-        parity_flip(D),
-        GaussianPoly(_conv_terms(f.eps, h.eps), _conv_terms(f.eps, h.plus)),
-    )
+    for g, piece in f.twist_split():
+        out._add_ue(_twist(pair, g, D), convolve(piece, h))
     return out
 
 
 def element_sample_difference(a: CrossedElement, b: CrossedElement, points=None) -> float:
     """Max pointwise deviation between matching monomial terms (line case)."""
-    from .functions import max_sample_difference
-
     a._check(b)
     worst = 0.0
     for w in set(a.terms) | set(b.terms):
@@ -399,7 +304,7 @@ def orbit_derivative_check(pair: Supergroup, a: CrossedElement, h: float) -> flo
     """
     if pair.group.kind != LINE:
         raise UnsupportedInstanceError("orbit derivative requires a line instance")
-    _require_supported(pair)
+    pair.require_trivial_line_ad()
     h = float(h)
     residual = 0.0
     for w, f in a.terms.items():

@@ -70,6 +70,11 @@ class FiniteFunction:
     def conjugate(self) -> "FiniteFunction":
         return FiniteFunction(self.pair, {p: v.conjugate() for p, v in self.values.items()})
 
+    def twist_split(self):
+        """Pairs (g, piece) whose pieces sum to f, every point of supp(piece)
+        acting on the algebra as g does: one delta piece per support point."""
+        return [(p, FiniteFunction(self.pair, {p: v})) for p, v in self.values.items()]
+
     def is_zero(self) -> bool:
         return not self.values
 
@@ -208,6 +213,19 @@ class GaussianPoly:
             for t in terms
         )
         return GaussianPoly(ref(self.plus), ref(self.eps))
+
+    def twist_split(self):
+        """Pairs (g, piece) whose pieces sum to f, every point of supp(piece)
+        acting on the algebra as g does: the plus part with the identity,
+        then the eps part with epsilon.  Valid only because every caller
+        guards with ``require_trivial_line_ad``, so that exp(t z) acts as the
+        identity and (t, eps) as the parity flip."""
+        out = []
+        if self.plus:
+            out.append((GroupPoint(0, False), GaussianPoly(self.plus, ())))
+        if self.eps:
+            out.append((GroupPoint(0, True), GaussianPoly((), self.eps)))
+        return out
 
     def swap_components(self) -> "GaussianPoly":
         return GaussianPoly(self.eps, self.plus)
@@ -380,7 +398,7 @@ def convolve(f, h):
     raise MismatchError("convolution requires two functions of the same class")
 
 
-def breve(f, pair: Supergroup | None = None):
+def breve(f):
     """The involution f -> Delta(g)^{-1} conj(f(g^{-1})); all shipped
     instances are unimodular, so Delta drops out."""
     if isinstance(f, FiniteFunction):
@@ -395,7 +413,7 @@ def breve(f, pair: Supergroup | None = None):
     raise MismatchError("unsupported function class")
 
 
-def left_translate(pair_or_none, g: GroupPoint, f):
+def left_translate(g: GroupPoint, f):
     """L_g f (g') = f(g^{-1} g')."""
     if isinstance(f, FiniteFunction):
         p = f.pair
@@ -409,7 +427,7 @@ def left_translate(pair_or_none, g: GroupPoint, f):
     raise MismatchError("unsupported function class")
 
 
-def right_translate(pair_or_none, g: GroupPoint, f):
+def right_translate(g: GroupPoint, f):
     """R_g f (g') = f(g' g)."""
     if isinstance(f, FiniteFunction):
         p = f.pair

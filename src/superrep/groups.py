@@ -13,7 +13,7 @@ flip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -115,6 +115,9 @@ class Supergroup:
     name: str
     group: GroupData
     algebra: SuperAlgebra
+    # twisted monomials alpha_g(word) keyed by (point, word, order), filled by
+    # crossed._twist; outside equality, hashing and repr
+    twist_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # -- group operations on points of the epsilon-extension ----------------
 

@@ -257,8 +257,7 @@ def prop33_bound(a: CrossedElement) -> float:
     """Certified upper bound M with || rep_hat(R, a) || <= M for every
     validated representation R of the pair."""
     pair = a.pair
-    if pair.group.kind == LINE:
-        pair.require_trivial_line_ad()
+    pair.require_trivial_line_ad()
     algebra = pair.algebra
     total = 0.0
     for word, f in a.terms.items():

@@ -122,9 +122,9 @@ def test_fourier_of_derivative(rng):
 
 def test_translation_and_reflection(rng):
     f = random_gauss(rng)
-    g = left_translate(None, GroupPoint(0.8, False), f)
+    g = left_translate(GroupPoint(0.8, False), f)
     assert g.value(1.0) == pytest.approx(f.value(0.2), abs=1e-14)
-    h = right_translate(None, GroupPoint(0.8, False), f)
+    h = right_translate(GroupPoint(0.8, False), f)
     assert h.value(1.0) == pytest.approx(f.value(1.8), abs=1e-14)
     r = breve(f)
     assert r.value(-0.3) == pytest.approx(f.value(0.3).conjugate(), abs=1e-14)
@@ -132,7 +132,7 @@ def test_translation_and_reflection(rng):
 
 def test_eps_translation_swaps_components(rng):
     f = random_gauss(rng, "plus")
-    g = left_translate(None, GroupPoint(0.0, True), f)
+    g = left_translate(GroupPoint(0.0, True), f)
     assert g.plus == ()
     assert g.value(0.5, True) == pytest.approx(f.value(0.5), abs=1e-14)
 
@@ -159,7 +159,7 @@ def test_richardson_derivative_trend(hcline):
     rd = right_derivative(hcline, hcline.generator_index, f)
     errors = []
     for h in (0.1, 0.05, 0.025):
-        shifted = left_translate(None, GroupPoint(h, False), f)
+        shifted = left_translate(GroupPoint(h, False), f)
         worst = 0.0
         for t in [-2 + 0.4 * k for k in range(11)]:
             q = (shifted.value(t) - f.value(t)) / h
