@@ -46,9 +46,11 @@ def _phi_from_matrix(mat):
 
 def _twist(pair: Supergroup, g: GroupPoint, D: UEElement) -> UEElement:
     """alpha_g(D), the automorphism induced by Ad(g).  The image of each
-    monomial is memoized on the pair, keyed by (g, word, order)."""
+    monomial is memoized on the pair, keyed by (twist_point(g), word,
+    order), so points with one adjoint action share their entries."""
     algebra = pair.algebra
     memo = pair.twist_memo
+    g = pair.twist_point(g)
     out = UEElement.zero(algebra, D.order)
     for w, c in D.terms.items():
         probe = (g, w, D.order)

@@ -141,16 +141,14 @@ def _poly_mul(a, b):
     return _poly_trim(out)
 
 
-def _gauss_moment(k: int, rate: float) -> float:
-    """integral of t^k exp(-rate t^2) dt over the line (zero for odd k)."""
-    if k % 2:
-        return 0.0
-    return gamma((k + 1) / 2.0) / rate ** ((k + 1) / 2.0)
-
-
 def _abs_moment(k: int, rate: float) -> float:
     """integral of |t|^k exp(-rate t^2) dt over the line."""
     return gamma((k + 1) / 2.0) / rate ** ((k + 1) / 2.0)
+
+
+def _gauss_moment(k: int, rate: float) -> float:
+    """integral of t^k exp(-rate t^2) dt over the line (zero for odd k)."""
+    return 0.0 if k % 2 else _abs_moment(k, rate)
 
 
 class GaussianPoly:
@@ -162,6 +160,17 @@ class GaussianPoly:
     def __init__(self, plus=(), eps=()):
         self.plus = _merge_terms(plus)
         self.eps = _merge_terms(eps)
+
+    @classmethod
+    def _keyed(cls, plus, eps) -> "GaussianPoly":
+        """Build from terms whose (rate, center) keys are pairwise distinct
+        on each component, as every key-preserving map of a merged function
+        leaves them: input order is kept and empty polynomials are dropped,
+        with no merge pass."""
+        out = object.__new__(cls)
+        out.plus = tuple(t for t in plus if t.coeffs)
+        out.eps = tuple(t for t in eps if t.coeffs)
+        return out
 
     @staticmethod
     def gaussian(rate=1.0, center=0.0, coeffs=(1.0,), component="plus") -> "GaussianPoly":
@@ -193,14 +202,14 @@ class GaussianPoly:
             GaussTerm(_poly_trim(c * scalar for c in t.coeffs), t.rate, t.center)
             for t in terms
         )
-        return GaussianPoly(scale_one(self.plus), scale_one(self.eps))
+        return GaussianPoly._keyed(scale_one(self.plus), scale_one(self.eps))
 
     def conjugate(self) -> "GaussianPoly":
         conj = lambda terms: tuple(
             GaussTerm(_poly_trim(c.conjugate() for c in t.coeffs), t.rate, t.center)
             for t in terms
         )
-        return GaussianPoly(conj(self.plus), conj(self.eps))
+        return GaussianPoly._keyed(conj(self.plus), conj(self.eps))
 
     def reflect(self) -> "GaussianPoly":
         """t -> -t on both components."""
@@ -212,7 +221,7 @@ class GaussianPoly:
             )
             for t in terms
         )
-        return GaussianPoly(ref(self.plus), ref(self.eps))
+        return GaussianPoly._keyed(ref(self.plus), ref(self.eps))
 
     def twist_split(self):
         """Pairs (g, piece) whose pieces sum to f, every point of supp(piece)
@@ -228,7 +237,7 @@ class GaussianPoly:
         return out
 
     def swap_components(self) -> "GaussianPoly":
-        return GaussianPoly(self.eps, self.plus)
+        return GaussianPoly._keyed(self.eps, self.plus)
 
     def translate(self, tau: float) -> "GaussianPoly":
         """t -> t - tau (left translation by tau on each component)."""
@@ -252,15 +261,12 @@ class GaussianPoly:
             )
             return GaussTerm(_poly_trim(total), term.rate, term.center)
 
-        return GaussianPoly(
+        return GaussianPoly._keyed(
             tuple(d(t) for t in self.plus), tuple(d(t) for t in self.eps)
         )
 
     def is_zero(self) -> bool:
         return not self.plus and not self.eps
-
-    def term_count(self) -> int:
-        return len(self.plus) + len(self.eps)
 
     def __repr__(self):
         def side(terms):
@@ -351,11 +357,20 @@ def _convolve_sides(f_terms, h_terms):
 
 
 def _term_fourier(term: GaussTerm, freq: float) -> complex:
-    """integral of p(t) exp(-a (t-mu)^2) exp(i freq t) dt, in closed form."""
+    """integral of p(t) exp(-a (t-mu)^2) exp(i freq t) dt, in closed form:
+    p(t + mu + i freq/2a) against the moments of the centered Gaussian."""
     a, mu = term.rate, term.center
-    w = 1j * freq / (2.0 * a)
-    shifted = _poly_shift(term.coeffs, w + mu)
-    total = sum(c * _gauss_moment(k, a) for k, c in enumerate(shifted))
+    coeffs = term.coeffs
+    shift = 1j * freq / (2.0 * a) + mu
+    shifted = [0j] * len(coeffs)
+    for j, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        for k in range(j + 1):
+            shifted[k] += c * comb(j, k) * shift ** (j - k)
+    while shifted and shifted[-1] == 0:
+        shifted.pop()
+    total = sum([c * _gauss_moment(k, a) for k, c in enumerate(shifted)])
     return cmath.exp(1j * freq * mu) * exp(-freq * freq / (4.0 * a)) * total
 
 
@@ -364,14 +379,13 @@ def _term_l1_bound(term: GaussTerm, center_slack: float = 0.0) -> float:
     ``center_slack`` widens the bound so it also covers every translate of
     the term by at most that amount."""
     a, mu = term.rate, abs(term.center) + center_slack
+    moments = [_abs_moment(j, a) for j in range(len(term.coeffs))]
     total = 0.0
     for k, c in enumerate(term.coeffs):
         if c == 0:
             continue
         # |t|^k <= sum_j C(k,j) |mu|^(k-j) |u|^j with u = t - center
-        total += abs(c) * sum(
-            comb(k, j) * mu ** (k - j) * _abs_moment(j, a) for j in range(k + 1)
-        )
+        total += abs(c) * sum([comb(k, j) * mu ** (k - j) * moments[j] for j in range(k + 1)])
     return total
 
 
@@ -473,7 +487,8 @@ def fourier_at(f: GaussianPoly, freq: float, component: str = "plus") -> complex
     if not isinstance(f, GaussianPoly):
         raise MismatchError("fourier_at is a line-instance operation")
     terms = f.plus if component == "plus" else f.eps
-    return sum((_term_fourier(t, float(freq)) for t in terms), 0j)
+    freq = float(freq)
+    return sum([_term_fourier(t, freq) for t in terms], 0j)
 
 
 def factor_gaussian(rate: float, center: float = 0.0):

@@ -115,8 +115,8 @@ class Supergroup:
     name: str
     group: GroupData
     algebra: SuperAlgebra
-    # twisted monomials alpha_g(word) keyed by (point, word, order), filled by
-    # crossed._twist; outside equality, hashing and repr
+    # twisted monomials alpha_g(word) keyed by (twist_point(g), word, order),
+    # filled by crossed._twist; outside equality, hashing and repr
     twist_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # -- group operations on points of the epsilon-extension ----------------
@@ -195,6 +195,13 @@ class Supergroup:
             par = self.algebra.parity
             mat = [[-v if par[j] else v for j, v in enumerate(row)] for row in mat]
         return mat
+
+    def twist_point(self, g: GroupPoint) -> GroupPoint:
+        """A point acting on the algebra as g does, shared by every such g:
+        g itself on a finite group.  On a line pair with trivial adjoint,
+        which every twisting caller requires, exp(t z) acts as the identity
+        for every t, so each point stands for (0, g.eps)."""
+        return g if self.group.kind == FINITE else GroupPoint(0, g.eps)
 
     def line_ad_is_trivial(self) -> bool:
         return linalg.is_zero_matrix(self.ad_generator_matrix())

@@ -218,21 +218,27 @@ def rep_hat(rep: MatrixRep, a: CrossedElement) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _derive(pair: Supergroup, even_word: Word, f):
-    """R_D f for a word of even letters (applied right to left)."""
-    for i in reversed(even_word):
-        f = right_derivative(pair, i, f)
-    return f
+def _derive(pair: Supergroup, even_word: Word, derived: dict):
+    """R_D f for a word of even letters (applied right to left).  ``derived``
+    maps each even word already taken to R_word f for one term's f, from
+    ``{(): f}`` on; a miss derives the suffix first, so each suffix of each
+    word is derived once per term."""
+    out = derived.get(even_word)
+    if out is None:
+        inner = _derive(pair, even_word[1:], derived)
+        out = derived[even_word] = right_derivative(pair, even_word[0], inner)
+    return out
 
 
-def _bound_term(pair: Supergroup, odd_word: Word, even_word: Word, f) -> float:
+def _bound_term(pair: Supergroup, odd_word: Word, even_word: Word, derived: dict) -> float:
     """Certified bound on || rho(odd_word) dpi(even_word) pi(f) || valid for
-    every unitary representation, by peeling odd letters."""
+    every unitary representation, by peeling odd letters; ``derived`` holds
+    the derivatives of f taken so far (see ``_derive``)."""
     algebra = pair.algebra
     if not odd_word:
-        return l1_bound(_derive(pair, even_word, f))
+        return l1_bound(_derive(pair, even_word, derived))
     y, rest = odd_word[0], odd_word[1:]
-    tail = _bound_term(pair, rest, even_word, f)
+    tail = _bound_term(pair, rest, even_word, derived)
     if tail == 0.0:
         return 0.0
     # || rho(y) W v ||^2 <= 1/2 ||W v|| * || rho([y,y]) W v ||, and the even
@@ -248,8 +254,8 @@ def _bound_term(pair: Supergroup, odd_word: Word, even_word: Word, f) -> float:
                 if d == 0:
                     continue
                 replaced = rest[:j] + (m,) + rest[j + 1:]
-                pushed += weight * abs(float(d)) * _bound_term(pair, replaced, even_word, f)
-        pushed += weight * _bound_term(pair, rest, (k,) + even_word, f)
+                pushed += weight * abs(float(d)) * _bound_term(pair, replaced, even_word, derived)
+        pushed += weight * _bound_term(pair, rest, (k,) + even_word, derived)
     return (0.5 * tail * pushed) ** 0.5
 
 
@@ -261,6 +267,7 @@ def prop33_bound(a: CrossedElement) -> float:
     algebra = pair.algebra
     total = 0.0
     for word, f in a.terms.items():
+        derived = {(): f}
         # rewrite the monomial with all odd letters in front, as the
         # letter-peeling recursion requires
         reordered = normal_form(algebra, word, order=ODD_MAJOR_ORDER)
@@ -271,7 +278,7 @@ def prop33_bound(a: CrossedElement) -> float:
             odd_word, even_word = w[:split], w[split:]
             if any(algebra.parity[i] == ODD for i in even_word):
                 raise StructureError("odd-major normal form failed to order the word")
-            total += abs(c) * _bound_term(pair, odd_word, even_word, f)
+            total += abs(c) * _bound_term(pair, odd_word, even_word, derived)
     return total
 
 

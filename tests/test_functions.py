@@ -6,6 +6,7 @@ import random
 import pytest
 from scipy.integrate import quad
 
+from superrep import functions
 from superrep.functions import (
     FiniteFunction,
     GaussTerm,
@@ -167,6 +168,46 @@ def test_richardson_derivative_trend(hcline):
         errors.append(worst)
     assert errors[0] > errors[1] > errors[2]
     assert errors[1] / errors[0] == pytest.approx(0.5, abs=0.1)
+
+
+# -- key-preserving maps skip the merge pass ---------------------------------
+
+
+def test_key_preserving_maps_match_merged_construction(rng, monkeypatch):
+    def no_merge(terms):
+        raise AssertionError("a key-preserving map ran the merge pass")
+
+    for _ in range(20):
+        f = sum(
+            (random_gauss(rng, side) for side in ("plus", "eps", "plus", "eps")),
+            GaussianPoly.gaussian(1.5, 0.0, (0.5, -1j), "plus"),
+        )
+        with monkeypatch.context() as m:
+            m.setattr(functions, "_merge_terms", no_merge)
+            maps = (
+                f.scale(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))),
+                f.conjugate(),
+                f.reflect(),
+                f.derivative(),
+                f.swap_components(),
+            )
+        for out in maps:
+            merged = GaussianPoly(out.plus, out.eps)
+            assert out.plus == merged.plus and out.eps == merged.eps
+
+
+def test_scale_underflow_drops_term():
+    f = GaussianPoly.gaussian(1.0, 0.0, (1e-300,)) + GaussianPoly.gaussian(2.0, 0.5, (1.0,))
+    out = f.scale(1e-300)
+    assert [(t.rate, t.center) for t in out.plus] == [(2.0, 0.5)]
+    assert out.plus[0].coeffs == (1e-300 + 0j,)
+
+
+def test_translate_merges_centers_that_round_together():
+    f = GaussianPoly.gaussian(1.0, 0.0, (1.0,)) + GaussianPoly.gaussian(1.0, 1e-17, (2.0,))
+    assert len(f.plus) == 2
+    out = f.translate(1.0)
+    assert [(t.rate, t.center, t.coeffs) for t in out.plus] == [(1.0, 1.0, (3.0 + 0j,))]
 
 
 # -- finite functions --------------------------------------------------------

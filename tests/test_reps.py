@@ -7,9 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from superrep import reps
 from superrep.crossed import CrossedElement, mul_group, mul_lie, xp_multiply, xp_star
-from superrep.enveloping import UEElement, normal_form
-from superrep.functions import FiniteFunction, GaussianPoly, fourier_at, l1_bound
+from superrep.dsl import parse
+from superrep.enveloping import ODD_MAJOR_ORDER, UEElement, normal_form
+from superrep.functions import (
+    FiniteFunction,
+    GaussianPoly,
+    fourier_at,
+    l1_bound,
+    right_derivative,
+)
 from superrep.groups import GroupPoint
 from superrep.reps import (
     MatrixRep,
@@ -225,6 +233,89 @@ def test_bound_soundness_300_pairs(hcline, z2odd, reg4, z2_chars):
             assert operator_norm(rep_hat(rep, a)) <= m + 1e-12
             count += 1
     assert count >= 300
+
+
+# the letter-peeling recursion as it was before each term kept its chain of
+# derivatives: every leaf derives f from scratch, right to left; ``seen``
+# collects each non-empty even word a leaf derives, with all its suffixes
+
+
+def reference_bound_term(pair, odd_word, even_word, f, seen):
+    algebra = pair.algebra
+    if not odd_word:
+        seen.update(even_word[k:] for k in range(len(even_word)))
+        for i in reversed(even_word):
+            f = right_derivative(pair, i, f)
+        return l1_bound(f)
+    y, rest = odd_word[0], odd_word[1:]
+    tail = reference_bound_term(pair, rest, even_word, f, seen)
+    if tail == 0.0:
+        return 0.0
+    pushed = 0.0
+    for k, c in enumerate(algebra.bracket_basis(y, y)):
+        if c == 0:
+            continue
+        weight = abs(float(c))
+        for j in range(len(rest)):
+            for m, d in enumerate(algebra.bracket_basis(k, rest[j])):
+                if d == 0:
+                    continue
+                replaced = rest[:j] + (m,) + rest[j + 1:]
+                pushed += weight * abs(float(d)) * reference_bound_term(
+                    pair, replaced, even_word, f, seen
+                )
+        pushed += weight * reference_bound_term(pair, rest, (k,) + even_word, f, seen)
+    return (0.5 * tail * pushed) ** 0.5
+
+
+def reference_prop33(a):
+    """prop33_bound by the reference recursion, and the distinct (term,
+    non-empty even word) pairs its leaves derive."""
+    algebra = a.pair.algebra
+    total, derived = 0.0, set()
+    for word, f in a.terms.items():
+        seen = set()
+        for w, c in normal_form(algebra, word, order=ODD_MAJOR_ORDER).terms.items():
+            split = next((k for k, i in enumerate(w) if algebra.parity[i] == 0), len(w))
+            total += abs(c) * reference_bound_term(a.pair, w[:split], w[split:], f, seen)
+        derived.update((word, even) for even in seen)
+    return total, derived
+
+
+HC2LINE_SOURCE = """
+(superalgebra hc2t
+  (basis (z even) (x1 odd) (x2 odd))
+  (bracket x1 x1 (1 z))
+  (bracket x2 x2 (1 z)))
+(pair hc2tline hc2t (line z))
+"""
+
+
+def test_bound_matches_reference_recursion_bit_for_bit(hcline, monkeypatch):
+    hc2line = parse(HC2LINE_SOURCE).pairs["hc2tline"]
+    rng = random.Random(212)
+    calls = []
+    real = reps.right_derivative
+
+    def counted(pair, index, f):
+        calls.append(index)
+        return real(pair, index, f)
+
+    monkeypatch.setattr(reps, "right_derivative", counted)
+    deepest = 0
+    for pair in (hcline, hc2line):
+        for _ in range(8):
+            a = random_line_element(rng, pair, max_deg=4)
+            b = random_line_element(rng, pair, max_deg=4)
+            for elem in (a, b, xp_multiply(a, b)):
+                del calls[:]
+                bound = prop33_bound(elem)
+                reference, derived = reference_prop33(elem)
+                assert bound == reference
+                # one right_derivative per distinct (term, non-empty even word)
+                assert len(calls) == len(derived)
+                deepest = max([deepest] + [len(even) for _, even in derived])
+    assert deepest == 6
 
 
 def test_bound_zero_on_purely_odd_positive_degree(z2odd):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from superrep.catalog import load_catalog
 from superrep.crossed import (
     CrossedElement,
     gamma_integral,
@@ -213,3 +214,30 @@ def test_twist_memo_is_freed_with_its_pair():
     del pair, a, b
     gc.collect()
     assert ref() is None
+
+
+def test_line_twist_memo_holds_one_entry_per_adjoint_action():
+    # every point of a line pair with trivial adjoint acts as the identity
+    # or as epsilon, so the memo keeps at most two images of each word
+    pair = load_catalog("hc").pairs["hcline"]
+    f = GaussianPoly.gaussian(1.0, 0.2, (1.0, 0.5j)) + GaussianPoly.gaussian(
+        2.0, -0.3, (0.25,), "eps"
+    )
+    a = sum(
+        (CrossedElement.tensor(pair, normal_form(pair.algebra, w), f) for w in ((1,), (0, 1))),
+        CrossedElement.zero(pair),
+    )
+    points = [GroupPoint(k / 1000, False) for k in range(1000)]
+    points += [GroupPoint(k / 7, True) for k in range(-3, 4)]
+    for g in points:
+        out = mul_group(pair, g).lam(a)
+        # the reference twists at g itself, straight from Ad(g)
+        ref = CrossedElement.zero(pair)
+        for w, fw in a.terms.items():
+            twisted = reference_twist(pair, g, UEElement(pair.algebra, {w: GR_ONE}))
+            ref = ref + CrossedElement.tensor(pair, twisted, left_translate(g, fw))
+        assert {w: (h.plus, h.eps) for w, h in out.terms.items()} == {
+            w: (h.plus, h.eps) for w, h in ref.terms.items()
+        }
+    assert {w for _, w, _ in pair.twist_memo} == set(a.terms)
+    assert len(pair.twist_memo) <= 2 * len(a.terms)
