@@ -83,7 +83,7 @@ def _scalar_json(v) -> list:
     return [z.real, z.imag]
 
 
-def _function_json(ws: Workspace, f) -> dict:
+def _function_json(f) -> dict:
     if isinstance(f, FiniteFunction):
         pair = f.pair
         names = pair.group.finite.element_names
@@ -104,11 +104,11 @@ def _function_json(ws: Workspace, f) -> dict:
     return {"kind": "line", "plus": side(f.plus), "eps": side(f.eps)}
 
 
-def _element_json(ws: Workspace, a: CrossedElement) -> dict:
+def _element_json(a: CrossedElement) -> dict:
     names = a.pair.algebra.basis_names
     return {
         "terms": [
-            {"word": [names[i] for i in w], "function": _function_json(ws, a.terms[w])}
+            {"word": [names[i] for i in w], "function": _function_json(a.terms[w])}
             for w in sorted(a.terms)
         ]
     }
@@ -138,7 +138,7 @@ def _load_workspace(args) -> Workspace:
     return ws
 
 
-def _word(ws: Workspace, algebra, text: str):
+def _word(algebra, text: str):
     out = []
     for nm in text.replace(",", " ").split():
         out.append(algebra.index(nm))
@@ -179,7 +179,7 @@ def cmd_validate(ws: Workspace, args) -> tuple[dict, bool]:
 
 def cmd_nf(ws: Workspace, args) -> tuple[dict, bool]:
     algebra = _get(ws, "algebra", args.algebra)
-    word = _word(ws, algebra, args.word)
+    word = _word(algebra, args.word)
     result = normal_form(algebra, word, order=args.order)
     return {
         "algebra": args.algebra,
@@ -191,7 +191,7 @@ def cmd_nf(ws: Workspace, args) -> tuple[dict, bool]:
 
 def cmd_dagger(ws: Workspace, args) -> tuple[dict, bool]:
     algebra = _get(ws, "algebra", args.algebra)
-    word = _word(ws, algebra, args.word)
+    word = _word(algebra, args.word)
     result = ue_dagger(normal_form(algebra, word))
     return {
         "algebra": args.algebra,
@@ -205,19 +205,19 @@ def cmd_xp_mul(ws: Workspace, args) -> tuple[dict, bool]:
     b = _get(ws, "element", args.right)
     product = xp_multiply(a, b)
     return {"left": args.left, "right": args.right,
-            "product": _element_json(ws, product)}, True
+            "product": _element_json(product)}, True
 
 
 def cmd_xp_star(ws: Workspace, args) -> tuple[dict, bool]:
     a = _get(ws, "element", args.elem)
-    return {"elem": args.elem, "star": _element_json(ws, xp_star(a))}, True
+    return {"elem": args.elem, "star": _element_json(xp_star(a))}, True
 
 
 def cmd_gamma_check(ws: Workspace, args) -> tuple[dict, bool]:
     pair = _get(ws, "pair", args.pair)
     f = _get(ws, "function", args.f)
     h = _get(ws, "function", args.h)
-    word = _word(ws, pair.algebra, args.word) if args.word else ()
+    word = _word(pair.algebra, args.word) if args.word else ()
     d = normal_form(pair.algebra, word)
     lhs = gamma_integral(pair, f, d, h)
     rhs = xp_multiply(

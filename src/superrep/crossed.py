@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from . import linalg
 from .enveloping import UEElement, _accumulate, apply_auto, dagger, ue_multiply
 from .errors import MismatchError, UnsupportedInstanceError
 from .functions import (
@@ -37,13 +38,6 @@ from .scalars import GR_ONE, GR_ZERO, GaussianRational
 Word = tuple[int, ...]
 
 
-def _phi_from_matrix(mat):
-    """Adjoint matrices act on column vectors; apply_auto wants the list of
-    image vectors per basis index."""
-    n = len(mat)
-    return [[mat[k][j] for k in range(n)] for j in range(n)]
-
-
 def _twist(pair: Supergroup, g: GroupPoint, D: UEElement) -> UEElement:
     """alpha_g(D), the automorphism induced by Ad(g).  The image of each
     monomial is memoized on the pair, keyed by (twist_point(g), word,
@@ -56,7 +50,7 @@ def _twist(pair: Supergroup, g: GroupPoint, D: UEElement) -> UEElement:
         probe = (g, w, D.order)
         image = memo.get(probe)
         if image is None:
-            phi = _phi_from_matrix(pair.ad_point(g))
+            phi = linalg.transpose(pair.ad_point(g))
             mono = UEElement(algebra, {w: GR_ONE}, D.order)
             image = memo[probe] = apply_auto(algebra, phi, mono, checked=True)
         for ww, cc in image.terms.items():

@@ -29,6 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .crossed import CrossedElement
 from .enveloping import UEElement
 from .errors import DslError
@@ -301,6 +302,7 @@ def _build_superalgebra(ws: Workspace, form: SList):
     n = len(names)
     index = {nm: i for i, nm in enumerate(names)}
     constants = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    given: dict[tuple[int, int], SList] = {}  # explicit brackets and their sites
 
     def basis_index(node) -> int:
         nm = _expect_symbol(node, "basis name")
@@ -314,6 +316,15 @@ def _build_superalgebra(ws: Workspace, form: SList):
             raise DslError("expected (bracket X Y (coef Z) ...)", entry.line, entry.col)
         i = basis_index(entry.items[1])
         j = basis_index(entry.items[2])
+        if (i, j) in given:
+            first = given[i, j]
+            raise DslError(
+                f"bracket [{names[i]},{names[j]}] given twice (first at line "
+                f"{first.line}, column {first.col})",
+                entry.line,
+                entry.col,
+            )
+        given[i, j] = entry
         vec = [Fraction(0)] * n
         for piece in entry.items[3:]:
             piece = _expect_list(piece, "(coef basis)")
@@ -325,10 +336,12 @@ def _build_superalgebra(ws: Workspace, form: SList):
                                piece.items[0].line, piece.items[0].col)
             vec[basis_index(piece.items[1])] += coef_atom.value
         constants[i][j] = vec
-        # fill the super-skew partner unless it was given explicitly
-        if i != j:
+    # fill the super-skew partner unless it was given explicitly; a given
+    # partner is left for the super_skew_symmetry check
+    for i, j in given:
+        if (j, i) not in given:
             sign = -1 if (parity[i] and parity[j]) else 1
-            constants[j][i] = [-sign * c for c in vec]
+            constants[j][i] = [-sign * c for c in constants[i][j]]
     try:
         algebra = build_superalgebra(name, names, parity, constants)
     except Exception as exc:
@@ -392,11 +405,7 @@ def _build_pair(ws: Workspace, form: SList):
                 out_row.append(eindex[nm])
             rows.append(tuple(out_row))
         fg = FiniteGroup(f"{name}-group", tuple(elements), tuple(rows))
-        n = algebra.dim
-        identity_mat = tuple(
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-            for i in range(n)
-        )
+        identity_mat = tuple(map(tuple, linalg.identity_matrix(algebra.dim)))
         mats = []
         for nm in elements:
             if nm in ad:
@@ -428,7 +437,7 @@ def _point(pair: Supergroup, node) -> GroupPoint:
     return GroupPoint(base.base, True)
 
 
-def _function_literal(ws: Workspace, pair: Supergroup, node):
+def _function_literal(pair: Supergroup, node):
     node = _expect_list(node, "function literal")
     head = _head(node)
     if head == "finitefunc":
@@ -474,7 +483,7 @@ def _function_ref(ws: Workspace, pair: Supergroup, node):
     if isinstance(node, Atom) and node.kind == "symbol":
         func = ws._lookup("function", node.value, node)
         return func
-    return _function_literal(ws, pair, node)
+    return _function_literal(pair, node)
 
 
 def _build_function(ws: Workspace, form: SList):
@@ -484,7 +493,7 @@ def _build_function(ws: Workspace, form: SList):
     name = _expect_symbol(form.items[1], "function name")
     pair_name = _expect_symbol(form.items[2], "pair name")
     pair = ws._lookup("pair", pair_name, form.items[2])
-    func = _function_literal(ws, pair, form.items[3])
+    func = _function_literal(pair, form.items[3])
     ws._define("function", name, form, func)
     ws._function_pairs[name] = pair_name
 
@@ -587,6 +596,8 @@ def _build_rep(ws: Workspace, form: SList):
             if pair.group.kind != LINE:
                 raise DslError("(freq ...) only applies to line pairs",
                                clause.line, clause.col)
+            if len(clause.items) != 2:
+                raise DslError("expected (freq NUMBER)", clause.line, clause.col)
             freq = _number(clause.items[1])
         else:
             raise DslError(f"unknown rep clause {ck!r}", clause.line, clause.col)
@@ -726,11 +737,8 @@ def print_workspace(ws: Workspace) -> str:
                 "(" + " ".join(fg.element_names[v] for v in row) + ")"
                 for row in fg.table
             )
-            ident = tuple(
-                tuple(Fraction(1) if i == j else Fraction(0)
-                      for j in range(pair.algebra.dim))
-                for i in range(pair.algebra.dim)
-            )
+            # ad_matrices hold tuples, so the identity must be one to compare
+            ident = tuple(map(tuple, linalg.identity_matrix(pair.algebra.dim)))
             ads = []
             for g, mat in enumerate(pair.group.ad_matrices):
                 if mat != ident:
@@ -743,7 +751,7 @@ def print_workspace(ws: Workspace) -> str:
                 f"(table {table}){''.join(ads)}))"
             )
     for name, func in ws.functions.items():
-        pname = _pair_name(ws, func, name)
+        pname = _pair_name(ws, name)
         out.append(f"(function {name} {pname} {_print_function(ws.pairs[pname], func)})")
     for name, elem in ws.elements.items():
         pname = next(n for n, p in ws.pairs.items() if p == elem.pair)
@@ -784,7 +792,7 @@ def _print_matrix(mat: np.ndarray) -> str:
     return f"({rows})"
 
 
-def _pair_name(ws: Workspace, func, fname: str) -> str:
+def _pair_name(ws: Workspace, fname: str) -> str:
     pname = ws._function_pairs.get(fname)
     if pname is None:
         raise DslError(f"function {fname!r} has no recorded pair")

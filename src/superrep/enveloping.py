@@ -266,7 +266,7 @@ def check_automorphism(algebra: SuperAlgebra, phi) -> ValidationReport:
                 if c != 0:
                     for m in range(n):
                         rhs[m] = rhs[m] + GaussianRational.of(c) * phi[k][m]
-            if any(not (x - y).is_zero() for x, y in zip(lhs, rhs)):
+            if lhs != rhs:
                 bracket_bad.append(
                     f"[{algebra.basis_names[i]},{algebra.basis_names[j]}]"
                 )

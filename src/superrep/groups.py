@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from . import linalg
+from .enveloping import check_automorphism
 from .errors import MismatchError, StructureError, UnsupportedInstanceError
 from .superalgebra import EVEN, SuperAlgebra
 from .validation import ValidationReport
@@ -159,28 +161,34 @@ class Supergroup:
             raise UnsupportedInstanceError("generator_index only exists for line groups")
         return self.algebra.index(self.group.generator_name)
 
-    def ad_generator_matrix(self):
-        """The matrix of y -> [z, y] for the line generator z."""
-        z = self.generator_index
+    @cached_property
+    def line_ad_terms(self):
+        """The nonzero (ad z)^k / k! for k >= 1, so that Ad(exp(t z)) is
+        1 + sum t^k M_k; None when ad z is not nilpotent.  Computed once per
+        pair and, as a cached attribute, outside equality, hashing and repr."""
         n = self.algebra.dim
-        return [
-            [self.algebra.constants[z][j][k] for j in range(n)] for k in range(n)
-        ]
-
-    def line_ad_matrix(self, t: Fraction):
-        """Ad(exp(t z)) as the truncated exponential of t * ad z."""
-        n = self.algebra.dim
-        adz = self.ad_generator_matrix()
-        out = linalg.identity_matrix(n)
+        # column j of ad z is [z, b_j]
+        adz = linalg.transpose(self.algebra.constants[self.generator_index])
+        terms = []
         power = linalg.identity_matrix(n)
         for k in range(1, n + 1):
             power = linalg.mat_mul(adz, power)
             if linalg.is_zero_matrix(power):
-                break
-            scale = Fraction(t) ** k / factorial(k)
-            out = [
-                [a + scale * b for a, b in zip(ra, rb)] for ra, rb in zip(out, power)
-            ]
+                return tuple(terms)
+            terms.append(tuple(tuple(v / factorial(k) for v in row) for row in power))
+        return None
+
+    def line_ad_matrix(self, t: Fraction):
+        """Ad(exp(t z)), the exponential series of t * ad z, which ends
+        because ad z is nilpotent."""
+        terms = self.line_ad_terms
+        if terms is None:
+            raise UnsupportedInstanceError(f"{self.name}: ad z is not nilpotent")
+        t = Fraction(t)
+        out = linalg.identity_matrix(self.algebra.dim)
+        for k, term in enumerate(terms, start=1):
+            scale = t ** k
+            out = [[a + scale * b for a, b in zip(ra, rb)] for ra, rb in zip(out, term)]
         return out
 
     def ad_point(self, p: GroupPoint):
@@ -204,7 +212,7 @@ class Supergroup:
         return g if self.group.kind == FINITE else GroupPoint(0, g.eps)
 
     def line_ad_is_trivial(self) -> bool:
-        return linalg.is_zero_matrix(self.ad_generator_matrix())
+        return self.line_ad_terms == ()
 
     def require_trivial_line_ad(self):
         if self.group.kind == LINE and not self.line_ad_is_trivial():
@@ -212,33 +220,6 @@ class Supergroup:
                 f"{self.name}: line instances with a nontrivial adjoint action "
                 "on the algebra are not supported"
             )
-
-
-def _preserves_bracket(algebra: SuperAlgebra, mat) -> list[str]:
-    n = algebra.dim
-    bad = []
-    cols = [[mat[k][i] for k in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = algebra.bracket_rational(cols[i], cols[j])
-            rhs = [Fraction(0)] * n
-            for k, c in enumerate(algebra.bracket_basis(i, j)):
-                if c != 0:
-                    for m in range(n):
-                        rhs[m] += c * cols[k][m]
-            if lhs != rhs:
-                bad.append(f"[{algebra.basis_names[i]},{algebra.basis_names[j]}]")
-    return bad
-
-
-def _preserves_parity(algebra: SuperAlgebra, mat) -> bool:
-    n = algebra.dim
-    return all(
-        mat[k][i] == 0
-        for i in range(n)
-        for k in range(n)
-        if algebra.parity[k] != algebra.parity[i]
-    )
 
 
 def validate_pair(pair: Supergroup) -> ValidationReport:
@@ -277,17 +258,15 @@ def validate_pair(pair: Supergroup) -> ValidationReport:
         ]
         report.add("ad_homomorphism", not hom_bad,
                    f"Ad(gh) != Ad(g)Ad(h) for pairs {hom_bad}" if hom_bad else "")
-        parity_bad = [g for g in range(fg.size) if not _preserves_parity(algebra, mats[g])]
+        autos = [check_automorphism(algebra, linalg.transpose(m)).checks for m in mats]
+        parity_bad = [g for g, (parity, _) in enumerate(autos) if not parity.ok]
         report.add("ad_parity", not parity_bad,
                    f"parity broken by elements {parity_bad}" if parity_bad else "")
-        bracket_bad = {
-            g: bad for g in range(fg.size) if (bad := _preserves_bracket(algebra, mats[g]))
-        }
-        report.add(
-            "ad_bracket", not bracket_bad,
-            "; ".join(f"Ad({fg.element_names[g]}) breaks {', '.join(b)}"
-                      for g, b in bracket_bad.items()),
-        )
+        bracket_bad = [
+            f"Ad({fg.element_names[g]}) breaks {bracket.detail}"
+            for g, (_, bracket) in enumerate(autos) if not bracket.ok
+        ]
+        report.add("ad_bracket", not bracket_bad, "; ".join(bracket_bad))
         ident_ok = [list(r) for r in mats[fg.identity]] == linalg.identity_matrix(n)
         report.add("ad_identity", ident_ok)
         return report
@@ -309,11 +288,8 @@ def validate_pair(pair: Supergroup) -> ValidationReport:
             algebra.parity[z] == EVEN,
             "" if algebra.parity[z] == EVEN else f"generator {group.generator_name} is odd",
         )
-        adz = pair.ad_generator_matrix()
-        power = [list(r) for r in adz]
-        for _ in range(n):
-            power = linalg.mat_mul(adz, power)
-        nilpotent = linalg.is_zero_matrix(power)
+        terms = pair.line_ad_terms
+        nilpotent = terms is not None
         report.add("ad_generator_nilpotent", nilpotent,
                    "" if nilpotent else "ad z is not nilpotent; the exact exponential is unavailable")
         if not nilpotent:
@@ -323,26 +299,26 @@ def validate_pair(pair: Supergroup) -> ValidationReport:
         h = Fraction(1, 1024)
         ad_h = pair.line_ad_matrix(h)
         basis = linalg.identity_matrix(n)
+        # the residual of a degree <= n polynomial curve is O(h); certify
+        # with a crude coefficient bound from the nilpotent expansion, where
+        # k! * max|M_k| = max|(ad z)^k|
+        bound = sum(
+            (h ** (k - 1) * factorial(k) * max(abs(v) for row in term for v in row)
+             for k, term in enumerate(terms[1:], start=2)),
+            Fraction(0),
+        )
         deriv_bad = []
         for j in range(n):
-            fd = [(ad_h[k][j] - basis[k][j]) / h for k in range(n)]
-            target = [adz[k][j] for k in range(n)]
-            resid = [a - b for a, b in zip(fd, target)]
-            # the residual of a degree <= n polynomial curve is O(h); certify
-            # with a crude coefficient bound from the nilpotent expansion
-            bound = Fraction(0)
-            power = [list(r) for r in adz]
-            for k in range(2, n + 2):
-                power = linalg.mat_mul(adz, power)
-                bound += h ** (k - 1) * max((abs(v) for row in power for v in row), default=Fraction(0))
+            target = algebra.constants[z][j]  # [z, b_j]
+            resid = [(ad_h[k][j] - basis[k][j]) / h - target[k] for k in range(n)]
             if any(abs(r) > bound for r in resid):
                 deriv_bad.append(algebra.basis_names[j])
         report.add("ad_derivative_matches_bracket", not deriv_bad, ", ".join(deriv_bad))
         # the exponential of a bracket derivation preserves bracket and parity
-        sample = pair.line_ad_matrix(Fraction(1))
-        report.add("ad_parity", _preserves_parity(algebra, sample))
-        bad = _preserves_bracket(algebra, sample)
-        report.add("ad_bracket", not bad, ", ".join(bad))
+        sample = linalg.transpose(pair.line_ad_matrix(Fraction(1)))
+        parity, bracket = check_automorphism(algebra, sample).checks
+        report.add("ad_parity", parity.ok)
+        report.add("ad_bracket", bracket.ok, bracket.detail)
         hom_ok = linalg.mat_mul(pair.line_ad_matrix(Fraction(1, 2)),
                                 pair.line_ad_matrix(Fraction(1, 3))) == pair.line_ad_matrix(
             Fraction(5, 6))

@@ -44,6 +44,12 @@ def mat_mul(a, b):
     ]
 
 
+def transpose(a):
+    """Rows become columns: turns an adjoint matrix, which acts on column
+    vectors, into the list of image vectors per basis index."""
+    return [list(col) for col in zip(*a)]
+
+
 def identity_matrix(n: int):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .crossed import CrossedElement, mul_lie
 from .enveloping import ODD_MAJOR_ORDER, normal_form
 from .errors import MismatchError, StructureError, UnsupportedInstanceError
@@ -190,9 +191,9 @@ def validate_rep(rep: MatrixRep, tol: float = 1e-9) -> ValidationReport:
     for point in points:
         pg = rep.pi(point)
         pg_inv = pg.conj().T
-        ad = pair.ad_point(point)
+        images = linalg.transpose(pair.ad_point(point))
         for i in range(algebra.dim):
-            target = rep.rho_vector([ad[k][i] for k in range(algebra.dim)])
+            target = rep.rho_vector(images[i])
             if not np.allclose(pg @ rep.rho[i] @ pg_inv, target, atol=tol):
                 cov_bad.append(f"Ad{point!r} on {algebra.basis_names[i]}")
     report.add("covariance", not cov_bad, ", ".join(cov_bad))

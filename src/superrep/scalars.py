@@ -134,6 +134,9 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self._a and not self._b
 
+    def __bool__(self) -> bool:
+        return bool(self._a or self._b)
+
     def __complex__(self) -> complex:
         return complex(self._a / self._d, self._b / self._d)
 

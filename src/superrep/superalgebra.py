@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import MismatchError, StructureError
-from .scalars import GR_ZERO, GaussianRational
 from .validation import ValidationReport
 
 EVEN = 0
@@ -68,40 +67,26 @@ class SuperAlgebra:
 
     def bracket(self, u, v):
         """Bilinear extension of the structure constants to coordinate
-        vectors.  Accepts Fraction or GaussianRational coordinates; returns
-        GaussianRational coordinates."""
+        vectors.  The result keeps the scalar type of the inputs: Fraction
+        coordinates give Fractions, GaussianRational ones (also mixed with
+        Fractions) give GaussianRationals."""
         n = self.dim
         if len(u) != n or len(v) != n:
             raise MismatchError(
                 f"{self.name}: coordinate vectors must have length {n}"
             )
-        u = [GaussianRational.of(x) for x in u]
-        v = [GaussianRational.of(x) for x in v]
-        out = [GR_ZERO] * n
-        for i in range(n):
-            if u[i].is_zero():
+        # zeros of the product's scalar type
+        out = [u[0] * v[0] * 0] * n if n else []
+        for i, a in enumerate(u):
+            if not a:
                 continue
-            for j in range(n):
-                if v[j].is_zero():
+            row = self.constants[i]
+            for j, b in enumerate(v):
+                if not b:
                     continue
-                coeff = u[i] * v[j]
-                for k, c in enumerate(self.constants[i][j]):
-                    if c != 0:
-                        out[k] = out[k] + coeff * GaussianRational.of(c)
-        return out
-
-    def bracket_rational(self, u, v) -> list[Fraction]:
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if u[i] == 0:
-                continue
-            for j in range(n):
-                if v[j] == 0:
-                    continue
-                coeff = u[i] * v[j]
-                for k, c in enumerate(self.constants[i][j]):
-                    if c != 0:
+                coeff = a * b
+                for k, c in enumerate(row[j]):
+                    if c:
                         out[k] += coeff * c
         return out
 
@@ -145,12 +130,13 @@ def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
 
     jacobi_bad = []
     basis_vec = linalg.identity_matrix(n)
+    const = algebra.constants  # const[j][k] is [b_j, b_k]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                t1 = algebra.bracket_rational(basis_vec[i], algebra.bracket_rational(basis_vec[j], basis_vec[k]))
-                t2 = algebra.bracket_rational(basis_vec[j], algebra.bracket_rational(basis_vec[k], basis_vec[i]))
-                t3 = algebra.bracket_rational(basis_vec[k], algebra.bracket_rational(basis_vec[i], basis_vec[j]))
+                t1 = algebra.bracket(basis_vec[i], const[j][k])
+                t2 = algebra.bracket(basis_vec[j], const[k][i])
+                t3 = algebra.bracket(basis_vec[k], const[i][j])
                 s1 = _sign(par[i], par[k])
                 s2 = _sign(par[j], par[i])
                 s3 = _sign(par[k], par[j])
@@ -186,7 +172,7 @@ def lower_central_series(algebra: SuperAlgebra) -> list[int]:
     current = basis_vec
     while True:
         produced = [
-            algebra.bracket_rational(basis_vec[i], w) for i in range(n) for w in current
+            algebra.bracket(basis_vec[i], w) for i in range(n) for w in current
         ]
         current = linalg.row_reduce(produced)
         d = len(current)

@@ -158,3 +158,15 @@ def test_unexpected_exception_is_a_structured_error(capsys, monkeypatch):
     assert code == 1
     assert json.loads(captured.out) == {"error": "internal error: RuntimeError: boom"}
     assert "Traceback" not in captured.err
+
+
+def test_freq_without_number_exits_2(capsys, tmp_path):
+    src = tmp_path / "f.sexp"
+    src.write_text(
+        "(superalgebra hc (basis (z even) (x odd)) (bracket x x (1 z)))\n"
+        "(pair hcline hc (line z))\n"
+        "(rep r hcline (grading 1 -1) (freq))\n"
+    )
+    code, out = run(capsys, "--file", str(src), "validate", "--pair", "hcline")
+    assert code == 2
+    assert json.loads(out)["error"].startswith("3:30: expected (freq NUMBER)")

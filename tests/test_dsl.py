@@ -1,9 +1,14 @@
 """Definition-file syntax: parsing, diagnostics and the canonical printer."""
 
+import re
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from superrep.catalog import CATALOG_NAMES, catalog_source, load_catalog
 from superrep.dsl import DslError, Workspace, parse, print_workspace, read_forms
+from superrep.errors import SuperrepError
 from superrep.reps import validate_rep
 
 HC_SOURCE = """
@@ -131,3 +136,72 @@ def test_printed_reps_still_validate():
 def test_comments_and_whitespace_ignored():
     ws = parse("; leading comment\n(superalgebra a ; inline\n  (basis (x odd)))")
     assert "a" in ws.algebras
+
+
+def test_freq_needs_a_number():
+    src = HC_SOURCE + "(rep r tinyline (grading 1 -1)\n  (freq))"
+    with pytest.raises(DslError, match=r"expected \(freq NUMBER\)") as exc:
+        parse(src)
+    assert (exc.value.line, exc.value.col) == (HC_SOURCE.count("\n") + 2, 3)
+
+
+def test_explicit_skew_partner_is_checked_not_overwritten():
+    # both orders on even h, x: [x,h] = x contradicts [h,x] = x
+    src = ("(superalgebra a (basis (h even) (x even))\n"
+           "  (bracket h x (1 x)) (bracket x h (1 x)))")
+    with pytest.raises(DslError, match="super_skew_symmetry") as exc:
+        parse(src)
+    assert exc.value.line == 1
+    # a consistent explicit partner is accepted
+    ws = parse(src.replace("(bracket x h (1 x))", "(bracket x h (-1 x))"))
+    alg = ws.algebras["a"]
+    assert alg.bracket_basis(0, 1) == (0, 1)
+    assert alg.bracket_basis(1, 0) == (0, -1)
+
+
+def test_bracket_given_twice_names_first_site():
+    src = ("(superalgebra a (basis (h even) (x even))\n"
+           "  (bracket h x (1 x))\n"
+           "  (bracket h x (2 x)))")
+    with pytest.raises(DslError, match=r"bracket \[h,x\] given twice") as exc:
+        parse(src)
+    assert "line 2, column 3" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (3, 3)
+
+
+def _tokens(source: str) -> list[str]:
+    return re.findall(r"\(|\)|[^\s();]+", re.sub(r";[^\n]*", "", source))
+
+
+CATALOG_TOKENS = {name: _tokens(catalog_source(name)) for name in CATALOG_NAMES}
+TOKEN_POOL = sorted(
+    {tok for toks in CATALOG_TOKENS.values() for tok in toks}
+    | {"0", "-1", "1/0", "1e999", "2i", "eps", "c", "()"}
+)
+MUTATION = st.tuples(
+    st.sampled_from(("drop", "replace", "insert")),
+    st.integers(0, 10**6),
+    st.sampled_from(TOKEN_POOL),
+)
+FREQ_ARGUMENT = CATALOG_TOKENS["hc"].index("freq") + 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example("hc", [("drop", FREQ_ARGUMENT, "")])
+@given(st.sampled_from(CATALOG_NAMES), st.lists(MUTATION, min_size=1, max_size=3))
+def test_mutated_catalogs_parse_or_raise_superrep_error(name, mutations):
+    """Dropping, replacing or inserting tokens in a shipped catalog either
+    leaves a valid source or ends in a SuperrepError, never anything else."""
+    tokens = list(CATALOG_TOKENS[name])
+    for op, pos, tok in mutations:
+        pos %= len(tokens) + (op == "insert")
+        if op == "drop":
+            del tokens[pos]
+        elif op == "replace":
+            tokens[pos] = tok
+        else:
+            tokens.insert(pos, tok)
+    try:
+        parse(" ".join(tokens))
+    except SuperrepError:
+        pass

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -149,3 +150,150 @@ def test_ad_point_matches_parity_product(workspace):
         mat[-1].append(Fraction(9))
         assert pair.ad_point(p) == expected, (pair.name, p)
 
+
+
+def hc_finite_pair(name, *ad_rest):
+    """The hc algebra (z even, x odd, [x,x] = z) under a cyclic group whose
+    non-identity elements act by the given 2x2 matrices."""
+    alg = build_superalgebra("hc", ["z", "x"], [0, 1], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]])
+    size = len(ad_rest) + 1
+    names = ("e", "a", "b")[:size]
+    table = tuple(tuple((i + j) % size for j in range(size)) for i in range(size))
+    ident = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    mats = (ident,) + tuple(
+        tuple(tuple(Fraction(v) for v in row) for row in mat) for mat in ad_rest
+    )
+    group = GroupData(FINITE, "cyc", finite=FiniteGroup("cyc", names, table), ad_matrices=mats)
+    return Supergroup(name, group, alg)
+
+
+def report_rows(report):
+    return [(c.name, c.ok, c.detail) for c in report.checks]
+
+
+EVEN_PART = "a finite group has a zero Lie algebra but the even part is nonzero"
+
+
+def test_finite_ad_parity_and_bracket_details():
+    swap = ((0, 1), (1, 0))  # mixes z and x
+    neg = ((-1, 0), (0, 1))  # keeps parity, sends [x,x] = z to -z
+    assert report_rows(validate_pair(hc_finite_pair("swap", swap))) == [
+        ("group_table", True, ""),
+        ("even_part_trivial", False, EVEN_PART),
+        ("ad_shape", True, ""),
+        ("ad_homomorphism", True, ""),
+        ("ad_parity", False, "parity broken by elements [1]"),
+        ("ad_bracket", False, "Ad(a) breaks [z,z], [x,x]"),
+        ("ad_identity", True, ""),
+    ]
+    assert report_rows(validate_pair(hc_finite_pair("neg", neg))) == [
+        ("group_table", True, ""),
+        ("even_part_trivial", False, EVEN_PART),
+        ("ad_shape", True, ""),
+        ("ad_homomorphism", True, ""),
+        ("ad_parity", True, ""),
+        ("ad_bracket", False, "Ad(a) breaks [x,x]"),
+        ("ad_identity", True, ""),
+    ]
+    rows = report_rows(validate_pair(hc_finite_pair("both", swap, neg)))
+    assert rows[4:6] == [
+        ("ad_parity", False, "parity broken by elements [1]"),
+        ("ad_bracket", False, "Ad(a) breaks [z,z], [x,x]; Ad(b) breaks [x,x]"),
+    ]
+
+
+def rotation_line_pair():
+    # [z, x] = y, [z, y] = -x: ad z has eigenvalues +-i and is not nilpotent
+    alg = build_superalgebra(
+        "rot",
+        ["z", "x", "y"],
+        [0, 1, 1],
+        [
+            [[0, 0, 0], [0, 0, 1], [0, -1, 0]],
+            [[0, 0, -1], [0, 0, 0], [0, 0, 0]],
+            [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+        ],
+    )
+    return Supergroup("rotline", GroupData(LINE, "line", generator_name="z"), alg)
+
+
+def shear_line_pair():
+    # [z, x] = y, [z, y] = w: (ad z)^2 != 0 = (ad z)^3
+    alg = build_superalgebra(
+        "shear",
+        ["z", "x", "y", "w"],
+        [0, 1, 1, 1],
+        [
+            [[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+            [[0, 0, -1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            [[0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        ],
+    )
+    return build_pair("shearline", GroupData(LINE, "line", generator_name="z"), alg)
+
+
+def test_line_pair_reports():
+    rotation = rotation_line_pair()
+    assert rotation.line_ad_terms is None and not rotation.line_ad_is_trivial()
+    with pytest.raises(UnsupportedInstanceError, match="not nilpotent"):
+        rotation.ad_point(GroupPoint(Fraction(1), False))
+    assert report_rows(validate_pair(rotation)) == [
+        ("even_part_line", True, ""),
+        ("generator_even", True, ""),
+        ("ad_generator_nilpotent", False,
+         "ad z is not nilpotent; the exact exponential is unavailable"),
+    ]
+    for pair in (heis3_line_pair(), shear_line_pair()):
+        assert report_rows(validate_pair(pair)) == [
+            ("even_part_line", True, ""),
+            ("generator_even", True, ""),
+            ("ad_generator_nilpotent", True, ""),
+            ("ad_derivative_matches_bracket", True, ""),
+            ("ad_parity", True, ""),
+            ("ad_bracket", True, ""),
+            ("ad_one_parameter", True, ""),
+        ]
+
+
+def truncated_exponential(pair, t):
+    """Ad(exp(t z)) summed term by term from powers of ad z."""
+    alg = pair.algebra
+    n = alg.dim
+    z = alg.index(pair.group.generator_name)
+    adz = [[alg.constants[z][j][k] for j in range(n)] for k in range(n)]
+    out = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    power = [row[:] for row in out]
+    for k in range(1, n + 1):
+        power = mat_mul(adz, power)
+        scale = Fraction(t) ** k / factorial(k)
+        out = [[a + scale * b for a, b in zip(ra, rb)] for ra, rb in zip(out, power)]
+    return out
+
+
+def test_line_ad_matrix_matches_truncated_exponential():
+    ts = (Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(5, 2), Fraction(1, 1024))
+    pairs = (heis3_line_pair(), shear_line_pair())
+    for pair in pairs:
+        for t in ts:
+            assert pair.line_ad_matrix(t) == truncated_exponential(pair, t), (pair.name, t)
+    shear = pairs[1]
+    # Ad(exp(t z)) x = x + t y + t^2/2 w
+    assert [row[1] for row in shear.line_ad_matrix(Fraction(2))] == [0, 1, 2, 2]
+
+
+def test_ad_powers_computed_once_per_pair(monkeypatch):
+    import superrep.linalg as linalg
+
+    built = shear_line_pair()
+    pair = Supergroup("shear", built.group, built.algebra)  # nothing cached yet
+    calls = []
+    real = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
+    first = pair.ad_point(GroupPoint(Fraction(1, 3), False))
+    once = len(calls)
+    assert 0 < once <= pair.algebra.dim
+    for k in range(20):
+        pair.ad_point(GroupPoint(Fraction(k, 7), k % 2 == 1))
+    assert len(calls) == once
+    assert pair.ad_point(GroupPoint(Fraction(1, 3), False)) == first

@@ -109,9 +109,21 @@ def test_bracket_bilinearity(hc2, rng):
         u = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
         v = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
         w = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        lhs = hc2.bracket([a + b for a, b in zip(u, v)], w)
-        rhs = [
-            GaussianRational.of(a) + GaussianRational.of(b)
-            for a, b in zip(hc2.bracket_rational(u, w), hc2.bracket_rational(v, w))
+        lam = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        uw, vw = hc2.bracket(u, w), hc2.bracket(v, w)
+        assert hc2.bracket([a + b for a, b in zip(u, v)], w) == [
+            a + b for a, b in zip(uw, vw)
         ]
-        assert lhs == rhs
+        assert hc2.bracket(w, [a + b for a, b in zip(u, v)]) == [
+            a + b for a, b in zip(hc2.bracket(w, u), hc2.bracket(w, v))
+        ]
+        assert hc2.bracket([lam * a for a in u], w) == [lam * a for a in uw]
+        assert all(type(c) is Fraction for c in uw)
+        # Gaussian-rational coordinates give the same bracket, as Gaussian
+        # rationals; an imaginary factor comes out in front
+        gu = [GaussianRational.of(a) for a in u]
+        gw = [GaussianRational.of(a) for a in w]
+        assert hc2.bracket(gu, gw) == [GaussianRational.of(a) for a in uw]
+        assert hc2.bracket(u, gw) == hc2.bracket(gu, w) == hc2.bracket(gu, gw)
+        iu = [GaussianRational(0, a) for a in u]
+        assert hc2.bracket(iu, gw) == [GaussianRational(0, a) for a in uw]
