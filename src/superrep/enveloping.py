@@ -12,6 +12,8 @@ ones), which the norm-bound recursion needs.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import MismatchError, StructureError
 from .scalars import GR_HALF, GR_MINUS_I, GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational
 from .superalgebra import ODD, SuperAlgebra
@@ -247,13 +249,19 @@ def check_automorphism(algebra: SuperAlgebra, phi) -> ValidationReport:
     if len(phi) != n or any(len(v) != n for v in phi):
         report.add("shape", False, f"expected {n} image vectors of length {n}")
         return report
-    phi = [[GaussianRational.of(c) for c in v] for v in phi]
+    # a rational map, such as every adjoint matrix, stays in Fractions, as
+    # bracket keeps them; anything else is brought to Gaussian rationals
+    if all(isinstance(c, (int, Fraction)) for v in phi for c in v):
+        zero = Fraction(0)
+    else:
+        phi = [[GaussianRational.of(c) for c in v] for v in phi]
+        zero = GR_ZERO
 
     parity_bad = [
         f"{algebra.basis_names[i]} -> {algebra.basis_names[k]}"
         for i in range(n)
         for k in range(n)
-        if not phi[i][k].is_zero() and algebra.parity[k] != algebra.parity[i]
+        if phi[i][k] and algebra.parity[k] != algebra.parity[i]
     ]
     report.add("parity_preserving", not parity_bad, ", ".join(parity_bad))
 
@@ -261,11 +269,11 @@ def check_automorphism(algebra: SuperAlgebra, phi) -> ValidationReport:
     for i in range(n):
         for j in range(n):
             lhs = algebra.bracket(phi[i], phi[j])
-            rhs = [GR_ZERO] * n
+            rhs = [zero] * n
             for k, c in enumerate(algebra.bracket_basis(i, j)):
-                if c != 0:
+                if c:
                     for m in range(n):
-                        rhs[m] = rhs[m] + GaussianRational.of(c) * phi[k][m]
+                        rhs[m] = rhs[m] + c * phi[k][m]
             if lhs != rhs:
                 bracket_bad.append(
                     f"[{algebra.basis_names[i]},{algebra.basis_names[j]}]"

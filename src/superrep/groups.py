@@ -196,7 +196,7 @@ class Supergroup:
         if self.group.kind == FINITE:
             mat = [list(r) for r in self.group.ad_matrices[p.base]]
         else:
-            mat = self.line_ad_matrix(Fraction(p.base))
+            mat = self.line_ad_matrix(p.base)
         if p.eps:
             # right-multiplying by the parity matrix diag(+-1) negates the
             # odd columns

@@ -50,8 +50,11 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)  # Fractions are immutable, so shared
+
+
 def identity_matrix(n: int):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
 def is_zero_matrix(a) -> bool:

@@ -1,6 +1,7 @@
 """Definition-file syntax: parsing, diagnostics and the canonical printer."""
 
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -205,3 +206,49 @@ def test_mutated_catalogs_parse_or_raise_superrep_error(name, mutations):
         parse(" ".join(tokens))
     except SuperrepError:
         pass
+
+
+def _top_level_forms(tokens: list[str]) -> list[list[str]]:
+    forms, depth = [[]], 0
+    for tok in tokens:
+        forms[-1].append(tok)
+        depth += (tok == "(") - (tok == ")")
+        if depth == 0:
+            forms.append([])
+    return forms[:-1]
+
+
+ROUND_TRIP_SOURCES = {name: catalog_source(name) for name in CATALOG_NAMES}
+ROUND_TRIP_SOURCES["bench-fixtures"] = (
+    Path(__file__).parent.parent / "bench" / "fixtures" / "bench.sexp"
+).read_text(encoding="utf-8")
+ROUND_TRIP_FORMS = {
+    name: _top_level_forms(_tokens(source)) for name, source in ROUND_TRIP_SOURCES.items()
+}
+SEPARATORS = (" ", "\n", "\n  ", "\t", " ; remark\n")
+PLAIN_NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(ROUND_TRIP_FORMS)),
+    st.integers(0, 10**6),
+    st.sampled_from(SEPARATORS),
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False), max_size=6),
+)
+def test_print_workspace_round_trips_byte_for_byte(name, cut, sep, values):
+    """A prefix of a shipped catalog or fixture file, laid out with any
+    separator and with drawn Gaussian centres and coefficients, prints to a
+    text whose parse prints back byte-for-byte."""
+    forms = ROUND_TRIP_FORMS[name]
+    tokens = [tok for form in forms[: 1 + cut % len(forms)] for tok in form]
+    # (gauss RATE CENTER COEF ...): the centre and the first coefficient
+    slots = [
+        k + j for k, tok in enumerate(tokens) if tok == "gauss"
+        for j in (2, 3) if PLAIN_NUMBER.match(tokens[k + j])
+    ]
+    for slot, value in zip(slots, values):
+        tokens[slot] = repr(value)
+    once = print_workspace(parse(sep.join(tokens)))
+    assert once == print_workspace(parse(" ".join(tokens)))
+    assert print_workspace(parse(once)) == once

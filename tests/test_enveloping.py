@@ -165,6 +165,36 @@ def test_rotation_commutes_with_multiplication(hc2, rng):
         assert lhs == rhs
 
 
+def test_rational_map_checked_without_gaussian_rationals(hc2, monkeypatch):
+    """A Fraction map is checked in Fractions, with the report of the same
+    map given in Gaussian rationals."""
+    zero = Fraction(0)
+    maps = {
+        "rotation": [[Fraction(1), zero, zero],
+                     [zero, Fraction(3, 5), Fraction(4, 5)],
+                     [zero, Fraction(-4, 5), Fraction(3, 5)]],
+        "scaling": [[Fraction(1), zero, zero],
+                    [zero, Fraction(2), zero],
+                    [zero, zero, Fraction(1)]],
+        "parity": [[Fraction(1), Fraction(1), zero],
+                   [zero, Fraction(1), zero],
+                   [zero, zero, Fraction(1)]],
+    }
+    as_gaussian = {
+        name: [[GaussianRational.of(c) for c in row] for row in phi]
+        for name, phi in maps.items()
+    }
+    expected = {name: check_automorphism(hc2, phi).to_dict() for name, phi in as_gaussian.items()}
+    assert not expected["scaling"]["ok"] and not expected["parity"]["ok"]
+
+    def refuse(x):
+        raise AssertionError(f"converted {x!r}")
+
+    monkeypatch.setattr(GaussianRational, "of", staticmethod(refuse))
+    for name, phi in maps.items():
+        assert check_automorphism(hc2, phi).to_dict() == expected[name]
+
+
 def test_broken_map_rejected(hc2):
     zero = Fraction(0)
     phi = [

@@ -1,0 +1,290 @@
+"""The fused representation check: one comparison per representation, with
+reports equal to the per-matrix ``np.allclose`` checks it replaced."""
+
+import math
+import os
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from superrep.catalog import load_catalog
+from superrep.dsl import DslError, parse
+from superrep.groups import FINITE, GroupPoint
+from superrep.linalg import transpose
+from superrep.reps import MatrixRep, validate_rep
+from superrep.validation import ValidationReport
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "bench", "fixtures", "bench.sexp")
+
+# the sign character of S3 on a graded plane, over the fixture pair s3perm
+S3_SIGN = """
+(rep s3sign s3perm
+  (grading 1 -1)
+  (pi s ((1.0 0.0) (0.0 -1.0)))
+  (pi t ((1.0 0.0) (0.0 -1.0)))
+  (pi u ((1.0 0.0) (0.0 -1.0))))
+"""
+
+
+def rho_vector(rep: MatrixRep, coords) -> np.ndarray:
+    out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for i, c in enumerate(coords):
+        c = complex(c)
+        if c:
+            out += c * rep.rho[i]
+    return out
+
+
+def allclose_validate_rep(rep: MatrixRep, tol: float = 1e-9) -> ValidationReport:
+    """The per-matrix check that the fused one replaced: one ``np.allclose``
+    per basis pair, group element, point and generator."""
+    report = ValidationReport(f"representation {rep.name}")
+    pair = rep.pair
+    algebra = pair.algebra
+    n = rep.dim
+    eye = np.eye(n)
+
+    diag_ok = np.allclose(rep.grading, np.diag(np.diag(rep.grading)), atol=tol) and \
+        np.allclose(np.abs(np.diag(rep.grading)), 1.0, atol=tol) and \
+        np.allclose(rep.grading.imag, 0.0, atol=tol)
+    report.add("grading_diagonal_sign", bool(diag_ok))
+    report.add("grading_involutive", bool(np.allclose(rep.grading @ rep.grading, eye, atol=tol)))
+
+    if len(rep.rho) != algebra.dim:
+        report.add("rho_shape", False, "one matrix per basis element required")
+        return report
+    report.add("rho_shape", all(m.shape == (n, n) for m in rep.rho))
+
+    if pair.group.kind == FINITE:
+        size = pair.group.finite.size
+        if rep.pi_table is None or len(rep.pi_table) != size:
+            report.add("pi_table", False, "one unitary matrix per group element required")
+            return report
+        unitary_bad = [
+            pair.group.finite.element_names[g]
+            for g in range(size)
+            if not np.allclose(rep.pi_table[g] @ rep.pi_table[g].conj().T, eye, atol=tol)
+        ]
+        report.add("pi_unitary", not unitary_bad, ", ".join(unitary_bad))
+        hom_bad = [
+            (a, b)
+            for a in range(size)
+            for b in range(size)
+            if not np.allclose(
+                rep.pi_table[a] @ rep.pi_table[b],
+                rep.pi_table[pair.group.finite.table[a][b]],
+                atol=tol,
+            )
+        ]
+        report.add("pi_homomorphism", not hom_bad, f"pairs {hom_bad}" if hom_bad else "")
+        comm_bad = [
+            pair.group.finite.element_names[g]
+            for g in range(size)
+            if not np.allclose(rep.pi_table[g] @ rep.grading, rep.grading @ rep.pi_table[g], atol=tol)
+        ]
+        report.add("grading_commutes_with_group", not comm_bad, ", ".join(comm_bad))
+    else:
+        if rep.freq is None:
+            report.add("frequency", False, "line representation needs a frequency")
+            return report
+        report.add("frequency", True)
+        z = pair.generator_index
+        iii_ok = np.allclose(rep.rho[z], 1j * rep.freq * eye, atol=tol)
+        report.add(
+            "derived_generator",
+            bool(iii_ok),
+            "" if iii_ok else "rho(z) must be i*freq*identity for the line generator",
+        )
+
+    bracket_bad = []
+    for i in range(algebra.dim):
+        for j in range(algebra.dim):
+            sign = -1.0 if (algebra.parity[i] and algebra.parity[j]) else 1.0
+            lhs = rep.rho[i] @ rep.rho[j] - sign * rep.rho[j] @ rep.rho[i]
+            rhs = rho_vector(rep, algebra.bracket_basis(i, j))
+            if not np.allclose(lhs, rhs, atol=tol):
+                bracket_bad.append(f"[{algebra.basis_names[i]},{algebra.basis_names[j]}]")
+    report.add("bracket_morphism", not bracket_bad, ", ".join(bracket_bad))
+
+    sym_bad = [
+        algebra.basis_names[i]
+        for i in algebra.odd_indices()
+        if not np.allclose(rep.rho[i].conj().T, -1j * rep.rho[i], atol=tol)
+    ]
+    report.add("odd_symmetry", not sym_bad, ", ".join(sym_bad))
+
+    skew_bad = [
+        algebra.basis_names[i]
+        for i in algebra.even_indices()
+        if not np.allclose(rep.rho[i].conj().T, -rep.rho[i], atol=tol)
+    ]
+    report.add("even_skew_adjoint", not skew_bad, ", ".join(skew_bad))
+
+    cov_bad = []
+    points = list(pair.points()) if pair.group.kind == FINITE else [
+        GroupPoint(1.0, False), GroupPoint(0.5, True), GroupPoint(0.0, True)
+    ]
+    for point in points:
+        pg = rep.pi(point)
+        pg_inv = pg.conj().T
+        images = transpose(pair.ad_point(point))
+        for i in range(algebra.dim):
+            target = rho_vector(rep, images[i])
+            if not np.allclose(pg @ rep.rho[i] @ pg_inv, target, atol=tol):
+                cov_bad.append(f"Ad{point!r} on {algebra.basis_names[i]}")
+    report.add("covariance", not cov_bad, ", ".join(cov_bad))
+
+    rep.validated = report.ok
+    return report
+
+
+def _shipped_reps() -> list[MatrixRep]:
+    ws = load_catalog()
+    with open(FIXTURES, encoding="utf-8") as fh:
+        parse(fh.read() + S3_SIGN, ws)
+    return list(ws.reps.values())
+
+
+SHIPPED = _shipped_reps()
+PARTS = ("grading", "rho", "group", "all")
+
+
+def _perturbed(rep: MatrixRep, part: str, scale: float, seed: int) -> MatrixRep:
+    """Noise of the given scale on about half the entries of one part."""
+    rng = np.random.default_rng(seed)
+
+    def noisy(m):
+        mask = rng.random(m.shape) < 0.5
+        noise = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+        return m + np.where(mask, scale * noise, 0)
+
+    touch = {part} if part != "all" else set(PARTS)
+    grading = noisy(rep.grading) if "grading" in touch else rep.grading
+    rho = tuple(noisy(m) for m in rep.rho) if "rho" in touch else rep.rho
+    pi_table, freq = rep.pi_table, rep.freq
+    if "group" in touch:
+        if pi_table is not None:
+            pi_table = tuple(noisy(m) for m in pi_table)
+        else:
+            freq = freq + scale * float(rng.standard_normal())
+    return MatrixRep(f"{rep.name}~", rep.pair, grading, rho, pi_table=pi_table, freq=freq)
+
+
+def test_shipped_reps_cover_finite_and_line():
+    kinds = {rep.pair.group.kind for rep in SHIPPED}
+    assert kinds == {"finite", "line"}
+    assert any(rep.pair.name == "s3perm" for rep in SHIPPED)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(0, "all", -9.0, 0)
+@example(0, "rho", -3.0, 1)
+@given(
+    st.integers(0, len(SHIPPED) - 1),
+    st.sampled_from(PARTS),
+    st.floats(-12.0, -3.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_fused_report_equals_allclose_report(index, part, exponent, seed):
+    """Reports, failures and their details included, are those of the
+    per-matrix np.allclose checks, for noise from far below to far above
+    the tolerance."""
+    rep = _perturbed(SHIPPED[index], part, 10.0 ** exponent, seed)
+    assert validate_rep(rep).to_dict() == allclose_validate_rep(rep).to_dict()
+
+
+def test_shipped_reports_equal_allclose_reports():
+    for rep in SHIPPED:
+        assert validate_rep(rep).to_dict() == allclose_validate_rep(rep).to_dict()
+
+
+@pytest.mark.parametrize("name", ["hc-rep-2", "reg4", "s3sign", "hc2-rep-1"])
+def test_one_isclose_per_rep(monkeypatch, name):
+    rep = next(r for r in SHIPPED if r.name == name)
+    calls = []
+    isclose = np.isclose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return isclose(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isclose", counted)
+    assert validate_rep(rep).ok
+    assert len(calls) == 1
+
+
+def test_validation_failure_text_is_pinned():
+    src = ("(superalgebra tiny (basis (z even) (x odd)) (bracket x x (1 z)))\n"
+           "(pair tinyline tiny (line z))\n"
+           "(rep bad tinyline (grading 1 1)\n"
+           "  (rho z ((1.0i 0.0) (0.0 1.0i)))\n"
+           "  (rho x ((0.0 (c 0.5 0.5)) ((c 0.5 0.5) 1.0)))\n"
+           "  (freq 2.0))")
+    with pytest.raises(DslError) as exc:
+        parse(src)
+    assert str(exc.value) == (
+        "3:1: representation 'bad' fails validation ("
+        "derived_generator: rho(z) must be i*freq*identity for the line generator; "
+        "bracket_morphism: [x,x]; odd_symmetry: x; "
+        "covariance: Ad(0.5, eps) on x, Ad(0.0, eps) on x)"
+    )
+
+
+def _check_names(report):
+    return [(c.name, c.ok, c.detail) for c in report.checks]
+
+
+def test_wrongly_shaped_rho_fails_rho_shape():
+    chi = next(r for r in SHIPPED if r.name == "chi-pp")
+    bad = MatrixRep("bad", chi.pair, chi.grading, (np.eye(3),), pi_table=chi.pi_table)
+    assert _check_names(validate_rep(bad)) == [
+        ("grading_diagonal_sign", True, ""),
+        ("grading_involutive", True, ""),
+        ("rho_shape", False, ""),
+    ]
+
+
+def test_wrongly_shaped_pi_fails_pi_table():
+    chi = next(r for r in SHIPPED if r.name == "chi-pp")
+    table = (np.eye(3, dtype=complex),) + chi.pi_table[1:]
+    bad = MatrixRep("bad", chi.pair, chi.grading, chi.rho, pi_table=table)
+    assert _check_names(validate_rep(bad))[-1] == (
+        "pi_table", False, "one unitary matrix per group element required"
+    )
+    assert not validate_rep(bad).ok
+
+
+def test_line_rep_without_frequency_stops_at_frequency():
+    rep = next(r for r in SHIPPED if r.name == "hc-rep-1")
+    bad = MatrixRep("bad", rep.pair, rep.grading, rep.rho)
+    assert _check_names(validate_rep(bad))[-1] == (
+        "frequency", False, "line representation needs a frequency"
+    )
+
+
+def test_zero_dimensional_algebra_and_space():
+    ws = parse("(superalgebra a (basis))\n"
+               "(pair p a (finite (elements e s) (table (e s) (s e))))\n"
+               "(superalgebra b (basis (x odd)))\n"
+               "(pair q b (finite (elements e) (table (e))))")
+    empty = np.zeros((0, 0), dtype=complex)
+    reps = [
+        MatrixRep("r", ws.pairs["p"], np.eye(2, dtype=complex), (),
+                  pi_table=(np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex))),
+        MatrixRep("zero", ws.pairs["q"], empty, (empty,), pi_table=(empty,)),
+    ]
+    for rep in reps:
+        assert validate_rep(rep).to_dict() == allclose_validate_rep(rep).to_dict()
+        assert validate_rep(rep).ok
+
+
+def test_nonfinite_entries_match_allclose():
+    rep = next(r for r in SHIPPED if r.name == "hc-rep-1")
+    for value in (math.inf, -math.inf, math.nan, complex(math.inf, 1.0)):
+        rho_x = rep.rho[1].copy()
+        rho_x[0, 1] = value
+        bad = MatrixRep("bad", rep.pair, rep.grading, (rep.rho[0], rho_x), freq=rep.freq)
+        with np.errstate(all="ignore"):
+            assert validate_rep(bad).to_dict() == allclose_validate_rep(bad).to_dict()
