@@ -1,7 +1,8 @@
 """Command-line interface: workspace loading, dispatch, JSON emission.
 
 Exit codes: 0 the requested check passed (or the command only computes a
-value), 1 a validation/numeric check failed, 2 usage or input errors.
+value), 1 a validation/numeric check failed, 2 usage or input errors,
+including an ``--out`` path that cannot be written.
 JSON output is deterministic: keys in fixed order, floats printed through
 their shortest round-trip form capped at 15 significant digits, complex
 numbers as [re, im] pairs.
@@ -78,17 +79,12 @@ def _matrix_json(mat: np.ndarray):
     return [[complex(z) for z in row] for row in mat]
 
 
-def _scalar_json(v) -> list:
-    z = complex(v)
-    return [z.real, z.imag]
-
-
 def _function_json(f) -> dict:
     if isinstance(f, FiniteFunction):
         pair = f.pair
         names = pair.group.finite.element_names
         values = [
-            {"point": [names[p.base], p.eps], "value": _scalar_json(v)}
+            {"point": [names[p.base], p.eps], "value": complex(v)}
             for p, v in sorted(f.values.items(), key=lambda kv: (kv[0].eps, kv[0].base))
         ]
         return {"kind": "finite", "values": values}
@@ -118,7 +114,7 @@ def _ue_json(elem: UEElement) -> dict:
     names = elem.algebra.basis_names
     return {
         "terms": [
-            {"word": [names[i] for i in w], "coeff": _scalar_json(c)}
+            {"word": [names[i] for i in w], "coeff": complex(c)}
             for w, c in sorted(elem.terms.items())
         ]
     }
@@ -217,6 +213,8 @@ def cmd_gamma_check(ws: Workspace, args) -> tuple[dict, bool]:
     pair = _get(ws, "pair", args.pair)
     f = _get(ws, "function", args.f)
     h = _get(ws, "function", args.h)
+    ws.require_function_pair(args.f, args.pair, None)
+    ws.require_function_pair(args.h, args.pair, None)
     word = _word(pair.algebra, args.word) if args.word else ()
     d = normal_form(pair.algebra, word)
     lhs = gamma_integral(pair, f, d, h)
@@ -306,8 +304,6 @@ def cmd_roundtrip(ws: Workspace, args) -> tuple[dict, bool]:
 
 def cmd_ccr_report(ws: Workspace, args) -> tuple[dict, bool]:
     family = _family(ws, args.family)
-    for rep in family:
-        validate_rep(rep)
     generators = [_get(ws, "element", nm) for nm in args.elem]
     doc = ccr_report(family, generators)
     doc = {"family": args.family, "generators": list(args.elem), **doc}
@@ -470,21 +466,23 @@ def main(argv=None) -> int:
     try:
         ws = _load_workspace(args)
         doc, ok = args.func(ws, args)
+        code = 0 if ok else 1
     except DslError as exc:
-        emit({"error": str(exc)}, args.out)
-        return 2
+        doc, code = {"error": str(exc)}, 2
     except SuperrepError as exc:
-        emit({"error": str(exc)}, args.out)
-        return 1
+        doc, code = {"error": str(exc)}, 1
     except OSError as exc:
-        emit({"error": str(exc)}, args.out)
-        return 2
+        doc, code = {"error": str(exc)}, 2
     except Exception as exc:
         # a structured error, never a traceback
-        emit({"error": f"internal error: {type(exc).__name__}: {exc}"}, args.out)
-        return 1
-    emit(doc, args.out)
-    return 0 if ok else 1
+        doc, code = {"error": f"internal error: {type(exc).__name__}: {exc}"}, 1
+    try:
+        emit(doc, args.out)
+    except OSError as exc:
+        # an unwritable --out is an input error; report it on stdout
+        emit({"error": str(exc)}, None)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

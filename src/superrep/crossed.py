@@ -80,30 +80,16 @@ class CrossedElement:
         if element.algebra != pair.algebra:
             raise MismatchError("enveloping element belongs to a different algebra")
         out = CrossedElement(pair)
-        for w, c in element.terms.items():
-            out._add_term(w, f.scale(c))
+        out._add_ue(element, f)
         return out
 
     def _check(self, other: "CrossedElement"):
         if self.pair is not other.pair and self.pair != other.pair:
             raise MismatchError("crossed elements live over different pairs")
 
-    def _add_term(self, word: Word, f):
-        if f.is_zero():
-            return
-        cur = self.terms.get(word)
-        if cur is None:
-            self.terms[word] = f
-        else:
-            total = cur + f
-            if total.is_zero():
-                del self.terms[word]
-            else:
-                self.terms[word] = total
-
     def _add_ue(self, element: UEElement, f):
         for w, c in element.terms.items():
-            self._add_term(w, f.scale(c))
+            _accumulate(self.terms, w, f.scale(c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CrossedElement):
@@ -114,7 +100,7 @@ class CrossedElement:
         self._check(other)
         out = CrossedElement(self.pair, self.terms)
         for w, f in other.terms.items():
-            out._add_term(w, f)
+            _accumulate(out.terms, w, f)
         return out
 
     def __sub__(self, other: "CrossedElement") -> "CrossedElement":
@@ -123,14 +109,11 @@ class CrossedElement:
     def scale(self, scalar) -> "CrossedElement":
         out = CrossedElement(self.pair)
         for w, f in self.terms.items():
-            out._add_term(w, f.scale(scalar))
+            _accumulate(out.terms, w, f.scale(scalar))
         return out
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def monomial_words(self):
-        return sorted(self.terms)
 
     def __repr__(self):
         names = self.pair.algebra.basis_names
@@ -208,9 +191,8 @@ def mul_group(pair: Supergroup, g: GroupPoint) -> Multiplier:
         pair.require_trivial_line_ad()
         out = CrossedElement.zero(pair)
         gi = pair.inverse(g)
-        delta_inv = GaussianRational.of(1 / pair.modular(g))
         for w, f in a.terms.items():
-            out._add_term(w, right_translate(gi, f).scale(delta_inv))
+            _accumulate(out.terms, w, right_translate(gi, f))
         return out
 
     return Multiplier(f"group{g!r}", lam, rho)
@@ -278,14 +260,14 @@ def gamma_integral(pair: Supergroup, f, D: UEElement, h) -> CrossedElement:
     return out
 
 
-def element_sample_difference(a: CrossedElement, b: CrossedElement, points=None) -> float:
+def element_sample_difference(a: CrossedElement, b: CrossedElement) -> float:
     """Max pointwise deviation between matching monomial terms (line case)."""
     a._check(b)
     worst = 0.0
     for w in set(a.terms) | set(b.terms):
         fa = a.terms.get(w, GaussianPoly())
         fb = b.terms.get(w, GaussianPoly())
-        worst = max(worst, max_sample_difference(fa, fb, points))
+        worst = max(worst, max_sample_difference(fa, fb))
     return worst
 
 

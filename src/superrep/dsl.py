@@ -247,6 +247,17 @@ class Workspace:
         self._sites[key] = (node.line, node.col)
         self.table(category)[name] = value
 
+    def require_function_pair(self, name: str, pair_name: str, node):
+        """Refuse the defined function ``name`` unless it lives on the pair
+        ``pair_name``; the error is located at ``node`` unless that is None."""
+        defined_on = self._function_pairs[name]
+        if defined_on != pair_name:
+            raise DslError(
+                f"function {name!r} is defined on pair {defined_on!r}, not {pair_name!r}",
+                getattr(node, "line", None),
+                getattr(node, "col", None),
+            )
+
     def _lookup(self, category: str, name: str, node):
         table = self.table(category)
         if name not in table:
@@ -482,6 +493,7 @@ def _function_literal(pair: Supergroup, node):
 def _function_ref(ws: Workspace, pair: Supergroup, node):
     if isinstance(node, Atom) and node.kind == "symbol":
         func = ws._lookup("function", node.value, node)
+        ws.require_function_pair(node.value, pair.name, node)
         return func
     return _function_literal(pair, node)
 
@@ -754,17 +766,15 @@ def print_workspace(ws: Workspace) -> str:
         pname = _pair_name(ws, name)
         out.append(f"(function {name} {pname} {_print_function(ws.pairs[pname], func)})")
     for name, elem in ws.elements.items():
-        pname = next(n for n, p in ws.pairs.items() if p == elem.pair)
         terms = []
         alg = elem.pair.algebra
         for w in sorted(elem.terms):
             word = " ".join(alg.basis_names[i] for i in w)
             ue = f"(ue (1 {word}))" if word else "(ue (1))"
             terms.append(f"  (tensor {ue} {_print_function(elem.pair, elem.terms[w])})")
-        out.append(f"(element {name} {pname}\n" + "\n".join(terms) + ")")
+        out.append(f"(element {name} {elem.pair.name}\n" + "\n".join(terms) + ")")
     for name, rep in ws.reps.items():
-        pname = next(n for n, p in ws.pairs.items() if p == rep.pair)
-        lines = [f"(rep {name} {pname}"]
+        lines = [f"(rep {name} {rep.pair.name}"]
         diag = " ".join(format_float(v.real) for v in np.diag(rep.grading))
         lines.append(f"  (grading {diag})")
         for i, mat in enumerate(rep.rho):

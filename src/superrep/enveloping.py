@@ -89,7 +89,9 @@ def _straighten_uncached(algebra: SuperAlgebra, word: Word, order: str, strategy
     return tuple(sorted(acc.items()))
 
 
-def _accumulate(acc: dict, word: Word, coeff: GaussianRational):
+def _accumulate(acc: dict, word: Word, coeff):
+    """acc[word] += coeff, keeping no zero entry.  coeff is a Gaussian
+    rational, or a function for the crossed-product terms."""
     if coeff.is_zero():
         return
     cur = acc.get(word)
@@ -178,10 +180,6 @@ class UEElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        """Filtration degree (length of the longest monomial); -1 for 0."""
-        return max((len(w) for w in self.terms), default=-1)
 
     def __eq__(self, other) -> bool:
         return (

@@ -67,9 +67,6 @@ class FiniteFunction:
         scalar = GaussianRational.of(scalar)
         return FiniteFunction(self.pair, {p: scalar * v for p, v in self.values.items()})
 
-    def conjugate(self) -> "FiniteFunction":
-        return FiniteFunction(self.pair, {p: v.conjugate() for p, v in self.values.items()})
-
     def twist_split(self):
         """Pairs (g, piece) whose pieces sum to f, every point of supp(piece)
         acting on the algebra as g does: one delta piece per support point."""
@@ -176,9 +173,6 @@ class GaussianPoly:
     def gaussian(rate=1.0, center=0.0, coeffs=(1.0,), component="plus") -> "GaussianPoly":
         term = GaussTerm(_poly_trim(coeffs), float(rate), float(center))
         return GaussianPoly(plus=(term,)) if component == "plus" else GaussianPoly(eps=(term,))
-
-    def components(self):
-        return {"plus": self.plus, "eps": self.eps}
 
     def __call__(self, point: GroupPoint) -> complex:
         terms = self.eps if point.eps else self.plus
@@ -413,15 +407,11 @@ def convolve(f, h):
 
 
 def breve(f):
-    """The involution f -> Delta(g)^{-1} conj(f(g^{-1})); all shipped
-    instances are unimodular, so Delta drops out."""
+    """The involution f -> Delta(g)^{-1} conj(f(g^{-1})); Delta = 1 drops out,
+    as finite groups and the real line have two-sided invariant Haar measure."""
     if isinstance(f, FiniteFunction):
         p = f.pair
-        out = {}
-        for g, v in f.values.items():
-            gi = p.inverse(g)
-            out[gi] = v.conjugate() * GaussianRational.of(1 / p.modular(gi))
-        return FiniteFunction(p, out)
+        return FiniteFunction(p, {p.inverse(g): v.conjugate() for g, v in f.values.items()})
     if isinstance(f, GaussianPoly):
         return f.conjugate().reflect()
     raise MismatchError("unsupported function class")
@@ -500,10 +490,9 @@ def factor_gaussian(rate: float, center: float = 0.0):
     return f1, h1
 
 
-def max_sample_difference(f: GaussianPoly, h: GaussianPoly, points=None) -> float:
-    """Max pointwise deviation over both components at the sample points."""
-    if points is None:
-        points = [(-3.0 + 0.3 * k) for k in range(21)]
+def max_sample_difference(f: GaussianPoly, h: GaussianPoly) -> float:
+    """Max pointwise deviation over both components at 21 points on [-3, 3]."""
+    points = [(-3.0 + 0.3 * k) for k in range(21)]
     worst = 0.0
     for eps in (False, True):
         for t in points:

@@ -2,9 +2,9 @@
 
 Two realizations are shipped: finite groups given by a Cayley table with an
 adjoint matrix per element, and the real line acting through the truncated
-exponential of the (nilpotent) adjoint of its even generator.  Every shipped
-instance is unimodular; the modular function is carried through the formulas
-regardless.
+exponential of the (nilpotent) adjoint of its even generator.  The Haar
+measure of a finite group and of the real line is two-sided invariant, so
+Delta = 1 for both kinds and appears in no formula.
 
 Points of the epsilon-extension G x {1, eps} are (base, eps) pairs; eps is
 central, squares to the identity, and acts on the algebra as the parity
@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
+from typing import NamedTuple
 
 from . import linalg
 from .enveloping import check_automorphism
@@ -28,8 +29,7 @@ FINITE = "finite"
 LINE = "line"
 
 
-@dataclass(frozen=True)
-class GroupPoint:
+class GroupPoint(NamedTuple):
     base: object  # element index (finite) or a real number (line)
     eps: bool = False
 
@@ -60,10 +60,7 @@ class FiniteGroup:
         report.add("closure", closed)
         if not closed:
             return report
-        ident = next(
-            (e for e in range(n) if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n))),
-            None,
-        )
+        ident = self._identity
         report.add("identity", ident is not None, "no two-sided identity" if ident is None else "")
         assoc_bad = [
             (a, b, c)
@@ -74,27 +71,33 @@ class FiniteGroup:
         ]
         report.add("associativity", not assoc_bad, f"{len(assoc_bad)} violations" if assoc_bad else "")
         if ident is not None:
-            inverses = all(
-                any(self.table[a][b] == ident and self.table[b][a] == ident for b in range(n))
-                for a in range(n)
-            )
-            report.add("inverses", inverses)
+            report.add("inverses", None not in self._inverses)
         return report
+
+    @cached_property
+    def _identity(self) -> int | None:
+        """The two-sided identity or None; this and ``_inverses`` are searched
+        once per group and cached outside equality, hashing and repr."""
+        t, n = self.table, self.size
+        return next((e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))), None)
+
+    @cached_property
+    def _inverses(self) -> tuple[int | None, ...]:
+        """The inverse of each element, None where there is none."""
+        t, e, n = self.table, self.identity, self.size
+        return tuple(next((b for b in range(n) if t[a][b] == e == t[b][a]), None) for a in range(n))
 
     @property
     def identity(self) -> int:
-        n = self.size
-        for e in range(n):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n)):
-                return e
-        raise StructureError(f"group {self.name} has no identity")
+        if self._identity is None:
+            raise StructureError(f"group {self.name} has no identity")
+        return self._identity
 
     def inverse(self, a: int) -> int:
-        e = self.identity
-        for b in range(self.size):
-            if self.table[a][b] == e and self.table[b][a] == e:
-                return b
-        raise StructureError(f"group {self.name}: element {a} has no inverse")
+        b = self._inverses[a]
+        if b is None:
+            raise StructureError(f"group {self.name}: element {a} has no inverse")
+        return b
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,7 @@ class Supergroup:
         return GroupPoint(base, False)
 
     def epsilon_point(self) -> GroupPoint:
-        base = self.group.finite.identity if self.group.kind == FINITE else Fraction(0)
-        return GroupPoint(base, True)
+        return GroupPoint(self.identity_point().base, True)
 
     def multiply(self, p: GroupPoint, q: GroupPoint) -> GroupPoint:
         if self.group.kind == FINITE:
@@ -148,10 +150,6 @@ class Supergroup:
         for eps in (False, True):
             for g in range(self.group.finite.size):
                 yield GroupPoint(g, eps)
-
-    def modular(self, p: GroupPoint) -> Fraction:
-        # every shipped instance is unimodular
-        return Fraction(1)
 
     # -- adjoint action ------------------------------------------------------
 

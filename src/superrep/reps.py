@@ -396,7 +396,6 @@ def taylor_norm_check(
     pair: Supergroup,
     a: CrossedElement,
     family: list[MatrixRep],
-    steps=(1e-1, 1e-2, 1e-3),
 ) -> dict:
     """Check that the first-order Taylor defect of the one-parameter orbit
     stays below half the certified bound on the twice-differentiated element.
@@ -412,8 +411,7 @@ def taylor_norm_check(
     zz_a = lam_z.lam(lam_z.lam(a))
     m_const = prop33_bound(zz_a)
     rows = []
-    for t in steps:
-        t = float(t)
+    for t in (1e-1, 1e-2, 1e-3):
         moved = mul_group(pair, GroupPoint(t, False)).lam(a)
         defect = (moved - a).scale(1.0 / t) - lam_z.lam(a)
         family_max = max(

@@ -73,6 +73,50 @@ def test_flags_before_or_after_subcommand(capsys):
     assert before == after
 
 
+def test_unwritable_out_exits_2_without_traceback(capsys, tmp_path):
+    target = str(tmp_path / "missing-dir" / "x.json")
+    for extra in ((), ("--file", str(tmp_path / "missing.sexp"))):
+        code = main(["--catalog", "hc", *extra, "--out", target,
+                     "validate", "--pair", "hcline"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "x.json" in json.loads(captured.out)["error"]
+        assert captured.err == ""
+
+
+def test_element_with_a_function_of_another_pair_exits_2(capsys, tmp_path):
+    src = tmp_path / "cross.sexp"
+    src.write_text("(element bad z2odd (tensor (ue (1 x)) gauss1))\n")
+    code, out = run(capsys, "--catalog", "hc", "--catalog", "podd",
+                    "--file", str(src), "xp-star", "--elem", "bad")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "1:39: function 'gauss1' is defined on pair 'hcline', not 'z2odd'"
+    }
+
+
+def test_gamma_check_refuses_a_function_of_another_pair(capsys):
+    code, out = run(capsys, "--catalog", "hc", "--catalog", "podd", "gamma-check",
+                    "--pair", "z2odd", "--f", "d1", "--h", "gauss1")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "function 'gauss1' is defined on pair 'hcline', not 'z2odd'"
+    }
+
+
+def test_line_elements_print_line_functions(capsys):
+    code, out = run(capsys, "--catalog", "hc", "xp-star", "--elem", "ax")
+    assert code == 0
+    [term] = json.loads(out)["star"]["terms"]
+    assert term["word"] == ["x"]
+    assert term["function"]["kind"] == "line"
+    # x^dagger = -i x, and breve leaves the real centred Gaussian in place
+    assert term["function"]["plus"] == [
+        {"rate": 1.0, "center": 0.0, "coeffs": [[0.0, -1.0]]}
+    ]
+    assert term["function"]["eps"] == []
+
+
 def test_out_writes_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out = run(capsys, "--catalog", "hc", "--out", str(target),
@@ -100,6 +144,11 @@ DETERMINISTIC_RUNS = [
      "--elem", "ax"),
     ("--catalog", "hc", "taylor", "--pair", "hcline", "--elem", "a0",
      "--family", "hc-grid"),
+    ("--catalog", "hc", "validate", "--algebra", "hc"),
+    ("--catalog", "podd", "gamma-check", "--pair", "z2odd", "--f", "dmix",
+     "--h", "ds", "--word", "x"),
+    ("--catalog", "hc", "xp-mul", "--left", "axz", "--right", "ax"),
+    ("--catalog", "hc", "xp-star", "--elem", "axz"),
 ]
 
 

@@ -144,6 +144,25 @@ def test_ad_twist_in_finite_product(z2odd):
     assert prod.terms == {(0,): ds.scale(GaussianRational.of(-1))}
 
 
+def test_sums_and_products_cancel_to_zero(z2odd, hcline):
+    rng = random.Random(104)
+    for a in (random_finite_element(rng, z2odd), random_line_element(rng, hcline)):
+        assert not a.is_zero()
+        assert (a + a.scale(-1)).terms == {}
+        assert (a - a).terms == {}
+    # f takes equal values at 1 and at a point acting as -1 on x (s on z2odd,
+    # eps on hcline), so in (1 (x) f)(x (x) f) the two twist pieces cancel
+    cases = [
+        (z2odd, 0, FiniteFunction(z2odd, {z2odd.identity_point(): 1, GroupPoint(1, False): 1})),
+        (hcline, 1, GaussianPoly.gaussian(1.0, 0.0, (1.0,))
+         + GaussianPoly.gaussian(1.0, 0.0, (1.0,), "eps")),
+    ]
+    for pair, x, f in cases:
+        one = CrossedElement.tensor(pair, UEElement.unit(pair.algebra), f)
+        odd = CrossedElement.tensor(pair, UEElement.generator(pair.algebra, x), f)
+        assert xp_multiply(one, odd).terms == {}
+
+
 # -- multipliers -------------------------------------------------------------
 
 

@@ -43,6 +43,21 @@ def test_inline_and_named_function_literals():
     assert ws._function_pairs["bump"] == "tinyline"
 
 
+def test_function_reference_must_share_the_element_pair():
+    src = HC_SOURCE + (
+        "(superalgebra p (basis (x odd)))\n"
+        "(pair pz2 p (finite (elements e s) (table (e s) (s e)) (ad s ((-1)))))\n"
+        "(pair qz2 p (finite (elements e s) (table (e s) (s e)) (ad s ((-1)))))\n"
+        "(function d1 pz2 (finitefunc (delta e 1)))\n"
+    )
+    ws = parse(src)
+    for pair, fname in (("pz2", "bump"), ("qz2", "d1"), ("tinyline", "d1")):
+        with pytest.raises(DslError, match=f"function '{fname}' is defined on pair") as exc:
+            parse(f"(element bad {pair}\n  (tensor (ue (1 x)) {fname}))", ws)
+        assert (exc.value.line, exc.value.col) == (2, 22)
+    parse("(element good qz2 (tensor (ue (1 x)) (finitefunc (delta s 1))))", ws)
+
+
 def test_duplicate_name_reports_both_sites():
     src = "(superalgebra a (basis (x odd)))\n(superalgebra a (basis (y odd)))"
     with pytest.raises(DslError) as exc:
