@@ -144,7 +144,7 @@ DETERMINISTIC_RUNS = [
      "--elem", "ax"),
     ("--catalog", "hc", "taylor", "--pair", "hcline", "--elem", "a0",
      "--family", "hc-grid"),
-    ("--catalog", "hc", "validate", "--algebra", "hc"),
+    ("validate", "--algebra", "gl11", "--catalog", "toys"),
     ("--catalog", "podd", "gamma-check", "--pair", "z2odd", "--f", "dmix",
      "--h", "ds", "--word", "x"),
     ("--catalog", "hc", "xp-mul", "--left", "axz", "--right", "ax"),
