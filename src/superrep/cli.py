@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -26,7 +27,7 @@ from .crossed import (
     xp_multiply,
     xp_star,
 )
-from .dsl import Workspace, parse_file
+from .dsl import Workspace, parse_file, read_word
 from .enveloping import UEElement, dagger as ue_dagger, normal_form
 from .errors import DslError, SuperrepError
 from .functions import FiniteFunction
@@ -134,22 +135,24 @@ def _load_workspace(args) -> Workspace:
     return ws
 
 
-def _word(algebra, text: str):
-    out = []
-    for nm in text.replace(",", " ").split():
-        out.append(algebra.index(nm))
-    return tuple(out)
-
-
-def _get(ws: Workspace, category: str, name: str):
-    table = ws.table(category)
-    if name not in table:
-        raise DslError(f"unknown {category} {name!r}")
-    return table[name]
-
-
 def _family(ws: Workspace, name: str):
-    return [_get(ws, "rep", r) for r in _get(ws, "family", name)]
+    return [ws.lookup("rep", r) for r in ws.lookup("family", name)]
+
+
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: a finite number >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
+def _step(text: str) -> float:
+    """An ``--h`` value: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +162,7 @@ def _family(ws: Workspace, name: str):
 
 def cmd_validate(ws: Workspace, args) -> tuple[dict, bool]:
     if args.pair:
-        pair = _get(ws, "pair", args.pair)
+        pair = ws.lookup("pair", args.pair)
         report = validate_pair(pair)
         alg_report = validate_superalgebra(pair.algebra)
         ok = report.ok and alg_report.ok
@@ -168,14 +171,14 @@ def cmd_validate(ws: Workspace, args) -> tuple[dict, bool]:
             "ok": ok,
             "checks": report.to_dict()["checks"] + alg_report.to_dict()["checks"],
         }, ok
-    algebra = _get(ws, "algebra", args.algebra)
+    algebra = ws.lookup("algebra", args.algebra)
     report = validate_superalgebra(algebra)
     return report.to_dict(), report.ok
 
 
 def cmd_nf(ws: Workspace, args) -> tuple[dict, bool]:
-    algebra = _get(ws, "algebra", args.algebra)
-    word = _word(algebra, args.word)
+    algebra = ws.lookup("algebra", args.algebra)
+    word = read_word(algebra, args.word)
     result = normal_form(algebra, word, order=args.order)
     return {
         "algebra": args.algebra,
@@ -186,8 +189,8 @@ def cmd_nf(ws: Workspace, args) -> tuple[dict, bool]:
 
 
 def cmd_dagger(ws: Workspace, args) -> tuple[dict, bool]:
-    algebra = _get(ws, "algebra", args.algebra)
-    word = _word(algebra, args.word)
+    algebra = ws.lookup("algebra", args.algebra)
+    word = read_word(algebra, args.word)
     result = ue_dagger(normal_form(algebra, word))
     return {
         "algebra": args.algebra,
@@ -197,25 +200,25 @@ def cmd_dagger(ws: Workspace, args) -> tuple[dict, bool]:
 
 
 def cmd_xp_mul(ws: Workspace, args) -> tuple[dict, bool]:
-    a = _get(ws, "element", args.left)
-    b = _get(ws, "element", args.right)
+    a = ws.lookup("element", args.left)
+    b = ws.lookup("element", args.right)
     product = xp_multiply(a, b)
     return {"left": args.left, "right": args.right,
             "product": _element_json(product)}, True
 
 
 def cmd_xp_star(ws: Workspace, args) -> tuple[dict, bool]:
-    a = _get(ws, "element", args.elem)
+    a = ws.lookup("element", args.elem)
     return {"elem": args.elem, "star": _element_json(xp_star(a))}, True
 
 
 def cmd_gamma_check(ws: Workspace, args) -> tuple[dict, bool]:
-    pair = _get(ws, "pair", args.pair)
-    f = _get(ws, "function", args.f)
-    h = _get(ws, "function", args.h)
+    pair = ws.lookup("pair", args.pair)
+    f = ws.lookup("function", args.f)
+    h = ws.lookup("function", args.h)
     ws.require_function_pair(args.f, args.pair, None)
     ws.require_function_pair(args.h, args.pair, None)
-    word = _word(pair.algebra, args.word) if args.word else ()
+    word = read_word(pair.algebra, args.word)
     d = normal_form(pair.algebra, word)
     lhs = gamma_integral(pair, f, d, h)
     rhs = xp_multiply(
@@ -231,14 +234,14 @@ def cmd_gamma_check(ws: Workspace, args) -> tuple[dict, bool]:
 
 
 def cmd_rep_check(ws: Workspace, args) -> tuple[dict, bool]:
-    rep = _get(ws, "rep", args.rep)
+    rep = ws.lookup("rep", args.rep)
     report = validate_rep(rep)
     return report.to_dict(), report.ok
 
 
 def cmd_hat(ws: Workspace, args) -> tuple[dict, bool]:
-    rep = _get(ws, "rep", args.rep)
-    a = _get(ws, "element", args.elem)
+    rep = ws.lookup("rep", args.rep)
+    a = ws.lookup("element", args.elem)
     mat = rep_hat(rep, a)
     return {
         "rep": args.rep,
@@ -249,7 +252,7 @@ def cmd_hat(ws: Workspace, args) -> tuple[dict, bool]:
 
 
 def cmd_bound(ws: Workspace, args) -> tuple[dict, bool]:
-    a = _get(ws, "element", args.elem)
+    a = ws.lookup("element", args.elem)
     names = a.pair.algebra.basis_names
     terms = []
     for w in sorted(a.terms):
@@ -259,7 +262,7 @@ def cmd_bound(ws: Workspace, args) -> tuple[dict, bool]:
 
 
 def cmd_seminorm(ws: Workspace, args) -> tuple[dict, bool]:
-    a = _get(ws, "element", args.elem)
+    a = ws.lookup("element", args.elem)
     family = _family(ws, args.family)
     interval = seminorm_interval(a, family)
     doc = {"elem": args.elem, "family": args.family}
@@ -268,8 +271,8 @@ def cmd_seminorm(ws: Workspace, args) -> tuple[dict, bool]:
 
 
 def cmd_roundtrip(ws: Workspace, args) -> tuple[dict, bool]:
-    rep = _get(ws, "rep", args.rep)
-    probe = _get(ws, "element", args.probe)
+    rep = ws.lookup("rep", args.rep)
+    probe = ws.lookup("element", args.probe)
     pair = rep.pair
     rng = random.Random(args.seed)
     v = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -304,15 +307,15 @@ def cmd_roundtrip(ws: Workspace, args) -> tuple[dict, bool]:
 
 def cmd_ccr_report(ws: Workspace, args) -> tuple[dict, bool]:
     family = _family(ws, args.family)
-    generators = [_get(ws, "element", nm) for nm in args.elem]
+    generators = [ws.lookup("element", nm) for nm in args.elem]
     doc = ccr_report(family, generators)
     doc = {"family": args.family, "generators": list(args.elem), **doc}
     return doc, True
 
 
 def cmd_orbit_deriv(ws: Workspace, args) -> tuple[dict, bool]:
-    pair = _get(ws, "pair", args.pair)
-    a = _get(ws, "element", args.elem)
+    pair = ws.lookup("pair", args.pair)
+    a = ws.lookup("element", args.elem)
     r1 = orbit_derivative_check(pair, a, args.h)
     r2 = orbit_derivative_check(pair, a, args.h / 2.0)
     ratio = (r2 / r1) if r1 else 0.0
@@ -329,8 +332,8 @@ def cmd_orbit_deriv(ws: Workspace, args) -> tuple[dict, bool]:
 
 
 def cmd_taylor(ws: Workspace, args) -> tuple[dict, bool]:
-    pair = _get(ws, "pair", args.pair)
-    a = _get(ws, "element", args.elem)
+    pair = ws.lookup("pair", args.pair)
+    a = ws.lookup("element", args.elem)
     family = _family(ws, args.family)
     doc = taylor_norm_check(pair, a, family)
     doc = {"pair": args.pair, "elem": args.elem, "family": args.family, **doc}
@@ -362,7 +365,7 @@ def _common_flags(suppress: bool) -> argparse.ArgumentParser:
     )
     common.add_argument("--out", default=dflt(None),
                         help="write JSON here instead of stdout")
-    common.add_argument("--tol", type=float, default=dflt(1e-8),
+    common.add_argument("--tol", type=_tolerance, default=dflt(1e-8),
                         help="tolerance for numeric comparisons")
     common.add_argument("--seed", type=int, default=dflt(0),
                         help="seed for randomized probe vectors")
@@ -445,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("orbit-deriv", "certified first-order orbit derivative residual")
     p.add_argument("--pair", required=True)
     p.add_argument("--elem", required=True)
-    p.add_argument("--h", type=float, default=0.1)
+    p.add_argument("--h", type=_step, default=0.1)
     p.set_defaults(func=cmd_orbit_deriv)
 
     p = add_command("taylor", "first-order Taylor norm bound check")

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import linalg
 from .crossed import CrossedElement
-from .enveloping import UEElement
+from .enveloping import UEElement, normal_form
 from .errors import DslError
 from .functions import FiniteFunction, GaussTerm, GaussianPoly
 from .groups import (
@@ -96,16 +96,13 @@ def _classify(text: str, line: int, col: int) -> Atom:
 
 
 def tokenize(source: str):
+    """Yield ``(text, line, column)`` for each parenthesis and atom."""
     for lineno, line in enumerate(source.split("\n"), start=1):
         for m in _TOKEN.finditer(line):
             text = m.group(0)
             if text.startswith(";"):
                 break
-            col = m.start() + 1
-            if text in "()":
-                yield Atom("paren", text, lineno, col)
-            else:
-                yield _classify(text, lineno, col)
+            yield text, lineno, m.start() + 1
 
 
 def read_forms(source: str) -> list:
@@ -113,21 +110,20 @@ def read_forms(source: str) -> list:
     stack: list[list] = []
     marks: list[tuple[int, int]] = []
     out: list = []
-    for tok in tokenize(source):
-        if tok.kind == "paren" and tok.value == "(":
+    for text, line, col in tokenize(source):
+        if text == "(":
             stack.append([])
-            marks.append((tok.line, tok.col))
-        elif tok.kind == "paren":
+            marks.append((line, col))
+        elif text == ")":
             if not stack:
-                raise DslError("unbalanced ')'", tok.line, tok.col)
-            items = stack.pop()
-            line, col = marks.pop()
-            node = SList(tuple(items), line, col)
+                raise DslError("unbalanced ')'", line, col)
+            node = SList(tuple(stack.pop()), *marks.pop())
             (stack[-1] if stack else out).append(node)
         else:
+            atom = _classify(text, line, col)
             if not stack:
-                raise DslError("expected '(' at top level", tok.line, tok.col)
-            stack[-1].append(tok)
+                raise DslError("expected '(' at top level", line, col)
+            stack[-1].append(atom)
     if stack:
         line, col = marks[-1]
         raise DslError("unclosed '('", line, col)
@@ -157,6 +153,33 @@ def _head(form: SList) -> str:
     return _expect_symbol(form.items[0], "form keyword")
 
 
+def _index(node, names, what: str, unknown: str) -> int:
+    """Position of the symbol ``node`` among the declared ``names``."""
+    nm = _expect_symbol(node, what)
+    try:
+        return names.index(nm)
+    except ValueError:
+        raise DslError(f"unknown {unknown} {nm!r}", node.line, node.col) from None
+
+
+def _declare(sites: dict, node, what: str, kind: str) -> str:
+    """Record the symbol ``node`` as a new name in ``sites`` (name -> node);
+    a name given twice is refused at the repeat."""
+    nm = _expect_symbol(node, what)
+    first = sites.get(nm)
+    if first is not None:
+        raise DslError(f"{kind} {nm!r} given twice (first at line {first.line}, "
+                       f"column {first.col})", node.line, node.col)
+    sites[nm] = node
+    return nm
+
+
+def _rational(node, message: str) -> Fraction:
+    if isinstance(node, Atom) and node.kind == "rational":
+        return node.value
+    raise DslError(message, node.line, node.col)
+
+
 def _scalar(node) -> GaussianRational:
     """Exact Gaussian-rational literal."""
     if isinstance(node, Atom):
@@ -164,15 +187,9 @@ def _scalar(node) -> GaussianRational:
             return GaussianRational(node.value, Fraction(0))
         if node.kind == "imag-rational":
             return GaussianRational(Fraction(0), node.value)
-        raise DslError("expected an exact scalar (rational, Ni, or (c re im))",
-                       node.line, node.col)
-    if _head(node) == "c" and len(node.items) == 3:
-        re_part = node.items[1]
-        im_part = node.items[2]
-        for part in (re_part, im_part):
-            if not (isinstance(part, Atom) and part.kind == "rational"):
-                raise DslError("expected rational component", part.line, part.col)
-        return GaussianRational(re_part.value, im_part.value)
+    elif _head(node) == "c" and len(node.items) == 3:
+        return GaussianRational(_rational(node.items[1], "expected rational component"),
+                                _rational(node.items[2], "expected rational component"))
     raise DslError("expected an exact scalar (rational, Ni, or (c re im))",
                    node.line, node.col)
 
@@ -201,6 +218,12 @@ def _complex_entry(node) -> complex:
     if _head(node) == "c" and len(node.items) == 3:
         return complex(_number(node.items[1]), _number(node.items[2]))
     raise DslError("expected a numeric entry", node.line, node.col)
+
+
+def _rows(node, entry) -> list[list]:
+    """A matrix form ``((a b ...) ...)``, each entry read by ``entry``."""
+    return [[entry(cell) for cell in _expect_list(row, "matrix row").items]
+            for row in _expect_list(node, "matrix").items]
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +281,13 @@ class Workspace:
                 getattr(node, "col", None),
             )
 
-    def _lookup(self, category: str, name: str, node):
+    def lookup(self, category: str, name: str, node=None):
+        """The definition ``name`` of ``category``; an unknown name is a
+        DslError located at ``node`` unless that is None."""
         table = self.table(category)
         if name not in table:
-            raise DslError(f"unknown {category} {name!r}", node.line, node.col)
+            raise DslError(f"unknown {category} {name!r}",
+                           getattr(node, "line", None), getattr(node, "col", None))
         return table[name]
 
 
@@ -287,6 +313,14 @@ def parse_file(path: str, workspace: Workspace | None = None) -> Workspace:
         return parse(fh.read(), workspace)
 
 
+def read_word(algebra, text: str) -> tuple[int, ...]:
+    """Basis indices of a comma- or space-separated word of basis names; an
+    unknown name is an unlocated DslError."""
+    return tuple(_index(Atom("symbol", nm, None, None), algebra.basis_names,
+                        "basis name", "basis element")
+                 for nm in text.replace(",", " ").split())
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -299,34 +333,28 @@ def _build_superalgebra(ws: Workspace, form: SList):
     basis_form = _expect_list(form.items[2], "(basis ...)")
     if _head(basis_form) != "basis":
         raise DslError("expected (basis ...)", basis_form.line, basis_form.col)
-    names, parity = [], []
+    sites, parity = {}, []
     for entry in basis_form.items[1:]:
         entry = _expect_list(entry, "(name even|odd)")
         if len(entry.items) != 2:
             raise DslError("basis entry is (name even|odd)", entry.line, entry.col)
-        names.append(_expect_symbol(entry.items[0], "basis name"))
+        _declare(sites, entry.items[0], "basis name", "basis element")
         par = _expect_symbol(entry.items[1], "parity")
         if par not in ("even", "odd"):
             raise DslError("parity must be 'even' or 'odd'", entry.items[1].line,
                            entry.items[1].col)
         parity.append(EVEN if par == "even" else ODD)
+    names = tuple(sites)
     n = len(names)
-    index = {nm: i for i, nm in enumerate(names)}
     constants = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     given: dict[tuple[int, int], SList] = {}  # explicit brackets and their sites
-
-    def basis_index(node) -> int:
-        nm = _expect_symbol(node, "basis name")
-        if nm not in index:
-            raise DslError(f"unknown basis element {nm!r}", node.line, node.col)
-        return index[nm]
 
     for entry in form.items[3:]:
         entry = _expect_list(entry, "(bracket ...)")
         if _head(entry) != "bracket" or len(entry.items) < 3:
             raise DslError("expected (bracket X Y (coef Z) ...)", entry.line, entry.col)
-        i = basis_index(entry.items[1])
-        j = basis_index(entry.items[2])
+        i, j = (_index(node, names, "basis name", "basis element")
+                for node in entry.items[1:3])
         if (i, j) in given:
             first = given[i, j]
             raise DslError(
@@ -341,11 +369,8 @@ def _build_superalgebra(ws: Workspace, form: SList):
             piece = _expect_list(piece, "(coef basis)")
             if len(piece.items) != 2:
                 raise DslError("bracket term is (coef basis)", piece.line, piece.col)
-            coef_atom = piece.items[0]
-            if not (isinstance(coef_atom, Atom) and coef_atom.kind == "rational"):
-                raise DslError("bracket coefficients are exact rationals",
-                               piece.items[0].line, piece.items[0].col)
-            vec[basis_index(piece.items[1])] += coef_atom.value
+            coef = _rational(piece.items[0], "bracket coefficients are exact rationals")
+            vec[_index(piece.items[1], names, "basis name", "basis element")] += coef
         constants[i][j] = vec
     # fill the super-skew partner unless it was given explicitly; a given
     # partner is left for the super_skew_symmetry check
@@ -364,8 +389,8 @@ def _build_pair(ws: Workspace, form: SList):
     if len(form.items) != 4:
         raise DslError("pair is (pair NAME ALGEBRA <group form>)", form.line, form.col)
     name = _expect_symbol(form.items[1], "pair name")
-    algebra = ws._lookup("algebra", _expect_symbol(form.items[2], "algebra name"),
-                         form.items[2])
+    algebra = ws.lookup("algebra", _expect_symbol(form.items[2], "algebra name"),
+                        form.items[2])
     gform = _expect_list(form.items[3], "group form")
     kind = _head(gform)
     if kind == "line":
@@ -380,50 +405,32 @@ def _build_pair(ws: Workspace, form: SList):
             sub = _expect_list(sub, "finite group clause")
             sk = _head(sub)
             if sk == "elements":
-                elements = [_expect_symbol(s, "element name") for s in sub.items[1:]]
+                sites = {}
+                elements = [_declare(sites, s, "element name", "group element")
+                            for s in sub.items[1:]]
             elif sk == "table":
                 table = sub
             elif sk == "ad":
                 if len(sub.items) != 3:
                     raise DslError("expected (ad ELEMENT ((row) ...))", sub.line, sub.col)
                 gname = _expect_symbol(sub.items[1], "element name")
-                mat_form = _expect_list(sub.items[2], "matrix")
-                mat = []
-                for row in mat_form.items:
-                    row = _expect_list(row, "matrix row")
-                    out_row = []
-                    for cell in row.items:
-                        if not (isinstance(cell, Atom) and cell.kind == "rational"):
-                            raise DslError("adjoint entries are exact rationals",
-                                           cell.line, cell.col)
-                        out_row.append(cell.value)
-                    mat.append(out_row)
-                ad[gname] = mat
+                ad[gname] = _rows(sub.items[2], lambda cell: _rational(
+                    cell, "adjoint entries are exact rationals"))
             else:
                 raise DslError(f"unknown finite-group clause {sk!r}", sub.line, sub.col)
         if elements is None or table is None:
             raise DslError("finite group needs (elements ...) and (table ...)",
                            gform.line, gform.col)
-        eindex = {nm: i for i, nm in enumerate(elements)}
-        rows = []
-        for row in table.items[1:]:
-            row = _expect_list(row, "table row")
-            out_row = []
-            for cell in row.items:
-                nm = _expect_symbol(cell, "element name")
-                if nm not in eindex:
-                    raise DslError(f"unknown group element {nm!r}", cell.line, cell.col)
-                out_row.append(eindex[nm])
-            rows.append(tuple(out_row))
+        rows = [
+            tuple(_index(cell, elements, "element name", "group element")
+                  for cell in _expect_list(row, "table row").items)
+            for row in table.items[1:]
+        ]
         fg = FiniteGroup(f"{name}-group", tuple(elements), tuple(rows))
         identity_mat = tuple(map(tuple, linalg.identity_matrix(algebra.dim)))
-        mats = []
-        for nm in elements:
-            if nm in ad:
-                mats.append(tuple(tuple(r) for r in ad[nm]))
-            else:
-                mats.append(identity_mat)
-        group = GroupData(FINITE, f"{name}-group", finite=fg, ad_matrices=tuple(mats))
+        mats = tuple(tuple(map(tuple, ad[nm])) if nm in ad else identity_mat
+                     for nm in elements)
+        group = GroupData(FINITE, f"{name}-group", finite=fg, ad_matrices=mats)
     else:
         raise DslError(f"unknown group kind {kind!r}", gform.line, gform.col)
     try:
@@ -435,12 +442,9 @@ def _build_pair(ws: Workspace, form: SList):
 
 def _point(pair: Supergroup, node) -> GroupPoint:
     """A finite group point: `g` or `(g eps)`."""
-    fg = pair.group.finite
     if isinstance(node, Atom):
-        nm = _expect_symbol(node, "group element")
-        if nm not in fg.element_names:
-            raise DslError(f"unknown group element {nm!r}", node.line, node.col)
-        return GroupPoint(fg.element_names.index(nm), False)
+        names = pair.group.finite.element_names
+        return GroupPoint(_index(node, names, "group element", "group element"), False)
     node = _expect_list(node, "(g eps)")
     if len(node.items) != 2 or _expect_symbol(node.items[1], "'eps'") != "eps":
         raise DslError("expected (ELEMENT eps)", node.line, node.col)
@@ -492,7 +496,7 @@ def _function_literal(pair: Supergroup, node):
 
 def _function_ref(ws: Workspace, pair: Supergroup, node):
     if isinstance(node, Atom) and node.kind == "symbol":
-        func = ws._lookup("function", node.value, node)
+        func = ws.lookup("function", node.value, node)
         ws.require_function_pair(node.value, pair.name, node)
         return func
     return _function_literal(pair, node)
@@ -504,7 +508,7 @@ def _build_function(ws: Workspace, form: SList):
                        form.line, form.col)
     name = _expect_symbol(form.items[1], "function name")
     pair_name = _expect_symbol(form.items[2], "pair name")
-    pair = ws._lookup("pair", pair_name, form.items[2])
+    pair = ws.lookup("pair", pair_name, form.items[2])
     func = _function_literal(pair, form.items[3])
     ws._define("function", name, form, func)
     ws._function_pairs[name] = pair_name
@@ -521,16 +525,9 @@ def _ue_literal(pair: Supergroup, node) -> UEElement:
         if not term.items:
             raise DslError("empty enveloping term", term.line, term.col)
         coef = _scalar(term.items[0])
-        word = []
-        for sym in term.items[1:]:
-            nm = _expect_symbol(sym, "basis name")
-            try:
-                word.append(algebra.index(nm))
-            except Exception:
-                raise DslError(f"unknown basis element {nm!r}", sym.line, sym.col) from None
-        from .enveloping import normal_form
-
-        out = out + normal_form(algebra, tuple(word), coef)
+        word = tuple(_index(sym, algebra.basis_names, "basis name", "basis element")
+                     for sym in term.items[1:])
+        out = out + normal_form(algebra, word, coef)
     return out
 
 
@@ -539,8 +536,8 @@ def _build_element(ws: Workspace, form: SList):
         raise DslError("element is (element NAME PAIR (tensor UE FUNC) ...)",
                        form.line, form.col)
     name = _expect_symbol(form.items[1], "element name")
-    pair = ws._lookup("pair", _expect_symbol(form.items[2], "pair name"),
-                      form.items[2])
+    pair = ws.lookup("pair", _expect_symbol(form.items[2], "pair name"),
+                     form.items[2])
     total = CrossedElement.zero(pair)
     for term in form.items[3:]:
         term = _expect_list(term, "(tensor UE FUNC)")
@@ -553,11 +550,7 @@ def _build_element(ws: Workspace, form: SList):
 
 
 def _matrix(node) -> np.ndarray:
-    node = _expect_list(node, "matrix")
-    rows = []
-    for row in node.items:
-        row = _expect_list(row, "matrix row")
-        rows.append([_complex_entry(c) for c in row.items])
+    rows = _rows(node, _complex_entry)
     if not rows or any(len(r) != len(rows) for r in rows):
         raise DslError("matrix must be square and nonempty", node.line, node.col)
     return np.array(rows, dtype=complex)
@@ -567,8 +560,8 @@ def _build_rep(ws: Workspace, form: SList):
     if len(form.items) < 4:
         raise DslError("rep needs a name, a pair and clauses", form.line, form.col)
     name = _expect_symbol(form.items[1], "rep name")
-    pair = ws._lookup("pair", _expect_symbol(form.items[2], "pair name"),
-                      form.items[2])
+    pair = ws.lookup("pair", _expect_symbol(form.items[2], "pair name"),
+                     form.items[2])
     algebra = pair.algebra
     grading = None
     rho: dict[int, np.ndarray] = {}
@@ -583,12 +576,8 @@ def _build_rep(ws: Workspace, form: SList):
         elif ck == "rho":
             if len(clause.items) != 3:
                 raise DslError("expected (rho BASIS MATRIX)", clause.line, clause.col)
-            nm = _expect_symbol(clause.items[1], "basis name")
-            try:
-                idx = algebra.index(nm)
-            except Exception:
-                raise DslError(f"unknown basis element {nm!r}",
-                               clause.items[1].line, clause.items[1].col) from None
+            idx = _index(clause.items[1], algebra.basis_names, "basis name",
+                         "basis element")
             rho[idx] = _matrix(clause.items[2])
             matrix_nodes.append(clause.items[2])
         elif ck == "pi":
@@ -597,12 +586,9 @@ def _build_rep(ws: Workspace, form: SList):
                                clause.line, clause.col)
             if len(clause.items) != 3:
                 raise DslError("expected (pi ELEMENT MATRIX)", clause.line, clause.col)
-            nm = _expect_symbol(clause.items[1], "group element")
-            names = pair.group.finite.element_names
-            if nm not in names:
-                raise DslError(f"unknown group element {nm!r}",
-                               clause.items[1].line, clause.items[1].col)
-            pi_table[names.index(nm)] = _matrix(clause.items[2])
+            g = _index(clause.items[1], pair.group.finite.element_names,
+                       "group element", "group element")
+            pi_table[g] = _matrix(clause.items[2])
             matrix_nodes.append(clause.items[2])
         elif ck == "freq":
             if pair.group.kind != LINE:
@@ -646,7 +632,7 @@ def _build_family(ws: Workspace, form: SList):
     members = []
     for node in form.items[2:]:
         nm = _expect_symbol(node, "rep name")
-        ws._lookup("rep", nm, node)
+        ws.lookup("rep", nm, node)
         members.append(nm)
     ws._define("family", name, form, members)
 
@@ -668,9 +654,7 @@ _BUILDERS = {
 
 def format_float(x: float) -> str:
     """Shortest round-trip decimal, capped at 15 significant digits."""
-    x = float(f"{float(x):.15g}")
-    s = repr(x)
-    return s
+    return repr(float(f"{float(x):.15g}"))
 
 
 def _print_scalar(v: GaussianRational) -> str:
@@ -763,7 +747,7 @@ def print_workspace(ws: Workspace) -> str:
                 f"(table {table}){''.join(ads)}))"
             )
     for name, func in ws.functions.items():
-        pname = _pair_name(ws, name)
+        pname = ws._function_pairs[name]
         out.append(f"(function {name} {pname} {_print_function(ws.pairs[pname], func)})")
     for name, elem in ws.elements.items():
         terms = []
@@ -800,10 +784,3 @@ def _print_matrix(mat: np.ndarray) -> str:
         "(" + " ".join(_print_entry(z) for z in row) + ")" for row in mat
     )
     return f"({rows})"
-
-
-def _pair_name(ws: Workspace, fname: str) -> str:
-    pname = ws._function_pairs.get(fname)
-    if pname is None:
-        raise DslError(f"function {fname!r} has no recorded pair")
-    return pname

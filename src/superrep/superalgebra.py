@@ -36,6 +36,8 @@ class SuperAlgebra:
         n = self.dim
         if len(self.parity) != n:
             raise StructureError(f"{self.name}: parity list does not match basis size")
+        if len(set(self.basis_names)) != n:
+            raise StructureError(f"{self.name}: basis names must be distinct")
         if any(p not in (EVEN, ODD) for p in self.parity):
             raise StructureError(f"{self.name}: parity values must be 0 or 1")
         if len(self.constants) != n or any(

@@ -219,3 +219,54 @@ def test_freq_without_number_exits_2(capsys, tmp_path):
     code, out = run(capsys, "--file", str(src), "validate", "--pair", "hcline")
     assert code == 2
     assert json.loads(out)["error"].startswith("3:30: expected (freq NUMBER)")
+
+
+def test_repeated_basis_name_exits_2_at_the_repeat(capsys, tmp_path):
+    # x.x = [x,x]/2 = z/2, so a normal form of 0 would be wrong
+    src = tmp_path / "twice.sexp"
+    src.write_text("(superalgebra a (basis (z even) (x odd) (x odd)) (bracket x x (1 z)))\n")
+    code, out = run(capsys, "--file", str(src), "nf", "--algebra", "a", "--word", "x,x")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "1:42: basis element 'x' given twice (first at line 1, column 34)"
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ("nf", "--algebra", "hc", "--word", "x,q"),
+    ("dagger", "--algebra", "hc", "--word", "q"),
+    ("gamma-check", "--pair", "hcline", "--f", "gauss1", "--h", "gauss2", "--word", "x,q"),
+], ids=["nf", "dagger", "gamma-check"])
+def test_unknown_word_name_exits_2(capsys, argv):
+    code, out = run(capsys, "--catalog", "hc", *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": "unknown basis element 'q'"}
+
+
+@pytest.mark.parametrize("flags", [
+    ("--tol", "nan", "gamma-check", "--pair", "hcline", "--f", "gauss1", "--h", "gauss2"),
+    ("--tol", "-0.5", "roundtrip", "--rep", "hc-rep-2", "--probe", "a0"),
+    ("rep-check", "--rep", "hc-rep-2", "--tol", "inf"),
+    ("orbit-deriv", "--pair", "hcline", "--elem", "a0", "--h", "inf"),
+    ("orbit-deriv", "--pair", "hcline", "--elem", "a0", "--h", "0"),
+    ("orbit-deriv", "--pair", "hcline", "--elem", "a0", "--h", "-0.1"),
+    ("orbit-deriv", "--pair", "hcline", "--elem", "a0", "--h", "nan"),
+], ids=["tol-nan", "tol-negative", "tol-inf", "h-inf", "h-zero", "h-negative", "h-nan"])
+def test_non_finite_or_out_of_range_flags_are_usage_errors(capsys, flags):
+    code = main(["--catalog", "hc", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "usage:" in captured.err
+
+
+def test_line_pair_with_nontrivial_adjoint_exits_1(capsys, tmp_path):
+    src = tmp_path / "shear.sexp"
+    src.write_text(
+        "(superalgebra shear (basis (z even) (x1 odd) (x2 odd)) (bracket z x1 (1 x2)))\n"
+        "(pair shearline shear (line z))\n"
+        "(element a shearline (tensor (ue (1 x1)) (linefunc (plus (gauss 1 0 1)))))\n"
+    )
+    code, out = run(capsys, "--file", str(src), "xp-mul", "--left", "a", "--right", "a")
+    assert code == 1
+    assert "nontrivial adjoint action" in json.loads(out)["error"]

@@ -19,9 +19,12 @@ from superrep.crossed import (
     xp_multiply,
     xp_star,
 )
+from superrep.dsl import parse
 from superrep.enveloping import UEElement, normal_form
+from superrep.errors import UnsupportedInstanceError
 from superrep.functions import FiniteFunction, GaussianPoly, fourier_at
 from superrep.groups import GroupPoint
+from superrep.reps import prop33_bound, taylor_norm_check
 from superrep.scalars import GaussianRational
 
 
@@ -325,3 +328,31 @@ def test_orbit_residual_bounds_sampled_defect(hcline):
         target = -f.derivative().value(t)
         worst = max(worst, abs(q.value(t) - target))
     assert worst <= orbit_derivative_check(hcline, a, h)
+
+
+# Ad(exp tz) moves x1 towards x2, so the line acts nontrivially on the algebra.
+SHEAR_LINE = """
+(superalgebra shear (basis (z even) (x1 odd) (x2 odd)) (bracket z x1 (1 x2)))
+(pair shearline shear (line z))
+(element a shearline (tensor (ue (1 x1)) (linefunc (plus (gauss 1 0 1)))))
+"""
+
+
+@pytest.mark.parametrize("operation", [
+    lambda pair, a: xp_multiply(a, a),
+    lambda pair, a: xp_star(a),
+    lambda pair, a: mul_group(pair, GroupPoint(0.5, False)).lam(a),
+    lambda pair, a: mul_lie(pair, 1).rho(a),
+    lambda pair, a: gamma_integral(pair, a.terms[(1,)], UEElement.unit(pair.algebra),
+                                   a.terms[(1,)]),
+    lambda pair, a: prop33_bound(a),
+    lambda pair, a: orbit_derivative_check(pair, a, 0.1),
+    lambda pair, a: taylor_norm_check(pair, a, []),
+], ids=["xp_multiply", "xp_star", "mul_group.lam", "mul_lie.rho", "gamma_integral",
+        "prop33_bound", "orbit_derivative_check", "taylor_norm_check"])
+def test_twisting_refuses_a_line_with_nontrivial_adjoint(operation):
+    ws = parse(SHEAR_LINE)
+    pair = ws.pairs["shearline"]
+    assert not pair.line_ad_is_trivial()
+    with pytest.raises(UnsupportedInstanceError, match="nontrivial adjoint action"):
+        operation(pair, ws.elements["a"])

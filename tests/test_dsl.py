@@ -267,3 +267,100 @@ def test_print_workspace_round_trips_byte_for_byte(name, cut, sep, values):
     once = print_workspace(parse(sep.join(tokens)))
     assert once == print_workspace(parse(" ".join(tokens)))
     assert print_workspace(parse(once)) == once
+
+
+# A line pair on lines 1-2 and a finite pair on lines 3-4; each malformed
+# form below sits on line 5.
+PRELUDE = (
+    "(superalgebra tiny (basis (z even) (x odd)) (bracket x x (1 z)))\n"
+    "(pair tl tiny (line z))\n"
+    "(superalgebra p (basis (x odd)))\n"
+    "(pair fz p (finite (elements e s) (table (e s) (s e)) (ad s ((-1)))))\n"
+)
+FINITE_HEAD = "(pair q p (finite (elements e s) (table (e s) (s e))"
+
+DIAGNOSTICS = [
+    # (source after the prelude, message, column on line 5)
+    ("()", "empty form", 1),
+    ("(element a tl (tensor (ue ((c 1) x)) (linefunc)))",
+     r"expected an exact scalar \(rational, Ni, or \(c re im\)\)", 28),
+    ("(element a tl (tensor (ue (1/2 x)) (linefunc (plus (gauss r 0 1)))))",
+     "expected a real number", 59),
+    ("(superalgebra a)", "superalgebra needs a name and a basis", 1),
+    ("(superalgebra a (bases (x odd)))", r"expected \(basis ...\)", 17),
+    ("(superalgebra a (basis (x odd)) (bracket x x (1.5 x)))",
+     "bracket coefficients are exact rationals", 47),
+    ("(pair q tiny)", r"pair is \(pair NAME ALGEBRA <group form>\)", 1),
+    ("(pair q tiny (line))", r"line group is \(line GENERATOR\)", 14),
+    (FINITE_HEAD + " (ad s)))", r"expected \(ad ELEMENT \(\(row\) ...\)\)", 54),
+    (FINITE_HEAD + " (ad s ((-1.0)))))", "adjoint entries are exact rationals", 62),
+    ("(pair q p (finite (elements e s)))",
+     r"finite group needs \(elements ...\) and \(table ...\)", 11),
+    ("(pair q p (finite (elements e s) (table (e t) (s e))))",
+     "unknown group element 't'", 44),
+    ("(pair q p (torus))", "unknown group kind 'torus'", 11),
+    ("(function f fz (finitefunc (delta t 1)))", "unknown group element 't'", 35),
+    ("(function f fz (finitefunc (delta (s ops) 1)))", r"expected \(ELEMENT eps\)", 35),
+    ("(function f tl (finitefunc))", "finitefunc literal on a line pair", 16),
+    ("(function f fz (linefunc))", "linefunc literal on a finite pair", 16),
+    ("(function f tl (linefunc (minus (gauss 1 0 1))))",
+     "component tag must be 'plus' or 'eps'", 26),
+    ("(function f tl (linefunc (plus (gauss 1 0))))",
+     r"expected \(gauss RATE CENTER COEF...\)", 32),
+    ("(function f tl (linefunc (plus (gauss -1/2 0 1))))",
+     "Gaussian rate must be positive", 39),
+    ("(element a tl (tensor (eu (1 x)) (linefunc)))", r"expected \(ue ...\)", 23),
+    ("(element a tl (tensor (ue ()) (linefunc)))", "empty enveloping term", 27),
+    ("(element a tl (tensor (ue (1 x q)) (linefunc)))", "unknown basis element 'q'", 32),
+    ("(rep r tl (grading 1 -1) (rho x ((0 1))) (freq 1))",
+     "matrix must be square and nonempty", 33),
+    ("(rep r tl)", "rep needs a name, a pair and clauses", 1),
+    ("(rep r tl (grading 1) (rho q ((1))) (freq 1))", "unknown basis element 'q'", 28),
+    ("(rep r tl (grading 1) (pi e ((1))))",
+     r"\(pi ...\) clauses only apply to finite pairs", 23),
+    ("(rep r fz (grading 1) (pi e))", r"expected \(pi ELEMENT MATRIX\)", 23),
+    ("(rep r fz (grading 1) (pi t ((1))))", "unknown group element 't'", 27),
+    ("(rep r fz (grading 1) (freq 1))", r"\(freq ...\) only applies to line pairs", 23),
+    ("(rep r tl (freq 1))", r"rep needs a \(grading ...\) clause", 1),
+    ("(rep r tl (grading 1 -1))", r"line rep needs a \(freq ...\) clause", 1),
+    ("(family f)", r"family is \(family NAME REP ...\)", 1),
+    ("(element a tl (tensor (ue ((c 1 0.5) x)) (linefunc)))",
+     "expected rational component", 33),
+    ("(superalgebra a (basis (x odd)) (bracket x x (1 y)))",
+     "unknown basis element 'y'", 49),
+    ("(family f nope)", "unknown rep 'nope'", 11),
+    ("(element a tl (tensor (ue (1 x)) ghost))", "unknown function 'ghost'", 34),
+    ("(rep r ghost (grading 1) (freq 1))", "unknown pair 'ghost'", 8),
+    ("x", "expected '\\(' at top level", 1),
+    # an atom is read before its place is checked
+    ("1/0", "zero denominator in rational literal", 1),
+]
+
+
+@pytest.mark.parametrize("body, message, col", DIAGNOSTICS,
+                         ids=[str(k) for k in range(len(DIAGNOSTICS))])
+def test_each_diagnostic_has_its_message_and_location(body, message, col):
+    with pytest.raises(DslError, match=f"^5:{col}: {message}") as exc:
+        parse(PRELUDE + body)
+    assert (exc.value.line, exc.value.col) == (5, col)
+
+
+def test_exact_complex_scalar_round_trips():
+    src = PRELUDE + "(function f fz (finitefunc (delta s (c 1 -1/2)) (delta (e eps) 1/3i)))\n"
+    ws = parse(src)
+    once = print_workspace(ws)
+    assert "(delta s (c 1 -1/2))" in once and "(delta (e eps) 1/3i)" in once
+    assert print_workspace(parse(once)) == once
+
+
+@pytest.mark.parametrize("source, message, site", [
+    ("(superalgebra a (basis (z even) (x odd)\n  (x odd)))",
+     r"basis element 'x' given twice \(first at line 1, column 34\)", (2, 4)),
+    ("(superalgebra p (basis (x odd)))\n"
+     "(pair q p (finite (elements e s s) (table (e s) (s e))))",
+     r"group element 's' given twice \(first at line 2, column 31\)", (2, 33)),
+], ids=["basis", "elements"])
+def test_declared_name_given_twice_names_first_site(source, message, site):
+    with pytest.raises(DslError, match=message) as exc:
+        parse(source)
+    assert (exc.value.line, exc.value.col) == site

@@ -127,3 +127,8 @@ def test_bracket_bilinearity(hc2, rng):
         assert hc2.bracket(u, gw) == hc2.bracket(gu, w) == hc2.bracket(gu, gw)
         iu = [GaussianRational(0, a) for a in u]
         assert hc2.bracket(iu, gw) == [GaussianRational(0, a) for a in uw]
+
+
+def test_repeated_basis_name_refused():
+    with pytest.raises(StructureError, match="basis names must be distinct"):
+        build_superalgebra("a", ["x", "x"], [1, 1], [[[0, 0]] * 2] * 2)
