@@ -345,44 +345,31 @@ def cmd_taylor(ws: Workspace, args) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _common_flags(suppress: bool) -> argparse.ArgumentParser:
-    """Workspace/IO flags, usable before or after the subcommand.
-
-    The subcommand copy suppresses defaults so it never overwrites values
-    already parsed by the top-level parser.
-    """
-    missing = argparse.SUPPRESS
-
-    def dflt(value):
-        return missing if suppress else value
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--file", action="append", default=dflt(None),
-                        help="DSL source file (repeatable)")
-    common.add_argument(
-        "--catalog", action="append", choices=CATALOG_NAMES, default=dflt(None),
-        help="load a shipped catalog (repeatable)",
-    )
-    common.add_argument("--out", default=dflt(None),
-                        help="write JSON here instead of stdout")
-    common.add_argument("--tol", type=_tolerance, default=dflt(1e-8),
-                        help="tolerance for numeric comparisons")
-    common.add_argument("--seed", type=int, default=dflt(0),
-                        help="seed for randomized probe vectors")
-    return common
+# values of the global flags when none is given; main parses into a copy
+_DEFAULTS = {"file": None, "catalog": None, "out": None, "tol": 1e-8, "seed": 0}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The workspace/IO flags are usable before or after the subcommand.  They
+    # set nothing when absent, so the subcommand never overwrites a value the
+    # top-level parser read; their defaults come from _DEFAULTS.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--file", action="append", help="DSL source file (repeatable)")
+    common.add_argument("--catalog", action="append", choices=CATALOG_NAMES,
+                        help="load a shipped catalog (repeatable)")
+    common.add_argument("--out", help="write JSON here instead of stdout")
+    common.add_argument("--tol", type=_tolerance, help="pass/fail tolerance of the "
+                        "numeric deviations; only gamma-check and roundtrip read it")
+    common.add_argument("--seed", type=int, help="seed for randomized probe vectors")
     parser = argparse.ArgumentParser(
         prog="superrep",
         description="crossed-product superalgebra toolkit",
-        parents=[_common_flags(suppress=False)],
+        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub_common = _common_flags(suppress=True)
 
     def add_command(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[sub_common])
+        return sub.add_parser(name, help=help_text, parents=[common])
 
     p = add_command("validate", "validate an algebra or a pair")
     g = p.add_mutually_exclusive_group(required=True)
@@ -463,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(**_DEFAULTS))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

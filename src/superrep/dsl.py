@@ -400,20 +400,23 @@ def _build_pair(ws: Workspace, form: SList):
                           generator_name=_expect_symbol(gform.items[1], "generator"))
     elif kind == "finite":
         elements = table = None
+        clauses, ad_sites = {}, {}  # sites of the set-once clauses and ad names
         ad: dict[str, list[list[Fraction]]] = {}
         for sub in gform.items[1:]:
             sub = _expect_list(sub, "finite group clause")
             sk = _head(sub)
             if sk == "elements":
+                _declare(clauses, sub.items[0], "clause", "clause")
                 sites = {}
                 elements = [_declare(sites, s, "element name", "group element")
                             for s in sub.items[1:]]
             elif sk == "table":
+                _declare(clauses, sub.items[0], "clause", "clause")
                 table = sub
             elif sk == "ad":
                 if len(sub.items) != 3:
                     raise DslError("expected (ad ELEMENT ((row) ...))", sub.line, sub.col)
-                gname = _expect_symbol(sub.items[1], "element name")
+                gname = _declare(ad_sites, sub.items[1], "element name", "ad of group element")
                 ad[gname] = _rows(sub.items[2], lambda cell: _rational(
                     cell, "adjoint entries are exact rationals"))
             else:
@@ -426,6 +429,9 @@ def _build_pair(ws: Workspace, form: SList):
                   for cell in _expect_list(row, "table row").items)
             for row in table.items[1:]
         ]
+        # an (ad ...) clause may come before (elements ...)
+        for node in ad_sites.values():
+            _index(node, elements, "element name", "group element")
         fg = FiniteGroup(f"{name}-group", tuple(elements), tuple(rows))
         identity_mat = tuple(map(tuple, linalg.identity_matrix(algebra.dim)))
         mats = tuple(tuple(map(tuple, ad[nm])) if nm in ad else identity_mat
@@ -568,16 +574,19 @@ def _build_rep(ws: Workspace, form: SList):
     pi_table: dict[int, np.ndarray] = {}
     freq = None
     matrix_nodes = []  # every rho/pi matrix, checked against the grading size
+    clauses, rho_sites, pi_sites = {}, {}, {}  # sites of the set-once clauses
     for clause in form.items[3:]:
         clause = _expect_list(clause, "rep clause")
         ck = _head(clause)
         if ck == "grading":
+            _declare(clauses, clause.items[0], "clause", "clause")
             grading = np.diag([_number(c) for c in clause.items[1:]]).astype(complex)
         elif ck == "rho":
             if len(clause.items) != 3:
                 raise DslError("expected (rho BASIS MATRIX)", clause.line, clause.col)
             idx = _index(clause.items[1], algebra.basis_names, "basis name",
                          "basis element")
+            _declare(rho_sites, clause.items[1], "basis name", "rho of basis element")
             rho[idx] = _matrix(clause.items[2])
             matrix_nodes.append(clause.items[2])
         elif ck == "pi":
@@ -588,6 +597,7 @@ def _build_rep(ws: Workspace, form: SList):
                 raise DslError("expected (pi ELEMENT MATRIX)", clause.line, clause.col)
             g = _index(clause.items[1], pair.group.finite.element_names,
                        "group element", "group element")
+            _declare(pi_sites, clause.items[1], "group element", "pi of group element")
             pi_table[g] = _matrix(clause.items[2])
             matrix_nodes.append(clause.items[2])
         elif ck == "freq":
@@ -596,6 +606,7 @@ def _build_rep(ws: Workspace, form: SList):
                                clause.line, clause.col)
             if len(clause.items) != 2:
                 raise DslError("expected (freq NUMBER)", clause.line, clause.col)
+            _declare(clauses, clause.items[0], "clause", "clause")
             freq = _number(clause.items[1])
         else:
             raise DslError(f"unknown rep clause {ck!r}", clause.line, clause.col)

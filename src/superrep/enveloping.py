@@ -70,23 +70,27 @@ def _straighten_uncached(algebra: SuperAlgebra, word: Word, order: str, strategy
     i = positions[0] if strategy == "left" else positions[-1]
     a, b = word[i], word[i + 1]
     acc: dict[Word, GaussianRational] = {}
-
-    def fold(sub_word: Word, scale: GaussianRational):
-        for w, c in _straighten(algebra, sub_word, order, strategy):
-            _accumulate(acc, w, scale * c)
-
     if squares:
         # x*x = (1/2)[x,x]
         for k, c in enumerate(algebra.bracket_basis(a, a)):
             if c != 0:
-                fold(word[:i] + (k,) + word[i + 2:], GR_HALF * GaussianRational.of(c))
+                _fold(acc, algebra, word[:i] + (k,) + word[i + 2:],
+                      GR_HALF * GaussianRational.of(c), order, strategy)
     else:
         sign = GR_MINUS_ONE if (par[a] and par[b]) else GR_ONE
-        fold(word[:i] + (b, a) + word[i + 2:], sign)
+        _fold(acc, algebra, word[:i] + (b, a) + word[i + 2:], sign, order, strategy)
         for k, c in enumerate(algebra.bracket_basis(a, b)):
             if c != 0:
-                fold(word[:i] + (k,) + word[i + 2:], GaussianRational.of(c))
+                _fold(acc, algebra, word[:i] + (k,) + word[i + 2:],
+                      GaussianRational.of(c), order, strategy)
     return tuple(sorted(acc.items()))
+
+
+def _fold(acc: dict, algebra: SuperAlgebra, word: Word, coeff: GaussianRational,
+          order: str, strategy: str = "left"):
+    """acc += coeff * NF(word), for a word of valid basis indices."""
+    for w, c in _straighten(algebra, word, order, strategy):
+        _accumulate(acc, w, coeff * c)
 
 
 def _accumulate(acc: dict, word: Word, coeff):
@@ -134,9 +138,7 @@ class UEElement:
         """Degree-one element with the given basis coordinates."""
         out = UEElement.zero(algebra, order)
         for i, c in enumerate(coords):
-            c = GaussianRational.of(c)
-            if not c.is_zero():
-                _accumulate(out.terms, (i,), c)
+            _accumulate(out.terms, (i,), GaussianRational.of(c))
         return out
 
     def _check(self, other: "UEElement"):
@@ -153,11 +155,7 @@ class UEElement:
         return out
 
     def __sub__(self, other: "UEElement") -> "UEElement":
-        self._check(other)
-        out = UEElement(self.algebra, self.terms, self.order)
-        for w, c in other.terms.items():
-            _accumulate(out.terms, w, -c)
-        return out
+        return self + -other
 
     def __neg__(self) -> "UEElement":
         return self.scale(GR_MINUS_ONE)
@@ -206,10 +204,8 @@ def normal_form(algebra: SuperAlgebra, word, coeff=GR_ONE, order=DECL_ORDER,
     for i in word:
         if not 0 <= i < algebra.dim:
             raise StructureError(f"basis index {i} out of range")
-    coeff = GaussianRational.of(coeff)
     out = UEElement.zero(algebra, order)
-    for w, c in _straighten(algebra, word, order, strategy):
-        _accumulate(out.terms, w, coeff * c)
+    _fold(out.terms, algebra, word, GaussianRational.of(coeff), order, strategy)
     return out
 
 
@@ -218,9 +214,7 @@ def ue_multiply(a: UEElement, b: UEElement) -> UEElement:
     out = UEElement.zero(a.algebra, a.order)
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
-            piece = normal_form(a.algebra, wa + wb, ca * cb, a.order)
-            for w, c in piece.terms.items():
-                _accumulate(out.terms, w, c)
+            _fold(out.terms, a.algebra, wa + wb, ca * cb, a.order)
     return out
 
 
@@ -233,9 +227,7 @@ def dagger(a: UEElement) -> UEElement:
         factor = GR_ONE
         for i in w:
             factor = factor * (GR_MINUS_I if par[i] == ODD else GR_MINUS_ONE)
-        piece = normal_form(a.algebra, tuple(reversed(w)), c.conjugate() * factor, a.order)
-        for ww, cc in piece.terms.items():
-            _accumulate(out.terms, ww, cc)
+        _fold(out.terms, a.algebra, w[::-1], c.conjugate() * factor, a.order)
     return out
 
 

@@ -221,8 +221,9 @@ class GaussianPoly:
         """Pairs (g, piece) whose pieces sum to f, every point of supp(piece)
         acting on the algebra as g does: the plus part with the identity,
         then the eps part with epsilon.  Valid only because every caller
-        guards with ``require_trivial_line_ad``, so that exp(t z) acts as the
-        identity and (t, eps) as the parity flip."""
+        twists through ``Supergroup.twist_point``, which refuses a line pair
+        unless exp(t z) acts as the identity, so that (t, eps) acts as the
+        parity flip."""
         out = []
         if self.plus:
             out.append((GroupPoint(0, False), GaussianPoly(self.plus, ())))
@@ -438,12 +439,9 @@ def right_translate(g: GroupPoint, f):
         gi = p.inverse(g)
         out = {p.multiply(q, gi): v for q, v in f.values.items()}
         return FiniteFunction(p, out)
-    if isinstance(f, GaussianPoly):
-        out = f.translate(-float(g.base))
-        if g.eps:
-            out = out.swap_components()
-        return out
-    raise MismatchError("unsupported function class")
+    # the line is abelian, so R_g = L_{g^-1}; negating the float keeps the
+    # sign of a zero shift
+    return left_translate(GroupPoint(-float(g.base), g.eps), f)
 
 
 def right_derivative(pair: Supergroup, index: int, f):
@@ -488,13 +486,3 @@ def factor_gaussian(rate: float, center: float = 0.0):
     f1 = GaussianPoly.gaussian(2.0 * rate, center, (scale,))
     h1 = GaussianPoly.gaussian(2.0 * rate, 0.0, (1.0,))
     return f1, h1
-
-
-def max_sample_difference(f: GaussianPoly, h: GaussianPoly) -> float:
-    """Max pointwise deviation over both components at 21 points on [-3, 3]."""
-    points = [(-3.0 + 0.3 * k) for k in range(21)]
-    worst = 0.0
-    for eps in (False, True):
-        for t in points:
-            worst = max(worst, abs(f.value(t, eps) - h.value(t, eps)))
-    return worst

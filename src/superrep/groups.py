@@ -204,10 +204,13 @@ class Supergroup:
 
     def twist_point(self, g: GroupPoint) -> GroupPoint:
         """A point acting on the algebra as g does, shared by every such g:
-        g itself on a finite group.  On a line pair with trivial adjoint,
-        which every twisting caller requires, exp(t z) acts as the identity
-        for every t, so each point stands for (0, g.eps)."""
-        return g if self.group.kind == FINITE else GroupPoint(0, g.eps)
+        g itself on a finite group.  On a line pair, exp(t z) must act as the
+        identity for every t, so that each point stands for (0, g.eps); a
+        nontrivial adjoint is refused here, for every twisting caller."""
+        if self.group.kind == FINITE:
+            return g
+        self.require_trivial_line_ad()
+        return GroupPoint(0, g.eps)
 
     def line_ad_is_trivial(self) -> bool:
         return self.line_ad_terms == ()

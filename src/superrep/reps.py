@@ -5,7 +5,7 @@ epsilon element), a group layer (a unitary matrix per element for finite
 groups, or the scalar phase t -> e^{i freq t} for the line), and one complex
 matrix per algebra basis element.  The axioms of a unitary representation
 are checked with explicit witness matrices: each check is
-``np.allclose(lhs, rhs, atol=tol, rtol=1e-5)`` per matrix, and all of them
+``np.allclose(lhs, rhs, atol=TOL, rtol=1e-5)`` per matrix, and all of them
 are evaluated in one fused comparison.
 
 The bridge sends D (x) f to rho(D) pi(f); its operator norm over an explicit
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossed import CrossedElement, mul_lie
+from .crossed import CrossedElement, mul_group, mul_lie
 from .enveloping import ODD_MAJOR_ORDER, normal_form
 from .errors import MismatchError, StructureError, UnsupportedInstanceError
 from .functions import (
@@ -32,10 +32,13 @@ from .functions import (
     right_derivative,
 )
 from .groups import FINITE, LINE, GroupPoint, Supergroup
-from .superalgebra import EVEN, ODD
+from .superalgebra import EVEN, ODD, is_nilpotent, is_odd_generated
 from .validation import ValidationReport
 
 Word = tuple[int, ...]
+
+# absolute tolerance of every witness comparison in validate_rep
+TOL = 1e-9
 
 
 def operator_norm(mat: np.ndarray) -> float:
@@ -110,10 +113,10 @@ def _complex_matrices(matrices, d: int) -> np.ndarray:
     ).reshape(len(matrices), d, d)
 
 
-def validate_rep(rep: MatrixRep, tol: float = 1e-9) -> ValidationReport:
+def validate_rep(rep: MatrixRep) -> ValidationReport:
     """Check the unitary-representation axioms with explicit witnesses.
 
-    Each check is ``np.allclose(lhs, rhs, atol=tol)`` (so rtol 1e-5) on one
+    Each check is ``np.allclose(lhs, rhs, atol=TOL)`` (so rtol 1e-5) on one
     matrix per witness.  The witness matrices of all checks are stacked and
     compared in one fused ``np.isclose``, then read back check by check."""
     report = ValidationReport(f"representation {rep.name}")
@@ -179,7 +182,7 @@ def validate_rep(rep: MatrixRep, tol: float = 1e-9) -> ValidationReport:
         ]
 
     lhs, rhs = (np.concatenate(stacks) for stacks in zip(*sides))
-    verdicts = iter(np.isclose(lhs, rhs, atol=tol).all(axis=(-2, -1)).tolist())
+    verdicts = iter(np.isclose(lhs, rhs, atol=TOL).all(axis=(-2, -1)).tolist())
 
     def failed(labels):
         """The labels of the next len(labels) witness matrices that fail."""
@@ -364,27 +367,29 @@ def seminorm_interval(a: CrossedElement, family: list[MatrixRep]) -> SeminormInt
 # ---------------------------------------------------------------------------
 
 
+def _reconstruct(rep: MatrixRep, multiplier, probe: CrossedElement,
+                 v: np.ndarray) -> np.ndarray:
+    """rep_hat of the multiplier's left action on the probe, applied to v;
+    undefined when rep_hat(probe) v vanishes."""
+    base = rep_hat(rep, probe) @ v
+    if not np.any(np.abs(base) > 0):
+        raise StructureError("probe image is zero; reconstruction undefined")
+    return rep_hat(rep, multiplier.lam(probe)) @ v
+
+
 def reconstruct_pi(
     rep: MatrixRep, g: GroupPoint, probe: CrossedElement, v: np.ndarray
 ) -> np.ndarray:
     """Recover pi(g) on the vector rep_hat(probe) v as rep_hat of the left
     multiplier action on the probe."""
-    from .crossed import mul_group
-
-    base = rep_hat(rep, probe) @ v
-    if not np.any(np.abs(base) > 0):
-        raise StructureError("probe image is zero; reconstruction undefined")
-    return rep_hat(rep, mul_group(rep.pair, g).lam(probe)) @ v
+    return _reconstruct(rep, mul_group(rep.pair, g), probe, v)
 
 
 def reconstruct_rho(
     rep: MatrixRep, x, probe: CrossedElement, v: np.ndarray
 ) -> np.ndarray:
     """Recover rho(x) on the vector rep_hat(probe) v via the Lie multiplier."""
-    base = rep_hat(rep, probe) @ v
-    if not np.any(np.abs(base) > 0):
-        raise StructureError("probe image is zero; reconstruction undefined")
-    return rep_hat(rep, mul_lie(rep.pair, x).lam(probe)) @ v
+    return _reconstruct(rep, mul_lie(rep.pair, x), probe, v)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +408,6 @@ def taylor_norm_check(
     if pair.group.kind != LINE:
         raise UnsupportedInstanceError("Taylor check requires a line instance")
     pair.require_trivial_line_ad()
-    from .crossed import mul_group
-
     z = pair.generator_index
     lam_z = mul_lie(pair, z)
     # the constant M bounds rho(z^2 D) pi(f) uniformly over representations
@@ -434,8 +437,6 @@ def ccr_report(family: list[MatrixRep], generators: list[CrossedElement]) -> dic
     """Desk-scale compactness report: every shipped representation is finite
     dimensional, so images are finite rank; the structural hypotheses are
     recorded alongside."""
-    from .superalgebra import is_nilpotent, is_odd_generated
-
     out = {"representations": [], "flags": {}}
     for rep in family:
         images = [rep_hat(rep, a).reshape(-1) for a in generators]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import StructureError
+
 
 @dataclass(frozen=True)
 class Check:
@@ -28,8 +30,6 @@ class ValidationReport:
         return [c for c in self.checks if not c.ok]
 
     def raise_if_failed(self) -> "ValidationReport":
-        from .errors import StructureError
-
         if not self.ok:
             lines = "; ".join(f"{c.name}: {c.detail}" for c in self.failures())
             raise StructureError(f"{self.subject} failed validation: {lines}")

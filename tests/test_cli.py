@@ -270,3 +270,41 @@ def test_line_pair_with_nontrivial_adjoint_exits_1(capsys, tmp_path):
     code, out = run(capsys, "--file", str(src), "xp-mul", "--left", "a", "--right", "a")
     assert code == 1
     assert "nontrivial adjoint action" in json.loads(out)["error"]
+
+
+def test_repeated_set_once_clause_exits_2(capsys, tmp_path):
+    src = tmp_path / "twice.sexp"
+    src.write_text(
+        "(superalgebra p (basis (x odd)))\n"
+        "(pair q p (finite (elements e s) (table (e s) (s e)) (ad s ((-1))) (ad s ((1)))))\n"
+    )
+    code, out = run(capsys, "--file", str(src), "validate", "--pair", "q")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "2:72: ad of group element 's' given twice (first at line 2, column 58)"
+    }
+
+
+def test_flag_after_the_subcommand_replaces_the_one_before(capsys):
+    # a global flag given after the subcommand wins, also for repeatable ones
+    _, seeded = run(capsys, "--catalog", "hc", "--seed", "2", "roundtrip",
+                    "--rep", "hc-rep-2", "--probe", "a0")
+    _, both = run(capsys, "--seed", "1", "--catalog", "hc", "roundtrip",
+                  "--rep", "hc-rep-2", "--probe", "a0", "--seed", "2")
+    assert both == seeded
+    code, out = run(capsys, "--catalog", "podd", "validate", "--pair", "hcline",
+                    "--catalog", "hc")
+    assert code == 0 and json.loads(out)["ok"]
+    code, out = run(capsys, "--catalog", "hc", "validate", "--pair", "hcline",
+                    "--catalog", "podd")
+    assert code == 2 and json.loads(out) == {"error": "unknown pair 'hcline'"}
+    # defaults hold when no flag is given anywhere
+    code, out = run(capsys, "--catalog", "hc", "gamma-check", "--pair", "hcline",
+                    "--f", "gauss1", "--h", "gauss2")
+    assert code == 0 and json.loads(out)["tol"] == 1e-8
+
+
+def test_tol_help_names_the_commands_that_read_it(capsys):
+    assert main(["--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "only gamma-check and roundtrip read it" in text

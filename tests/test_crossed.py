@@ -356,3 +356,38 @@ def test_twisting_refuses_a_line_with_nontrivial_adjoint(operation):
     assert not pair.line_ad_is_trivial()
     with pytest.raises(UnsupportedInstanceError, match="nontrivial adjoint action"):
         operation(pair, ws.elements["a"])
+
+
+@pytest.mark.parametrize("operation", [
+    lambda pair, a: xp_multiply(a, a),
+    lambda pair, a: xp_star(a),
+    lambda pair, a: mul_group(pair, GroupPoint(0.5, False)).lam(a),
+    lambda pair, a: mul_lie(pair, 1).rho(a),
+], ids=["xp_multiply", "xp_star", "mul_group.lam", "mul_lie.rho"])
+def test_nothing_to_twist_gives_zero_on_a_nontrivial_line(operation):
+    pair = parse(SHEAR_LINE).pairs["shearline"]
+    assert operation(pair, CrossedElement.zero(pair)).is_zero()
+
+
+# The same line pair with the bracket that makes the adjoint nontrivial dropped.
+FLAT_LINE = """
+(superalgebra flat (basis (z even) (x1 odd) (x2 odd)))
+(pair flatline flat (line z))
+"""
+TWIN_TERMS = """
+  (tensor (ue (1 x1)) (linefunc (plus (gauss 1 0 1))))
+  (tensor (ue (2 z x2) (1/2)) (linefunc (plus (gauss 2 -1/2 1 0.5)) (eps (gauss 1 1 1i))))
+  (tensor (ue (-1 x1 x2)) (linefunc (eps (gauss 1/2 0 0 1)))))
+"""
+
+
+@pytest.mark.parametrize("g", [GroupPoint(0.5, False), GroupPoint(-1.25, True),
+                               GroupPoint(Fraction(0), False)])
+def test_right_translation_ignores_the_adjoint(g):
+    shear = parse(SHEAR_LINE + "(element b shearline" + TWIN_TERMS)
+    flat = parse(FLAT_LINE + "(element b flatline" + TWIN_TERMS)
+    got = mul_group(shear.pairs["shearline"], g).rho(shear.elements["b"])
+    want = mul_group(flat.pairs["flatline"], g).rho(flat.elements["b"])
+    assert got.terms.keys() == want.terms.keys() and len(got.terms) == 4
+    for w, f in got.terms.items():
+        assert (f.plus, f.eps) == (want.terms[w].plus, want.terms[w].eps)

@@ -364,3 +364,48 @@ def test_declared_name_given_twice_names_first_site(source, message, site):
     with pytest.raises(DslError, match=message) as exc:
         parse(source)
     assert (exc.value.line, exc.value.col) == site
+
+
+# Each source below repeats a set-once clause, or names an undeclared element
+# in (ad ...), on line 5 after the prelude.
+SET_ONCE = [
+    # (source, message, column on line 5)
+    (FINITE_HEAD + " (elements e s)))",
+     r"clause 'elements' given twice \(first at line 5, column 20\)", 55),
+    (FINITE_HEAD + " (table (e s) (s e))))",
+     r"clause 'table' given twice \(first at line 5, column 35\)", 55),
+    (FINITE_HEAD + " (ad s ((-1))) (ad s ((1)))))",
+     r"ad of group element 's' given twice \(first at line 5, column 58\)", 72),
+    (FINITE_HEAD + " (ad t ((-1)))))", "unknown group element 't'", 58),
+    ("(pair q p (finite (ad t ((-1))) (elements e s) (table (e s) (s e))))",
+     "unknown group element 't'", 23),
+    ("(rep r tl (grading 1) (grading 1) (freq 0))",
+     r"clause 'grading' given twice \(first at line 5, column 12\)", 24),
+    ("(rep r tl (grading 1) (freq 0) (freq 0))",
+     r"clause 'freq' given twice \(first at line 5, column 24\)", 33),
+    ("(rep r tl (grading 1) (rho x ((0))) (rho x ((0))) (freq 0))",
+     r"rho of basis element 'x' given twice \(first at line 5, column 28\)", 42),
+    ("(rep r fz (grading 1) (pi s ((1))) (pi s ((1))))",
+     r"pi of group element 's' given twice \(first at line 5, column 27\)", 40),
+]
+
+
+@pytest.mark.parametrize("body, message, col", SET_ONCE,
+                         ids=["elements", "table", "ad", "ad-unknown", "ad-before-elements",
+                              "grading", "freq", "rho", "pi"])
+def test_set_once_clause_and_ad_name_are_checked(body, message, col):
+    with pytest.raises(DslError, match=f"^5:{col}: {message}") as exc:
+        parse(PRELUDE + body)
+    assert (exc.value.line, exc.value.col) == (5, col)
+
+
+def test_repeats_that_add_stay_sums():
+    ws = parse(PRELUDE + "(function f fz (finitefunc (delta s 1) (delta s 1/2)))\n"
+               "(function h tl (linefunc (plus (gauss 1 0 1)) (plus (gauss 1 0 2))))\n"
+               "(element a fz (tensor (ue (1 x) (2 x)) f) (tensor (ue (1 x)) f))\n")
+    assert print_workspace(ws).splitlines()[-4:] == [
+        "(function f fz (finitefunc (delta s 3/2)))",
+        "(function h tl (linefunc (plus (gauss 1.0 0.0 3.0))))",
+        "(element a fz",
+        "  (tensor (ue (1 x)) (finitefunc (delta s 6))))",
+    ]

@@ -246,3 +246,19 @@ def test_straighten_memo_outside_hash_and_equality(workspace):
     assert len(twin.straighten_memo) == len(algebra.straighten_memo) > 0
     assert (hash(algebra), repr(algebra)) == before
     assert algebra == twin and hash(twin) == before[0]
+
+
+@pytest.mark.parametrize("name", ["hc", "podd", "hc2", "gl11", "affine2", "oddcenter"])
+def test_scalar_and_additive_operations(workspace, name):
+    algebra = workspace.algebras[name]
+    rng = random.Random(f"ops-{name}")
+    for _ in range(20):
+        a = random_element(rng, algebra)
+        b = random_element(rng, algebra)
+        assert a - b == a + b.scale(-1)
+        assert (a - a).is_zero() and (a - b) + b == a
+        assert -(-a) == a and -a == a.scale(-1)
+        assert 2 * a == a * 2 == a.scale(2) == a + a
+        assert a * b == ue_multiply(a, b)
+        assert a.scale(0).is_zero() and (0 * a).is_zero()
+        assert a.is_zero() == (a == UEElement.zero(algebra)) == (not a.terms)

@@ -297,3 +297,14 @@ def test_ad_powers_computed_once_per_pair(monkeypatch):
         pair.ad_point(GroupPoint(Fraction(k, 7), k % 2 == 1))
     assert len(calls) == once
     assert pair.ad_point(GroupPoint(Fraction(1, 3), False)) == first
+
+
+def test_line_point_multiplication(hcline):
+    e = hcline.identity_point()
+    p = GroupPoint(Fraction(1, 2), True)
+    q = GroupPoint(Fraction(-3, 4), False)
+    assert hcline.multiply(p, q) == GroupPoint(Fraction(-1, 4), True)
+    assert hcline.multiply(p, q) == hcline.multiply(q, p)
+    assert hcline.multiply(p, hcline.inverse(p)) == e
+    assert hcline.multiply(e, p) == p == hcline.multiply(p, e)
+    assert hcline.multiply(hcline.epsilon_point(), hcline.epsilon_point()) == e

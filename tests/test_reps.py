@@ -11,6 +11,7 @@ from superrep import reps
 from superrep.crossed import CrossedElement, mul_group, mul_lie, xp_multiply, xp_star
 from superrep.dsl import parse
 from superrep.enveloping import ODD_MAJOR_ORDER, UEElement, normal_form
+from superrep.errors import StructureError
 from superrep.functions import (
     FiniteFunction,
     GaussianPoly,
@@ -444,6 +445,23 @@ def test_roundtrip_rho_zero_purely_odd(z2odd, reg4):
     v = np.ones(4, dtype=complex)
     got = reconstruct_rho(reg4, 0, probe, v)
     assert np.allclose(got, 0.0)
+
+
+@pytest.mark.parametrize("reconstruct, target", [
+    (reconstruct_pi, GroupPoint(0, False)),
+    (reconstruct_rho, 0),
+], ids=["pi", "rho"])
+def test_reconstruction_refuses_a_zero_probe_image(z2odd, reg4, reconstruct, target):
+    unit = CrossedElement.tensor(
+        z2odd,
+        UEElement.unit(z2odd.algebra),
+        FiniteFunction.delta(z2odd, z2odd.identity_point()),
+    )
+    # a zero probe, and a nonzero probe against the zero vector
+    for probe, v in ((CrossedElement.zero(z2odd), np.ones(4, dtype=complex)),
+                     (unit, np.zeros(4, dtype=complex))):
+        with pytest.raises(StructureError, match="probe image is zero"):
+            reconstruct(reg4, target, probe, v)
 
 
 # -- Taylor bound and ccr --------------------------------------------------------
