@@ -27,7 +27,7 @@ from .enveloping import UEElement, _accumulate, apply_auto, dagger, ue_multiply
 from .errors import MismatchError, UnsupportedInstanceError
 from .functions import GaussianPoly, breve, convolve, l1_bound, left_translate, right_translate
 from .groups import LINE, GroupPoint, Supergroup
-from .scalars import GR_ONE, GR_ZERO, GaussianRational
+from .scalars import GR_ONE
 
 Word = tuple[int, ...]
 
@@ -190,14 +190,10 @@ def mul_group(pair: Supergroup, g: GroupPoint) -> Multiplier:
 
 def mul_lie(pair: Supergroup, coords) -> Multiplier:
     """Multiplier attached to a Lie algebra element (coordinate vector over
-    the basis; a bare index is also accepted)."""
+    the basis; a basis index in range is also accepted)."""
     algebra = pair.algebra
-    if isinstance(coords, int):
-        vec = [GR_ZERO] * algebra.dim
-        vec[coords] = GR_ONE
-        coords = vec
-    coords = [GaussianRational.of(c) for c in coords]
-    x_elem = UEElement.from_vector(algebra, coords)
+    make = UEElement.generator if isinstance(coords, int) else UEElement.from_vector
+    x_elem = make(algebra, coords)
 
     def lam(a: CrossedElement) -> CrossedElement:
         out = CrossedElement.zero(pair)
@@ -272,6 +268,8 @@ def orbit_derivative_check(pair: Supergroup, a: CrossedElement, h: float) -> flo
     most (h/2) times an L1 bound on f'' valid over all shifts up to h.
     The returned value therefore decreases linearly in h.
     """
+    if a.pair != pair:
+        raise MismatchError("element and pair live over different pairs")
     if pair.group.kind != LINE:
         raise UnsupportedInstanceError("orbit derivative requires a line instance")
     pair.require_trivial_line_ad()

@@ -128,16 +128,6 @@ def _poly_shift(coeffs, shift: complex) -> tuple[complex, ...]:
     return _poly_trim(out)
 
 
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [0j] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _poly_trim(out)
-
-
 def _abs_moment(k: int, rate: float) -> float:
     """integral of |t|^k exp(-rate t^2) dt over the line."""
     return gamma((k + 1) / 2.0) / rate ** ((k + 1) / 2.0)
@@ -169,6 +159,11 @@ class GaussianPoly:
         out.eps = tuple(t for t in eps if t.coeffs)
         return out
 
+    def _map(self, term_map) -> "GaussianPoly":
+        """``term_map`` applied to every term of both components, in order;
+        the map must keep (rate, center) keys pairwise distinct."""
+        return GaussianPoly._keyed(map(term_map, self.plus), map(term_map, self.eps))
+
     @staticmethod
     def gaussian(rate=1.0, center=0.0, coeffs=(1.0,), component="plus") -> "GaussianPoly":
         term = GaussTerm(_poly_trim(coeffs), float(rate), float(center))
@@ -192,30 +187,17 @@ class GaussianPoly:
         scalar = complex(scalar)
         if scalar == 0:
             return GaussianPoly()
-        scale_one = lambda terms: tuple(
-            GaussTerm(_poly_trim(c * scalar for c in t.coeffs), t.rate, t.center)
-            for t in terms
-        )
-        return GaussianPoly._keyed(scale_one(self.plus), scale_one(self.eps))
+        return self._map(lambda t: GaussTerm(
+            _poly_trim(c * scalar for c in t.coeffs), t.rate, t.center))
 
     def conjugate(self) -> "GaussianPoly":
-        conj = lambda terms: tuple(
-            GaussTerm(_poly_trim(c.conjugate() for c in t.coeffs), t.rate, t.center)
-            for t in terms
-        )
-        return GaussianPoly._keyed(conj(self.plus), conj(self.eps))
+        return self._map(lambda t: GaussTerm(
+            _poly_trim(c.conjugate() for c in t.coeffs), t.rate, t.center))
 
     def reflect(self) -> "GaussianPoly":
         """t -> -t on both components."""
-        ref = lambda terms: tuple(
-            GaussTerm(
-                _poly_trim(c * (-1) ** k for k, c in enumerate(t.coeffs)),
-                t.rate,
-                -t.center,
-            )
-            for t in terms
-        )
-        return GaussianPoly._keyed(ref(self.plus), ref(self.eps))
+        return self._map(lambda t: GaussTerm(
+            _poly_trim(c * (-1) ** k for k, c in enumerate(t.coeffs)), t.rate, -t.center))
 
     def twist_split(self):
         """Pairs (g, piece) whose pieces sum to f, every point of supp(piece)
@@ -237,28 +219,27 @@ class GaussianPoly:
     def translate(self, tau: float) -> "GaussianPoly":
         """t -> t - tau (left translation by tau on each component)."""
         tau = float(tau)
-        tr = lambda terms: tuple(
-            GaussTerm(_poly_shift(t.coeffs, -tau), t.rate, t.center + tau)
-            for t in terms
-        )
-        return GaussianPoly(tr(self.plus), tr(self.eps))
+        # c + tau can round two centers together, so the result is merged
+        out = self._map(lambda t: GaussTerm(_poly_shift(t.coeffs, -tau), t.rate, t.center + tau))
+        return GaussianPoly(out.plus, out.eps)
 
     def derivative(self) -> "GaussianPoly":
         def d(term: GaussTerm) -> GaussTerm:
-            p = term.coeffs
-            dp = tuple(k * p[k] for k in range(1, len(p)))
-            # -2a(t - mu) p(t)
-            lin = _poly_mul(p, (2.0 * term.rate * term.center, -2.0 * term.rate))
-            n = max(len(dp), len(lin))
-            total = tuple(
+            p, a, mu = term.coeffs, term.rate, term.center
+            dp = [k * p[k] for k in range(1, len(p))]
+            # -2a(t - mu) p(t) = (2a mu - 2a t) p(t)
+            c0, c1 = 2.0 * a * mu, -2.0 * a
+            lin = [0j] * (len(p) + 1)
+            for k, c in enumerate(p):
+                lin[k] += c * c0
+                lin[k + 1] += c * c1
+            lin = _poly_trim(lin)
+            return GaussTerm(_poly_trim(
                 (dp[k] if k < len(dp) else 0) + (lin[k] if k < len(lin) else 0)
-                for k in range(n)
-            )
-            return GaussTerm(_poly_trim(total), term.rate, term.center)
+                for k in range(max(len(dp), len(lin)))
+            ), a, mu)
 
-        return GaussianPoly._keyed(
-            tuple(d(t) for t in self.plus), tuple(d(t) for t in self.eps)
-        )
+        return self._map(d)
 
     def is_zero(self) -> bool:
         return not self.plus and not self.eps
@@ -275,22 +256,17 @@ class GaussianPoly:
 def _merge_terms(terms) -> tuple[GaussTerm, ...]:
     """Combine terms sharing (rate, center) and drop zero polynomials."""
     merged: dict[tuple[float, float], list[complex]] = {}
-    order: list[tuple[float, float]] = []
     for t in terms:
-        key = (t.rate, t.center)
-        if key not in merged:
-            merged[key] = []
-            order.append(key)
-        acc = merged[key]
+        acc = merged.setdefault((t.rate, t.center), [])
         for k, c in enumerate(t.coeffs):
             while len(acc) <= k:
                 acc.append(0j)
             acc[k] += c
     out = []
-    for key in order:
-        coeffs = _poly_trim(merged[key])
+    for (rate, center), acc in merged.items():
+        coeffs = _poly_trim(acc)
         if coeffs:
-            out.append(GaussTerm(coeffs, key[0], key[1]))
+            out.append(GaussTerm(coeffs, rate, center))
     return tuple(out)
 
 

@@ -405,6 +405,8 @@ def taylor_norm_check(
     """Check that the first-order Taylor defect of the one-parameter orbit
     stays below half the certified bound on the twice-differentiated element.
     """
+    if a.pair != pair:
+        raise MismatchError("element and pair live over different pairs")
     if pair.group.kind != LINE:
         raise UnsupportedInstanceError("Taylor check requires a line instance")
     pair.require_trivial_line_ad()

@@ -36,6 +36,17 @@ def test_pair_mismatch_exits_1(capsys):
     assert "different pairs" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("orbit-deriv", "--pair", "hcline", "--elem", "bs"),
+    ("taylor", "--pair", "hcline", "--elem", "bs", "--family", "hc-grid"),
+])
+def test_element_of_another_pair_exits_1(capsys, argv):
+    code, out = run(capsys, "--catalog", "hc", "--catalog", "podd", *argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert "different pairs" in error and "internal error" not in error
+
+
 def test_invalid_pair_rejected_at_parse(capsys, tmp_path):
     src = tmp_path / "bad.sexp"
     src.write_text(

@@ -21,11 +21,11 @@ from superrep.crossed import (
 )
 from superrep.dsl import parse
 from superrep.enveloping import UEElement, normal_form
-from superrep.errors import UnsupportedInstanceError
+from superrep.errors import MismatchError, StructureError, UnsupportedInstanceError
 from superrep.functions import FiniteFunction, GaussianPoly, fourier_at
 from superrep.groups import GroupPoint
 from superrep.reps import prop33_bound, taylor_norm_check
-from superrep.scalars import GaussianRational
+from superrep.scalars import GR_ONE, GR_ZERO, GaussianRational
 
 
 def random_finite_function(rng, pair):
@@ -391,3 +391,32 @@ def test_right_translation_ignores_the_adjoint(g):
     assert got.terms.keys() == want.terms.keys() and len(got.terms) == 4
     for w, f in got.terms.items():
         assert (f.plus, f.eps) == (want.terms[w].plus, want.terms[w].eps)
+
+
+def test_line_checks_refuse_an_element_of_another_pair(workspace, hc_grid):
+    hcline, bs = workspace.pairs["hcline"], workspace.elements["bs"]
+    with pytest.raises(MismatchError, match="different pairs"):
+        orbit_derivative_check(hcline, bs, 0.1)
+    with pytest.raises(MismatchError, match="different pairs"):
+        taylor_norm_check(hcline, bs, hc_grid)
+
+
+def test_mul_lie_refuses_an_index_out_of_range(hcline):
+    for i in (-1, hcline.algebra.dim):
+        with pytest.raises(StructureError, match="out of range"):
+            mul_lie(hcline, i)
+
+
+def test_mul_lie_index_acts_as_its_unit_vector(workspace):
+    def exact(a):
+        return {w: (f.plus, f.eps) if isinstance(f, GaussianPoly) else f
+                for w, f in a.terms.items()}
+
+    for name, a in workspace.elements.items():
+        dim = a.pair.algebra.dim
+        for i in range(dim):
+            unit = [GR_ZERO] * dim
+            unit[i] = GR_ONE
+            by_index, by_vector = mul_lie(a.pair, i), mul_lie(a.pair, unit)
+            assert exact(by_index.lam(a)) == exact(by_vector.lam(a)), (name, i)
+            assert exact(by_index.rho(a)) == exact(by_vector.rho(a)), (name, i)

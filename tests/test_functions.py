@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from superrep import functions
@@ -238,3 +240,123 @@ def test_gauss_term_requires_positive_rate():
 
     with pytest.raises(StructureError):
         GaussTerm((1.0,), -1.0)
+
+
+# -- the term maps against the term-by-term reference ------------------------
+#
+# Local copies of the per-method loops, ``_poly_mul`` and the ordered merge
+# that the shared term map replaced; every coefficient is compared by
+# ``float.hex``, so a signed zero that moves counts as a difference.
+
+
+def _ref_trim(coeffs):
+    coeffs = [complex(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _ref_poly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _ref_trim(out)
+
+
+def _ref_merge(terms):
+    merged, order = {}, []
+    for t in terms:
+        key = (t.rate, t.center)
+        if key not in merged:
+            merged[key] = []
+            order.append(key)
+        acc = merged[key]
+        for k, c in enumerate(t.coeffs):
+            while len(acc) <= k:
+                acc.append(0j)
+            acc[k] += c
+    out = []
+    for key in order:
+        coeffs = _ref_trim(merged[key])
+        if coeffs:
+            out.append(GaussTerm(coeffs, key[0], key[1]))
+    return tuple(out)
+
+
+def _ref_keyed(f, term_map):
+    return tuple(
+        tuple(t for t in map(term_map, side) if t.coeffs) for side in (f.plus, f.eps)
+    )
+
+
+def _ref_derivative_term(term):
+    p = term.coeffs
+    dp = tuple(k * p[k] for k in range(1, len(p)))
+    lin = _ref_poly_mul(p, (2.0 * term.rate * term.center, -2.0 * term.rate))
+    n = max(len(dp), len(lin))
+    total = tuple(
+        (dp[k] if k < len(dp) else 0) + (lin[k] if k < len(lin) else 0)
+        for k in range(n)
+    )
+    return GaussTerm(_ref_trim(total), term.rate, term.center)
+
+
+def _ref_scale(f, scalar):
+    scalar = complex(scalar)
+    if scalar == 0:
+        return (), ()
+    return _ref_keyed(f, lambda t: GaussTerm(
+        _ref_trim(c * scalar for c in t.coeffs), t.rate, t.center))
+
+
+def _ref_translate(f, tau):
+    tau = float(tau)
+    return tuple(
+        _ref_merge(GaussTerm(functions._poly_shift(t.coeffs, -tau), t.rate, t.center + tau)
+                   for t in side)
+        for side in (f.plus, f.eps)
+    )
+
+
+def _hexed(sides):
+    return [
+        [(tuple((c.real.hex(), c.imag.hex()) for c in t.coeffs), t.rate.hex(), t.center.hex())
+         for t in side]
+        for side in sides
+    ]
+
+
+_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, -1e-300, 1.0, -2.5]),
+    st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False),
+)
+_coeffs = st.builds(complex, _parts, _parts)
+# few keys, so that terms share (rate, center) and the merge has work to do
+_terms = st.lists(
+    st.builds(
+        GaussTerm,
+        st.lists(_coeffs, max_size=4).map(tuple),
+        st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.1, 4.0)),
+        st.one_of(st.sampled_from([0.0, -0.0, 1e-17, -0.75]), st.floats(-3.0, 3.0)),
+    ),
+    max_size=5,
+)
+_shifts = st.one_of(st.sampled_from([0.0, -0.0, 1e-17, 1.0]), st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_terms, _terms, _coeffs, _shifts)
+def test_term_maps_match_the_reference_bit_for_bit(plus, eps, scalar, tau):
+    f = GaussianPoly(plus, eps)
+    sides = lambda g: (g.plus, g.eps)
+    assert _hexed(sides(f)) == _hexed((_ref_merge(plus), _ref_merge(eps)))
+    assert _hexed(sides(f.derivative())) == _hexed(_ref_keyed(f, _ref_derivative_term))
+    assert _hexed(sides(f.scale(scalar))) == _hexed(_ref_scale(f, scalar))
+    assert _hexed(sides(f.conjugate())) == _hexed(_ref_keyed(f, lambda t: GaussTerm(
+        _ref_trim(c.conjugate() for c in t.coeffs), t.rate, t.center)))
+    assert _hexed(sides(f.reflect())) == _hexed(_ref_keyed(f, lambda t: GaussTerm(
+        _ref_trim(c * (-1) ** k for k, c in enumerate(t.coeffs)), t.rate, -t.center)))
+    assert _hexed(sides(f.translate(tau))) == _hexed(_ref_translate(f, tau))

@@ -308,3 +308,27 @@ def test_line_point_multiplication(hcline):
     assert hcline.multiply(p, hcline.inverse(p)) == e
     assert hcline.multiply(e, p) == p == hcline.multiply(p, e)
     assert hcline.multiply(hcline.epsilon_point(), hcline.epsilon_point()) == e
+
+
+def with_first_term_changed(pair, *entries):
+    """Overwrite the cached Ad(exp tz) expansion so that M_1 differs from
+    ad z at the given (row, column) entries."""
+    n = pair.algebra.dim
+    terms = pair.line_ad_terms or (((Fraction(0),) * n,) * n,)
+    m1 = [list(row) for row in terms[0]]
+    for row, col in entries:
+        m1[row][col] += 1
+    pair.__dict__["line_ad_terms"] = (tuple(map(tuple, m1)),) + terms[1:]
+    return pair
+
+
+def test_first_order_check_names_each_changed_column(hcline):
+    trivial = Supergroup("fresh", hcline.group, hcline.algebra)  # nothing cached yet
+    cases = [
+        (with_first_term_changed(trivial, (0, 1)), "x"),
+        (with_first_term_changed(heis3_line_pair(), (2, 1)), "x"),
+        (with_first_term_changed(shear_line_pair(), (2, 1), (0, 2)), "x, y"),
+    ]
+    for pair, names in cases:
+        rows = {name: (ok, detail) for name, ok, detail in report_rows(validate_pair(pair))}
+        assert rows["ad_derivative_matches_bracket"] == (False, names), pair.name
