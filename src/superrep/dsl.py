@@ -630,8 +630,7 @@ def _build_rep(ws: Workspace, form: SList):
         rep = MatrixRep(name, pair, grading, rho_list, freq=freq)
     report = validate_rep(rep)
     if not report.ok:
-        bad = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
-        raise DslError(f"representation {name!r} fails validation ({bad})",
+        raise DslError(f"representation {name!r} fails validation ({report.summary()})",
                        form.line, form.col)
     ws._define("rep", name, form, rep)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import comb, exp, gamma, pi, sqrt
+from math import comb, exp, gamma, inf, pi, sqrt
 
 from .errors import MismatchError, StructureError
 from .groups import FINITE, GroupPoint, Supergroup
@@ -103,6 +103,9 @@ class GaussTerm:
     def __post_init__(self):
         if self.rate <= 0:
             raise StructureError("Gaussian rate must be strictly positive")
+        # false for a NaN rate or center as well as for an infinite one
+        if not (self.rate < inf and -inf < self.center < inf):
+            raise StructureError("Gaussian rate and center must be finite")
 
     def __call__(self, t: float) -> complex:
         p = sum(c * t**k for k, c in enumerate(self.coeffs))
@@ -166,7 +169,10 @@ class GaussianPoly:
 
     @staticmethod
     def gaussian(rate=1.0, center=0.0, coeffs=(1.0,), component="plus") -> "GaussianPoly":
-        term = GaussTerm(_poly_trim(coeffs), float(rate), float(center))
+        coeffs = _poly_trim(coeffs)
+        if not all(map(cmath.isfinite, coeffs)):
+            raise StructureError("Gaussian coefficients must be finite")
+        term = GaussTerm(coeffs, float(rate), float(center))
         return GaussianPoly(plus=(term,)) if component == "plus" else GaussianPoly(eps=(term,))
 
     def __call__(self, point: GroupPoint) -> complex:
@@ -243,6 +249,15 @@ class GaussianPoly:
 
     def is_zero(self) -> bool:
         return not self.plus and not self.eps
+
+    def __eq__(self, other) -> bool:
+        """Equal merged term tuples, so that equal exact results compare
+        equal; like ``FiniteFunction``, the class is unhashable."""
+        return (
+            isinstance(other, GaussianPoly)
+            and self.plus == other.plus
+            and self.eps == other.eps
+        )
 
     def __repr__(self):
         def side(terms):

@@ -61,7 +61,7 @@ class FiniteGroup:
         if not closed:
             return report
         ident = self._identity
-        report.add("identity", ident is not None, "no two-sided identity" if ident is None else "")
+        report.add("identity", ident is not None, "no two-sided identity")
         assoc_bad = [
             (a, b, c)
             for a in range(n)
@@ -69,7 +69,7 @@ class FiniteGroup:
             for c in range(n)
             if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]
         ]
-        report.add("associativity", not assoc_bad, f"{len(assoc_bad)} violations" if assoc_bad else "")
+        report.add("associativity", not assoc_bad, f"{len(assoc_bad)} violations")
         if ident is not None:
             report.add("inverses", None not in self._inverses)
         return report
@@ -234,16 +234,11 @@ def validate_pair(pair: Supergroup) -> ValidationReport:
     if group.kind == FINITE:
         fg = group.finite
         grp_report = fg.validate()
-        report.add("group_table", grp_report.ok,
-                   "; ".join(f"{c.name}: {c.detail}" for c in grp_report.failures()))
+        report.add("group_table", grp_report.ok, grp_report.summary())
         if not grp_report.ok:
             return report
-        report.add(
-            "even_part_trivial",
-            not algebra.even_indices(),
-            "" if not algebra.even_indices() else
-            "a finite group has a zero Lie algebra but the even part is nonzero",
-        )
+        report.add("even_part_trivial", not algebra.even_indices(),
+                   "a finite group has a zero Lie algebra but the even part is nonzero")
         mats = group.ad_matrices
         if mats is None or len(mats) != fg.size or any(
             len(m) != n or any(len(r) != n for r in m) for m in mats
@@ -257,12 +252,10 @@ def validate_pair(pair: Supergroup) -> ValidationReport:
             for b in range(fg.size)
             if linalg.mat_mul(mats[a], mats[b]) != [list(r) for r in mats[fg.table[a][b]]]
         ]
-        report.add("ad_homomorphism", not hom_bad,
-                   f"Ad(gh) != Ad(g)Ad(h) for pairs {hom_bad}" if hom_bad else "")
+        report.add("ad_homomorphism", not hom_bad, f"Ad(gh) != Ad(g)Ad(h) for pairs {hom_bad}")
         autos = [check_automorphism(algebra, linalg.transpose(m)).checks for m in mats]
         parity_bad = [g for g, (parity, _) in enumerate(autos) if not parity.ok]
-        report.add("ad_parity", not parity_bad,
-                   f"parity broken by elements {parity_bad}" if parity_bad else "")
+        report.add("ad_parity", not parity_bad, f"parity broken by elements {parity_bad}")
         bracket_bad = [
             f"Ad({fg.element_names[g]}) breaks {bracket.detail}"
             for g, (_, bracket) in enumerate(autos) if not bracket.ok
@@ -273,27 +266,19 @@ def validate_pair(pair: Supergroup) -> ValidationReport:
         return report
 
     if group.kind == LINE:
-        even = algebra.even_indices()
-        report.add(
-            "even_part_line",
-            len(even) == 1,
-            "" if len(even) == 1 else "the even part of a line pair must be 1-dimensional",
-        )
+        report.add("even_part_line", len(algebra.even_indices()) == 1,
+                   "the even part of a line pair must be 1-dimensional")
         try:
             z = algebra.index(group.generator_name)
         except StructureError as exc:
             report.add("generator", False, str(exc))
             return report
-        report.add(
-            "generator_even",
-            algebra.parity[z] == EVEN,
-            "" if algebra.parity[z] == EVEN else f"generator {group.generator_name} is odd",
-        )
+        report.add("generator_even", algebra.parity[z] == EVEN,
+                   f"generator {group.generator_name} is odd")
         terms = pair.line_ad_terms
-        nilpotent = terms is not None
-        report.add("ad_generator_nilpotent", nilpotent,
-                   "" if nilpotent else "ad z is not nilpotent; the exact exponential is unavailable")
-        if not nilpotent:
+        report.add("ad_generator_nilpotent", terms is not None,
+                   "ad z is not nilpotent; the exact exponential is unavailable")
+        if terms is None:
             return report
         # the first-order term M_1 of Ad(exp tz) is ad z: column j is [z, b_j]
         m1 = terms[0] if terms else ((0,) * n,) * n

@@ -116,51 +116,67 @@ def _complex_matrices(matrices, d: int) -> np.ndarray:
 def validate_rep(rep: MatrixRep) -> ValidationReport:
     """Check the unitary-representation axioms with explicit witnesses.
 
-    Each check is ``np.allclose(lhs, rhs, atol=TOL)`` (so rtol 1e-5) on one
-    matrix per witness.  The witness matrices of all checks are stacked and
-    compared in one fused ``np.isclose``, then read back check by check."""
+    Each witnessed check is ``np.allclose(lhs, rhs, atol=TOL)`` (so rtol
+    1e-5) on one matrix per label, and its detail joins the labels whose
+    matrices differ into the check's format.  The witness matrices of all
+    checks are stacked and compared in one fused ``np.isclose``.  A failing
+    shape check ends the report, so that only n x n matrices are stacked."""
     report = ValidationReport(f"representation {rep.name}")
     pair = rep.pair
     algebra = pair.algebra
     names = algebra.basis_names
     finite = pair.group.kind == FINITE
-    n = rep.dim
+    n, d = rep.dim, algebra.dim
     eye = np.eye(n)
     grading = rep.grading
+    no_witness = np.empty((0, n, n))
 
-    # the shape checks come first, so that only n x n matrices are stacked
-    rho_ok = len(rep.rho) == algebra.dim and all(m.shape == (n, n) for m in rep.rho)
-    if finite:
-        size = pair.group.finite.size
-        group_ok = rep.pi_table is not None and len(rep.pi_table) == size and all(
-            m.shape == (n, n) for m in rep.pi_table
-        )
-    else:
-        group_ok = rep.freq is not None
-
-    # (lhs, rhs) stacks of n x n witness matrices, one pair per check and in
-    # the order of the report
+    # (name, detail format, labels, lhs stack, rhs stack), one witness matrix
+    # per label on each side; a check without witnesses passes
     diagonal = np.diag(grading)
-    sides = [
+    checks = [
         # diagonal, with entries of modulus 1, and real
-        (np.array([grading, np.diag(np.abs(diagonal)), grading.imag]),
-         np.array([np.diag(diagonal), eye, np.zeros((n, n))])),
-        ((grading @ grading)[None], eye[None]),
+        ("grading_diagonal_sign", "", range(3),
+         [grading, np.diag(np.abs(diagonal)), grading.imag],
+         [np.diag(diagonal), eye, np.zeros((n, n))]),
+        ("grading_involutive", "", [0], [grading @ grading], [eye]),
     ]
-    if rho_ok and group_ok:
-        d = algebra.dim
+    stop = None  # the failing shape check, as (name, ok, detail)
+    size = pair.group.finite.size if finite else 0
+    if len(rep.rho) != d:
+        stop = ("rho_shape", False, "one matrix per basis element required")
+    elif any(m.shape != (n, n) for m in rep.rho):
+        stop = ("rho_shape", False, "")
+    else:
+        checks.append(("rho_shape", "", [], no_witness, no_witness))
+        if finite and (rep.pi_table is None or len(rep.pi_table) != size
+                       or any(m.shape != (n, n) for m in rep.pi_table)):
+            stop = ("pi_table", False, "one unitary matrix per group element required")
+        elif not finite and rep.freq is None:
+            stop = ("frequency", False, "line representation needs a frequency")
+    if stop is None:
         rho = np.array(rep.rho).reshape(d, n, n)
         if finite:
             pis = np.array(rep.pi_table)
+            elements = pair.group.finite.element_names
             left, right = np.divmod(np.arange(size * size), size)
-            sides += [
-                (pis @ pis.conj().swapaxes(-1, -2), np.array([eye] * size)),
-                (pis[left] @ pis[right], pis[np.ravel(pair.group.finite.table)]),
-                (pis @ grading, grading @ pis),
+            checks += [
+                ("pi_unitary", "{}", elements,
+                 pis @ pis.conj().swapaxes(-1, -2), np.array([eye] * size)),
+                ("pi_homomorphism", "pairs [{}]",
+                 [(a, b) for a in range(size) for b in range(size)],
+                 pis[left] @ pis[right], pis[np.ravel(pair.group.finite.table)]),
+                ("grading_commutes_with_group", "{}", elements,
+                 pis @ grading, grading @ pis),
             ]
             points = list(pair.points())
         else:
-            sides.append((rho[pair.generator_index][None], (1j * rep.freq * eye)[None]))
+            checks += [
+                ("frequency", "", [], no_witness, no_witness),
+                # axiom (iii): the derived representation of the line generator
+                ("derived_generator", "rho(z) must be i*freq*identity for the line generator",
+                 [0], rho[pair.generator_index][None], (1j * rep.freq * eye)[None]),
+            ]
             points = [GroupPoint(1.0, False), GroupPoint(0.5, True), GroupPoint(0.0, True)]
         pg = np.array([rep.pi(p) for p in points])
         m = len(points)
@@ -174,70 +190,28 @@ def validate_rep(rep: MatrixRep) -> ValidationReport:
         prods = rho[:, None] @ rho[None, :]
         adjoints = rho.conj().swapaxes(-1, -2)
         moved = (pg[:, None] @ rho[None]) @ pg.conj().swapaxes(-1, -2)[:, None]
-        sides += [
-            ((prods - sign * prods.swapaxes(0, 1)).reshape(d * d, n, n), targets[:d * d]),
-            (adjoints[odd], -1j * rho[odd]),
-            (adjoints[~odd], -rho[~odd]),
-            (moved.reshape(m * d, n, n), targets[d * d:]),
+        checks += [
+            # axiom (ii): bracket morphism on all basis pairs
+            ("bracket_morphism", "{}", [f"[{a},{b}]" for a in names for b in names],
+             (prods - sign * prods.swapaxes(0, 1)).reshape(d * d, n, n), targets[:d * d]),
+            # axiom (iv): exp(-i pi/4) rho(x) symmetric, i.e. rho(x)^dag = -i rho(x)
+            ("odd_symmetry", "{}", [names[i] for i in algebra.odd_indices()],
+             adjoints[odd], -1j * rho[odd]),
+            # even generators must be skew-adjoint (derived from a unitary action)
+            ("even_skew_adjoint", "{}", [names[i] for i in algebra.even_indices()],
+             adjoints[~odd], -rho[~odd]),
+            # axiom (v): covariance, including the epsilon element (parity grading)
+            ("covariance", "{}", [f"Ad{point!r} on {name}" for point in points for name in names],
+             moved.reshape(m * d, n, n), targets[d * d:]),
         ]
 
-    lhs, rhs = (np.concatenate(stacks) for stacks in zip(*sides))
+    lhs, rhs = (np.concatenate(stacks) for stacks in zip(*(c[3:] for c in checks)))
     verdicts = iter(np.isclose(lhs, rhs, atol=TOL).all(axis=(-2, -1)).tolist())
-
-    def failed(labels):
-        """The labels of the next len(labels) witness matrices that fail."""
-        return [label for label in labels if not next(verdicts)]
-
-    report.add("grading_diagonal_sign", not failed(range(3)))
-    report.add("grading_involutive", not failed([0]))
-
-    if len(rep.rho) != algebra.dim:
-        report.add("rho_shape", False, "one matrix per basis element required")
-        return report
-    report.add("rho_shape", rho_ok)
-    if not rho_ok:
-        return report
-
-    if finite:
-        if not group_ok:
-            report.add("pi_table", False, "one unitary matrix per group element required")
-            return report
-        elements = pair.group.finite.element_names
-        unitary_bad = failed(elements)
-        report.add("pi_unitary", not unitary_bad, ", ".join(unitary_bad))
-        hom_bad = failed([(a, b) for a in range(size) for b in range(size)])
-        report.add("pi_homomorphism", not hom_bad, f"pairs {hom_bad}" if hom_bad else "")
-        comm_bad = failed(elements)
-        report.add("grading_commutes_with_group", not comm_bad, ", ".join(comm_bad))
-    else:
-        if not group_ok:
-            report.add("frequency", False, "line representation needs a frequency")
-            return report
-        report.add("frequency", True)
-        # axiom (iii): the derived representation of the line generator
-        iii_ok = not failed([0])
-        report.add(
-            "derived_generator",
-            iii_ok,
-            "" if iii_ok else "rho(z) must be i*freq*identity for the line generator",
-        )
-
-    # axiom (ii): bracket morphism on all basis pairs
-    bracket_bad = failed([f"[{a},{b}]" for a in names for b in names])
-    report.add("bracket_morphism", not bracket_bad, ", ".join(bracket_bad))
-
-    # axiom (iv): exp(-i pi/4) rho(x) symmetric, i.e. rho(x)^dag = -i rho(x)
-    sym_bad = failed([names[i] for i in algebra.odd_indices()])
-    report.add("odd_symmetry", not sym_bad, ", ".join(sym_bad))
-
-    # even generators must be skew-adjoint (derived from a unitary action)
-    skew_bad = failed([names[i] for i in algebra.even_indices()])
-    report.add("even_skew_adjoint", not skew_bad, ", ".join(skew_bad))
-
-    # axiom (v): covariance, including the epsilon element (parity grading)
-    cov_bad = failed([f"Ad{point!r} on {name}" for point in points for name in names])
-    report.add("covariance", not cov_bad, ", ".join(cov_bad))
-
+    for name, fmt, labels, _, _ in checks:
+        bad = [str(label) for label in labels if not next(verdicts)]
+        report.add(name, not bad, fmt.format(", ".join(bad)))
+    if stop:
+        report.add(*stop)
     rep.validated = report.ok
     return report
 

@@ -111,11 +111,7 @@ def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
             s = _sign(par[i], par[j])
             if any(a + s * b != 0 for a, b in zip(lhs, rhs)):
                 skew_bad.append(f"[{names[i]},{names[j]}]")
-    report.add(
-        "super_skew_symmetry",
-        not skew_bad,
-        "" if not skew_bad else "violated for " + ", ".join(skew_bad),
-    )
+    report.add("super_skew_symmetry", not skew_bad, "violated for " + ", ".join(skew_bad))
 
     parity_bad = []
     for i in range(n):
@@ -124,11 +120,7 @@ def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
             for k in range(n):
                 if algebra.constants[i][j][k] != 0 and par[k] != target:
                     parity_bad.append(f"[{names[i]},{names[j]}] -> {names[k]}")
-    report.add(
-        "parity_compatibility",
-        not parity_bad,
-        "" if not parity_bad else "violated for " + ", ".join(parity_bad),
-    )
+    report.add("parity_compatibility", not parity_bad, "violated for " + ", ".join(parity_bad))
 
     jacobi_bad = []
     basis_vec = linalg.identity_matrix(n)
@@ -145,11 +137,7 @@ def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
                 total = [s1 * a + s2 * b + s3 * c for a, b, c in zip(t1, t2, t3)]
                 if any(v != 0 for v in total):
                     jacobi_bad.append(f"({names[i]},{names[j]},{names[k]})")
-    report.add(
-        "graded_jacobi",
-        not jacobi_bad,
-        "" if not jacobi_bad else "violated on triples " + ", ".join(jacobi_bad),
-    )
+    report.add("graded_jacobi", not jacobi_bad, "violated on triples " + ", ".join(jacobi_bad))
     return report
 
 

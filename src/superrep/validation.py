@@ -20,7 +20,8 @@ class ValidationReport:
     checks: list[Check] = field(default_factory=list)
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append(Check(name, ok, detail))
+        """Record a check; a passing check carries no detail."""
+        self.checks.append(Check(name, ok, "" if ok else detail))
 
     @property
     def ok(self) -> bool:
@@ -29,10 +30,13 @@ class ValidationReport:
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.ok]
 
+    def summary(self) -> str:
+        """The failing checks as ``name: detail; ...``."""
+        return "; ".join(f"{c.name}: {c.detail}" for c in self.failures())
+
     def raise_if_failed(self) -> "ValidationReport":
         if not self.ok:
-            lines = "; ".join(f"{c.name}: {c.detail}" for c in self.failures())
-            raise StructureError(f"{self.subject} failed validation: {lines}")
+            raise StructureError(f"{self.subject} failed validation: {self.summary()}")
         return self
 
     def to_dict(self) -> dict:

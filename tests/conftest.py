@@ -3,11 +3,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from superrep.catalog import load_catalog
 from superrep.groups import GroupData, LINE, build_pair
 from superrep.reps import MatrixRep, validate_rep
 from superrep.superalgebra import build_superalgebra
+
+# every property draws the same examples on every run, with no time limit per
+# example and no example database written to disk
+settings.register_profile("superrep", derandomize=True, deadline=None, database=None)
+settings.load_profile("superrep")
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,15 @@
 """Command-line interface: determinism, exit codes and output routing."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superrep import cli
+from superrep.catalog import CATALOG_NAMES, load_catalog
 from superrep.cli import main
 
 
@@ -319,3 +324,78 @@ def test_tol_help_names_the_commands_that_read_it(capsys):
     assert main(["--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
     assert "only gamma-check and roundtrip read it" in text
+
+
+# -- the exit-code and output contract over every command and name -----------
+
+_WS = load_catalog()
+# every name of every category, on either pair, and names nothing defines
+_NAMES = st.sampled_from(sorted(
+    {name for category in _WS._TABLES for name in _WS.table(category)} | {"nosuch", ""}
+))
+_WORDS = st.sampled_from(["", "x", "x,x,x", "z x", "x,,z", "q", "x,q", "z,x,x1,x2", " , "])
+_STEPS = st.sampled_from(["0.1", "1e-3", "10", "0", "-0.1", "nan", "inf", "-inf", "1/2", "h"])
+_TOLS = st.sampled_from(["1e-8", "0", "1", "-1e-9", "nan", "inf", "tol"])
+_ORDERS = st.sampled_from(["decl", "oddmajor", "odd"])
+# a name of the flag's own category half of the time, else any name
+_CATEGORY = {"--pair": "pair", "--algebra": "algebra", "--left": "element",
+             "--right": "element", "--elem": "element", "--probe": "element",
+             "--f": "function", "--h": "function", "--rep": "rep", "--family": "family"}
+_OWN_NAMES = {flag: st.one_of(st.sampled_from(sorted(_WS.table(category))), _NAMES)
+              for flag, category in _CATEGORY.items()}
+# each command with its flags
+_COMMANDS = {
+    "validate": (("--pair",), ("--algebra",)),
+    "nf": (("--algebra", "--word", "--order"),),
+    "dagger": (("--algebra", "--word"),),
+    "xp-mul": (("--left", "--right"),),
+    "xp-star": (("--elem",),),
+    "gamma-check": (("--pair", "--f", "--h", "--word"),),
+    "rep-check": (("--rep",),),
+    "hat": (("--rep", "--elem"),),
+    "bound": (("--elem",),),
+    "seminorm": (("--elem", "--family"),),
+    "roundtrip": (("--rep", "--probe"),),
+    "ccr-report": (("--family", "--elem", "--elem"),),
+    "orbit-deriv": (("--pair", "--elem", "--h"),),
+    "taylor": (("--pair", "--elem", "--family"),),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    flags = draw(st.sampled_from(_COMMANDS[command]))
+    values = {**_OWN_NAMES, "--word": _WORDS, "--order": _ORDERS}
+    if command == "orbit-deriv":
+        values["--h"] = _STEPS
+    args = [command]
+    for flag in flags:
+        args += [flag, draw(values[flag])]
+    extra = ["--tol", draw(_TOLS)] if draw(st.booleans()) else []
+    catalogs = [arg for name in CATALOG_NAMES for arg in ("--catalog", name)]
+    # global flags go before or after the subcommand
+    return catalogs + extra + args if draw(st.booleans()) else catalogs + args + extra
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100)
+@given(_argv())
+def test_every_command_keeps_the_exit_code_and_output_contract(argv):
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2)
+    if out:
+        # one JSON document and nothing after it
+        _, end = json.JSONDecoder().raw_decode(out)
+        assert out[end:] == "\n"
+    else:
+        # only an argv that does not parse leaves stdout empty
+        assert code == 2 and "usage:" in err
+    assert "internal error" not in out + err
+    assert _run(argv) == (code, out, err)

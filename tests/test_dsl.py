@@ -202,7 +202,7 @@ MUTATION = st.tuples(
 FREQ_ARGUMENT = CATALOG_TOKENS["hc"].index("freq") + 1
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @example("hc", [("drop", FREQ_ARGUMENT, "")])
 @given(st.sampled_from(CATALOG_NAMES), st.lists(MUTATION, min_size=1, max_size=3))
 def test_mutated_catalogs_parse_or_raise_superrep_error(name, mutations):
@@ -244,7 +244,7 @@ SEPARATORS = (" ", "\n", "\n  ", "\t", " ; remark\n")
 PLAIN_NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(
     st.sampled_from(sorted(ROUND_TRIP_FORMS)),
     st.integers(0, 10**6),

@@ -1,15 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from superrep import linalg
+from superrep.catalog import load_catalog
 from superrep.errors import StructureError
 from superrep.superalgebra import (
+    SuperAlgebra,
     build_superalgebra,
     is_nilpotent,
     is_odd_generated,
     lower_central_series,
     validate_superalgebra,
 )
+from superrep.validation import ValidationReport
 
 
 def test_catalog_algebras_validate(workspace):
@@ -132,3 +138,113 @@ def test_bracket_bilinearity(hc2, rng):
 def test_repeated_basis_name_refused():
     with pytest.raises(StructureError, match="basis names must be distinct"):
         build_superalgebra("a", ["x", "x"], [1, 1], [[[0, 0]] * 2] * 2)
+
+
+# -- the report against the triple loop it must keep matching ----------------
+
+
+def _reference_sign(p: int, q: int) -> int:
+    return -1 if (p and q) else 1
+
+
+def _reference_validate(algebra):
+    """A verbatim copy of the three-loop validator, in exact Fractions over
+    every coordinate; any faster validator must give the same report."""
+    report = ValidationReport(f"superalgebra {algebra.name}")
+    n = algebra.dim
+    names = algebra.basis_names
+    par = algebra.parity
+
+    skew_bad = []
+    for i in range(n):
+        for j in range(n):
+            lhs = algebra.constants[i][j]
+            rhs = algebra.constants[j][i]
+            s = _reference_sign(par[i], par[j])
+            if any(a + s * b != 0 for a, b in zip(lhs, rhs)):
+                skew_bad.append(f"[{names[i]},{names[j]}]")
+    report.add(
+        "super_skew_symmetry",
+        not skew_bad,
+        "" if not skew_bad else "violated for " + ", ".join(skew_bad),
+    )
+
+    parity_bad = []
+    for i in range(n):
+        for j in range(n):
+            target = (par[i] + par[j]) % 2
+            for k in range(n):
+                if algebra.constants[i][j][k] != 0 and par[k] != target:
+                    parity_bad.append(f"[{names[i]},{names[j]}] -> {names[k]}")
+    report.add(
+        "parity_compatibility",
+        not parity_bad,
+        "" if not parity_bad else "violated for " + ", ".join(parity_bad),
+    )
+
+    jacobi_bad = []
+    basis_vec = linalg.identity_matrix(n)
+    const = algebra.constants  # const[j][k] is [b_j, b_k]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                t1 = algebra.bracket(basis_vec[i], const[j][k])
+                t2 = algebra.bracket(basis_vec[j], const[k][i])
+                t3 = algebra.bracket(basis_vec[k], const[i][j])
+                s1 = _reference_sign(par[i], par[k])
+                s2 = _reference_sign(par[j], par[i])
+                s3 = _reference_sign(par[k], par[j])
+                total = [s1 * a + s2 * b + s3 * c for a, b, c in zip(t1, t2, t3)]
+                if any(v != 0 for v in total):
+                    jacobi_bad.append(f"({names[i]},{names[j]},{names[k]})")
+    report.add(
+        "graded_jacobi",
+        not jacobi_bad,
+        "" if not jacobi_bad else "violated on triples " + ", ".join(jacobi_bad),
+    )
+    return report
+
+
+_SHIPPED = [a for a in load_catalog().algebras.values() if 1 <= a.dim <= 4]
+_SCALARS = st.sampled_from([Fraction(v) for v in (1, -1, 2, "1/2", "-3/4", "5/3", "7/10")])
+
+
+@st.composite
+def _algebras(draw):
+    """A shipped algebra or a random super-skew table of dimension 1-4, then
+    a few edits: a flipped parity, an entry set on both skew partners (which
+    breaks Jacobi or parity), or on one partner only (which breaks skew)."""
+    base = draw(st.sampled_from(_SHIPPED + [None]))
+    if base is None:
+        n = draw(st.integers(1, 4))
+        parity = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                for k in range(n):
+                    if draw(st.integers(0, 3)) == 0:
+                        c = draw(_SCALARS)
+                        table[i][j][k] = c
+                        table[j][i][k] = -_reference_sign(parity[i], parity[j]) * c
+    else:
+        n, parity = base.dim, list(base.parity)
+        table = [[list(vec) for vec in row] for row in base.constants]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["parity", "both", "one"]))
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        if edit == "parity":
+            parity[i] ^= 1
+            continue
+        c = draw(_SCALARS)
+        table[i][j][k] += c
+        if edit == "both" and i != j:
+            table[j][i][k] -= _reference_sign(parity[i], parity[j]) * c
+    names = tuple(f"b{i}" for i in range(n))
+    return SuperAlgebra("drawn", names, tuple(parity),
+                        tuple(tuple(tuple(vec) for vec in row) for row in table))
+
+
+@settings(max_examples=300)
+@given(_algebras())
+def test_report_matches_the_triple_loop(algebra):
+    assert validate_superalgebra(algebra).to_dict() == _reference_validate(algebra).to_dict()

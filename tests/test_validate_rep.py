@@ -13,7 +13,8 @@ from superrep.catalog import load_catalog
 from superrep.dsl import DslError, parse
 from superrep.groups import FINITE, GroupPoint
 from superrep.linalg import transpose
-from superrep.reps import MatrixRep, validate_rep
+from superrep.errors import StructureError
+from superrep.reps import MatrixRep, rep_hat, validate_rep
 from superrep.validation import ValidationReport
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "bench", "fixtures", "bench.sexp")
@@ -178,7 +179,7 @@ def test_shipped_reps_cover_finite_and_line():
     assert any(rep.pair.name == "s3perm" for rep in SHIPPED)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @example(0, "all", -9.0, 0)
 @example(0, "rho", -3.0, 1)
 @given(
@@ -256,12 +257,52 @@ def test_wrongly_shaped_pi_fails_pi_table():
     assert not validate_rep(bad).ok
 
 
+@pytest.mark.parametrize("name, field, last", [
+    ("chi-pp", "pi_table", "pi_table"), ("hc-rep-1", "freq", "frequency"),
+])
+def test_group_shape_failure_follows_a_passing_rho_shape(name, field, last):
+    rep = next(r for r in SHIPPED if r.name == name)
+    bad = MatrixRep("bad", rep.pair, rep.grading, rep.rho,
+                    pi_table=rep.pi_table, freq=rep.freq)
+    setattr(bad, field, None)
+    assert [(c.name, c.ok) for c in validate_rep(bad).checks] == [
+        ("grading_diagonal_sign", True), ("grading_involutive", True),
+        ("rho_shape", True), (last, False),
+    ]
+
+
 def test_line_rep_without_frequency_stops_at_frequency():
     rep = next(r for r in SHIPPED if r.name == "hc-rep-1")
     bad = MatrixRep("bad", rep.pair, rep.grading, rep.rho)
     assert _check_names(validate_rep(bad))[-1] == (
         "frequency", False, "line representation needs a frequency"
     )
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("hc-rep-2", "rho", "first"),
+    ("hc-rep-2", "rho", "wide"),
+    ("hc-rep-2", "freq", None),
+    ("reg4", "pi_table", None),
+    ("reg4", "rho", "wide"),
+])
+def test_failing_revalidation_clears_validated(name, field, value):
+    """A representation that validated once and is then broken in shape is
+    no longer marked validated, so that rep_hat validates it again."""
+    shipped = next(r for r in SHIPPED if r.name == name)
+    rep = MatrixRep(name, shipped.pair, shipped.grading, shipped.rho,
+                    pi_table=shipped.pi_table, freq=shipped.freq)
+    assert validate_rep(rep).ok and rep.validated
+    if value == "first":
+        value = rep.rho[:1]
+    elif value == "wide":
+        value = tuple(np.zeros((rep.dim, rep.dim + 1)) for _ in rep.rho)
+    setattr(rep, field, value)
+    assert not validate_rep(rep).ok
+    assert rep.validated is False
+    a = next(e for e in load_catalog().elements.values() if e.pair == rep.pair)
+    with pytest.raises(StructureError, match="failed validation"):
+        rep_hat(rep, a)
 
 
 def test_zero_dimensional_algebra_and_space():
