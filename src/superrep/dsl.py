@@ -723,11 +723,9 @@ def print_workspace(ws: Workspace) -> str:
         lines = [f"(superalgebra {name} (basis {basis})"]
         for i in range(alg.dim):
             for j in range(i, alg.dim):
-                vec = alg.bracket_basis(i, j)
-                if any(c != 0 for c in vec):
-                    body = " ".join(
-                        f"({c} {alg.basis_names[k]})" for k, c in enumerate(vec) if c != 0
-                    )
+                terms = alg.bracket_terms[i][j]
+                if terms:
+                    body = " ".join(f"({c} {alg.basis_names[k]})" for k, c in terms)
                     lines.append(
                         f"  (bracket {alg.basis_names[i]} {alg.basis_names[j]} {body})"
                     )

@@ -72,17 +72,15 @@ def _straighten_uncached(algebra: SuperAlgebra, word: Word, order: str, strategy
     acc: dict[Word, GaussianRational] = {}
     if squares:
         # x*x = (1/2)[x,x]
-        for k, c in enumerate(algebra.bracket_basis(a, a)):
-            if c != 0:
-                _fold(acc, algebra, word[:i] + (k,) + word[i + 2:],
-                      GR_HALF * GaussianRational.of(c), order, strategy)
+        for k, c in algebra.bracket_terms[a][a]:
+            _fold(acc, algebra, word[:i] + (k,) + word[i + 2:],
+                  GR_HALF * GaussianRational.of(c), order, strategy)
     else:
         sign = GR_MINUS_ONE if (par[a] and par[b]) else GR_ONE
         _fold(acc, algebra, word[:i] + (b, a) + word[i + 2:], sign, order, strategy)
-        for k, c in enumerate(algebra.bracket_basis(a, b)):
-            if c != 0:
-                _fold(acc, algebra, word[:i] + (k,) + word[i + 2:],
-                      GaussianRational.of(c), order, strategy)
+        for k, c in algebra.bracket_terms[a][b]:
+            _fold(acc, algebra, word[:i] + (k,) + word[i + 2:],
+                  GaussianRational.of(c), order, strategy)
     return tuple(sorted(acc.items()))
 
 
@@ -260,10 +258,9 @@ def check_automorphism(algebra: SuperAlgebra, phi) -> ValidationReport:
         for j in range(n):
             lhs = algebra.bracket(phi[i], phi[j])
             rhs = [zero] * n
-            for k, c in enumerate(algebra.bracket_basis(i, j)):
-                if c:
-                    for m in range(n):
-                        rhs[m] = rhs[m] + c * phi[k][m]
+            for k, c in algebra.bracket_terms[i][j]:
+                for m in range(n):
+                    rhs[m] = rhs[m] + c * phi[k][m]
             if lhs != rhs:
                 bracket_bad.append(
                     f"[{algebra.basis_names[i]},{algebra.basis_names[j]}]"

@@ -122,6 +122,11 @@ def validate_rep(rep: MatrixRep) -> ValidationReport:
     checks are stacked and compared in one fused ``np.isclose``.  A failing
     shape check ends the report, so that only n x n matrices are stacked."""
     report = ValidationReport(f"representation {rep.name}")
+    shape = np.shape(rep.grading)
+    if len(shape) != 2 or shape[0] != shape[1]:  # the only row of its report
+        report.add("grading_shape", False, "grading must be a square matrix")
+        rep.validated = False
+        return report
     pair = rep.pair
     algebra = pair.algebra
     names = algebra.basis_names
@@ -260,14 +265,10 @@ def _bound_term(pair: Supergroup, odd_word: Word, even_word: Word, derived: dict
     # element [y,y] is pushed through the remaining odd letters: each step
     # leaves a bracket replacement plus one more derivative on f
     pushed = 0.0
-    for k, c in enumerate(algebra.bracket_basis(y, y)):
-        if c == 0:
-            continue
+    for k, c in algebra.bracket_terms[y][y]:
         weight = abs(float(c))
         for j in range(len(rest)):
-            for m, d in enumerate(algebra.bracket_basis(k, rest[j])):
-                if d == 0:
-                    continue
+            for m, d in algebra.bracket_terms[k][rest[j]]:
                 replaced = rest[:j] + (m,) + rest[j + 1:]
                 pushed += weight * abs(float(d)) * _bound_term(pair, replaced, even_word, derived)
         pushed += weight * _bound_term(pair, rest, (k,) + even_word, derived)

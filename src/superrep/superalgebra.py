@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .errors import MismatchError, StructureError
@@ -64,8 +65,12 @@ class SuperAlgebra:
     def odd_indices(self) -> list[int]:
         return [i for i, p in enumerate(self.parity) if p == ODD]
 
-    def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return self.constants[i][j]
+    @cached_property
+    def bracket_terms(self):
+        """bracket_terms[i][j] holds the (k, c) with c != 0 in [b_i, b_j] =
+        sum_k c b_k, in increasing k; cached outside equality, hash and repr."""
+        return tuple(tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
+                     for row in self.constants)
 
     def bracket(self, u, v):
         """Bilinear extension of the structure constants to coordinate
@@ -82,14 +87,13 @@ class SuperAlgebra:
         for i, a in enumerate(u):
             if not a:
                 continue
-            row = self.constants[i]
+            row = self.bracket_terms[i]
             for j, b in enumerate(v):
                 if not b:
                     continue
                 coeff = a * b
-                for k, c in enumerate(row[j]):
-                    if c:
-                        out[k] += coeff * c
+                for k, c in row[j]:
+                    out[k] += coeff * c
         return out
 
 
@@ -103,39 +107,32 @@ def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
     names = algebra.basis_names
     par = algebra.parity
 
-    skew_bad = []
-    for i in range(n):
-        for j in range(n):
-            lhs = algebra.constants[i][j]
-            rhs = algebra.constants[j][i]
-            s = _sign(par[i], par[j])
-            if any(a + s * b != 0 for a, b in zip(lhs, rhs)):
-                skew_bad.append(f"[{names[i]},{names[j]}]")
+    terms = algebra.bracket_terms
+    skew_bad = [
+        f"[{names[i]},{names[j]}]" for i in range(n) for j in range(n)
+        if terms[i][j] != tuple((k, -_sign(par[i], par[j]) * c) for k, c in terms[j][i])
+    ]
     report.add("super_skew_symmetry", not skew_bad, "violated for " + ", ".join(skew_bad))
 
-    parity_bad = []
-    for i in range(n):
-        for j in range(n):
-            target = (par[i] + par[j]) % 2
-            for k in range(n):
-                if algebra.constants[i][j][k] != 0 and par[k] != target:
-                    parity_bad.append(f"[{names[i]},{names[j]}] -> {names[k]}")
+    parity_bad = [
+        f"[{names[i]},{names[j]}] -> {names[k]}" for i in range(n) for j in range(n)
+        for k, _ in terms[i][j] if par[k] != (par[i] + par[j]) % 2
+    ]
     report.add("parity_compatibility", not parity_bad, "violated for " + ", ".join(parity_bad))
 
+    # the sum of s(a, c) [b_a, [b_b, b_c]] over the cyclic rotations (a, b, c)
+    # of (i, j, k), where [b_a, [b_b, b_c]] = sum_m d_m [b_a, b_m]
     jacobi_bad = []
-    basis_vec = linalg.identity_matrix(n)
-    const = algebra.constants  # const[j][k] is [b_j, b_k]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                t1 = algebra.bracket(basis_vec[i], const[j][k])
-                t2 = algebra.bracket(basis_vec[j], const[k][i])
-                t3 = algebra.bracket(basis_vec[k], const[i][j])
-                s1 = _sign(par[i], par[k])
-                s2 = _sign(par[j], par[i])
-                s3 = _sign(par[k], par[j])
-                total = [s1 * a + s2 * b + s3 * c for a, b, c in zip(t1, t2, t3)]
-                if any(v != 0 for v in total):
+                total: dict[int, Fraction] = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    s = _sign(par[a], par[c])
+                    for m, d in terms[b][c]:
+                        for l, e in terms[a][m]:
+                            total[l] = total.get(l, 0) + s * d * e
+                if any(total.values()):
                     jacobi_bad.append(f"({names[i]},{names[j]},{names[k]})")
     report.add("graded_jacobi", not jacobi_bad, "violated on triples " + ", ".join(jacobi_bad))
     return report

@@ -12,6 +12,8 @@ from superrep import cli
 from superrep.catalog import CATALOG_NAMES, load_catalog
 from superrep.cli import main
 
+from test_dsl import MUTATION, mutated_source
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -362,8 +364,11 @@ _COMMANDS = {
 }
 
 
+_CATALOGS = [arg for name in CATALOG_NAMES for arg in ("--catalog", name)]
+
+
 @st.composite
-def _argv(draw):
+def _argv(draw, sources=_CATALOGS):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     flags = draw(st.sampled_from(_COMMANDS[command]))
     values = {**_OWN_NAMES, "--word": _WORDS, "--order": _ORDERS}
@@ -373,9 +378,8 @@ def _argv(draw):
     for flag in flags:
         args += [flag, draw(values[flag])]
     extra = ["--tol", draw(_TOLS)] if draw(st.booleans()) else []
-    catalogs = [arg for name in CATALOG_NAMES for arg in ("--catalog", name)]
     # global flags go before or after the subcommand
-    return catalogs + extra + args if draw(st.booleans()) else catalogs + args + extra
+    return sources + extra + args if draw(st.booleans()) else sources + args + extra
 
 
 def _run(argv):
@@ -385,9 +389,9 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=100)
-@given(_argv())
-def test_every_command_keeps_the_exit_code_and_output_contract(argv):
+def _keeps_the_contract(argv):
+    """Run argv and check the exit code and output contract; returns the
+    run."""
     code, out, err = _run(argv)
     assert code in (0, 1, 2)
     if out:
@@ -398,4 +402,28 @@ def test_every_command_keeps_the_exit_code_and_output_contract(argv):
         # only an argv that does not parse leaves stdout empty
         assert code == 2 and "usage:" in err
     assert "internal error" not in out + err
-    assert _run(argv) == (code, out, err)
+    return code, out, err
+
+
+@settings(max_examples=100)
+@given(_argv())
+def test_every_command_keeps_the_exit_code_and_output_contract(argv):
+    first = _keeps_the_contract(argv)
+    assert _run(argv) == first
+
+
+@pytest.fixture(scope="module")
+def source_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli") / "mutated.sexp"
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(CATALOG_NAMES), st.lists(MUTATION, max_size=3), st.data())
+def test_mutated_catalog_files_keep_the_exit_code_and_output_contract(
+        source_path, name, mutations, data):
+    """A shipped catalog, intact or with tokens dropped, replaced or
+    inserted, given with --file next to the other catalogs, parses or is
+    refused within the contract."""
+    source_path.write_text(mutated_source(name, mutations), encoding="utf-8")
+    others = [arg for other in CATALOG_NAMES if other != name for arg in ("--catalog", other)]
+    _keeps_the_contract(data.draw(_argv(others + ["--file", str(source_path)])))

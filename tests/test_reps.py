@@ -253,12 +253,12 @@ def reference_bound_term(pair, odd_word, even_word, f, seen):
     if tail == 0.0:
         return 0.0
     pushed = 0.0
-    for k, c in enumerate(algebra.bracket_basis(y, y)):
+    for k, c in enumerate(algebra.constants[y][y]):
         if c == 0:
             continue
         weight = abs(float(c))
         for j in range(len(rest)):
-            for m, d in enumerate(algebra.bracket_basis(k, rest[j])):
+            for m, d in enumerate(algebra.constants[k][rest[j]]):
                 if d == 0:
                     continue
                 replaced = rest[:j] + (m,) + rest[j + 1:]

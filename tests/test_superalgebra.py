@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from superrep import linalg
 from superrep.catalog import load_catalog
+from superrep.enveloping import check_automorphism
 from superrep.errors import StructureError
+from superrep.scalars import GR_ZERO, GaussianRational
 from superrep.superalgebra import (
     SuperAlgebra,
     build_superalgebra,
@@ -248,3 +250,86 @@ def _algebras(draw):
 @given(_algebras())
 def test_report_matches_the_triple_loop(algebra):
     assert validate_superalgebra(algebra).to_dict() == _reference_validate(algebra).to_dict()
+
+
+# -- the table of nonzero constants against the dense table ------------------
+
+
+def _dense_bracket(algebra, u, v):
+    """The bracket read off the dense table, zero entries skipped by hand."""
+    out = [u[0] * v[0] * 0] * algebra.dim if algebra.dim else []
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            for k, c in enumerate(algebra.constants[i][j]):
+                if a and b and c:
+                    out[k] += a * b * c
+    return out
+
+
+def _reference_check_automorphism(algebra, phi):
+    """A copy of the automorphism check over the dense table."""
+    report = ValidationReport("automorphism")
+    n = algebra.dim
+    if len(phi) != n or any(len(v) != n for v in phi):
+        report.add("shape", False, f"expected {n} image vectors of length {n}")
+        return report
+    if all(isinstance(c, (int, Fraction)) for v in phi for c in v):
+        zero = Fraction(0)
+    else:
+        phi = [[GaussianRational.of(c) for c in v] for v in phi]
+        zero = GR_ZERO
+    names = algebra.basis_names
+    parity_bad = [
+        f"{names[i]} -> {names[k]}"
+        for i in range(n)
+        for k in range(n)
+        if phi[i][k] and algebra.parity[k] != algebra.parity[i]
+    ]
+    report.add("parity_preserving", not parity_bad, ", ".join(parity_bad))
+    bracket_bad = []
+    for i in range(n):
+        for j in range(n):
+            lhs = _dense_bracket(algebra, phi[i], phi[j])
+            rhs = [zero] * n
+            for k, c in enumerate(algebra.constants[i][j]):
+                if c:
+                    for m in range(n):
+                        rhs[m] = rhs[m] + c * phi[k][m]
+            if lhs != rhs:
+                bracket_bad.append(f"[{names[i]},{names[j]}]")
+    report.add("bracket_homomorphism", not bracket_bad, ", ".join(bracket_bad))
+    return report
+
+
+@st.composite
+def _maps(draw, n):
+    """The identity or the parity sign diag(+-1), with a few entries edited;
+    in Gaussian rationals half of the time."""
+    signs = [draw(st.sampled_from([1, -1])) for _ in range(n)]
+    phi = [[Fraction(signs[i] if i == k else 0) for k in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        phi[i][k] = draw(st.sampled_from([Fraction(0)]) | _SCALARS)
+    if draw(st.booleans()):
+        phi = [[GaussianRational(c, draw(st.sampled_from([Fraction(0)]) | _SCALARS))
+                for c in row] for row in phi]
+    return phi
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_bracket_terms_is_the_nonzero_part_of_the_dense_table(data):
+    algebra = data.draw(_algebras())
+    twin = SuperAlgebra(algebra.name, algebra.basis_names, algebra.parity, algebra.constants)
+    before = (hash(algebra), repr(algebra))
+    assert algebra.bracket_terms == tuple(
+        tuple(tuple((k, c) for k, c in enumerate(vec) if c != 0) for vec in row)
+        for row in algebra.constants
+    )
+    # the cached table is outside equality, hashing and repr
+    assert "bracket_terms" in algebra.__dict__ and "bracket_terms" not in twin.__dict__
+    assert algebra == twin
+    assert (hash(algebra), repr(algebra)) == before == (hash(twin), repr(twin))
+    phi = data.draw(_maps(algebra.dim))
+    assert (check_automorphism(algebra, phi).to_dict()
+            == _reference_check_automorphism(algebra, phi).to_dict())

@@ -104,7 +104,7 @@ def allclose_validate_rep(rep: MatrixRep, tol: float = 1e-9) -> ValidationReport
         for j in range(algebra.dim):
             sign = -1.0 if (algebra.parity[i] and algebra.parity[j]) else 1.0
             lhs = rep.rho[i] @ rep.rho[j] - sign * rep.rho[j] @ rep.rho[i]
-            rhs = rho_vector(rep, algebra.bracket_basis(i, j))
+            rhs = rho_vector(rep, algebra.constants[i][j])
             if not np.allclose(lhs, rhs, atol=tol):
                 bracket_bad.append(f"[{algebra.basis_names[i]},{algebra.basis_names[j]}]")
     report.add("bracket_morphism", not bracket_bad, ", ".join(bracket_bad))
@@ -269,6 +269,19 @@ def test_group_shape_failure_follows_a_passing_rho_shape(name, field, last):
         ("grading_diagonal_sign", True), ("grading_involutive", True),
         ("rho_shape", True), (last, False),
     ]
+
+
+@pytest.mark.parametrize("grading", [
+    np.ones((2, 3)), np.ones(2), np.ones(()), np.ones((2, 2, 2)),
+], ids=["2x3", "vector", "scalar", "3d"])
+def test_grading_that_is_not_square_is_the_only_failing_row(grading):
+    shipped = next(r for r in SHIPPED if r.name == "hc-rep-2")
+    rep = MatrixRep("bad", shipped.pair, grading, shipped.rho, freq=shipped.freq)
+    rep.validated = True
+    assert _check_names(validate_rep(rep)) == [
+        ("grading_shape", False, "grading must be a square matrix"),
+    ]
+    assert rep.validated is False
 
 
 def test_line_rep_without_frequency_stops_at_frequency():
