@@ -11,7 +11,7 @@ integral the algebra needs has a closed form.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, exp, gamma, inf, pi, sqrt
 
 from .errors import MismatchError, StructureError
@@ -39,6 +39,15 @@ class FiniteFunction:
             if not v.is_zero():
                 self.values[p] = v
 
+    @classmethod
+    def _raw(cls, pair: Supergroup, values: dict) -> "FiniteFunction":
+        """Wrap ``values`` as they are: nonzero ``GaussianRational``s on the
+        points of the finite pair of an existing function; skips __init__."""
+        out = object.__new__(cls)
+        out.pair = pair
+        out.values = values
+        return out
+
     @staticmethod
     def delta(pair: Supergroup, point: GroupPoint) -> "FiniteFunction":
         return FiniteFunction(pair, {point: GR_ONE})
@@ -58,19 +67,22 @@ class FiniteFunction:
         out = dict(self.values)
         for p, v in other.values.items():
             out[p] = out.get(p, GR_ZERO) + v
-        return FiniteFunction(self.pair, out)
+        return FiniteFunction._raw(self.pair, _nonzero(out))
 
     def __sub__(self, other: "FiniteFunction") -> "FiniteFunction":
         return self + other.scale(GR_MINUS_ONE)
 
     def scale(self, scalar) -> "FiniteFunction":
         scalar = GaussianRational.of(scalar)
-        return FiniteFunction(self.pair, {p: scalar * v for p, v in self.values.items()})
+        if scalar.is_zero():
+            return FiniteFunction._raw(self.pair, {})
+        # a product of nonzero values is nonzero
+        return FiniteFunction._raw(self.pair, {p: scalar * v for p, v in self.values.items()})
 
     def twist_split(self):
         """Pairs (g, piece) whose pieces sum to f, every point of supp(piece)
         acting on the algebra as g does: one delta piece per support point."""
-        return [(p, FiniteFunction(self.pair, {p: v})) for p, v in self.values.items()]
+        return [(p, FiniteFunction._raw(self.pair, {p: v})) for p, v in self.values.items()]
 
     def is_zero(self) -> bool:
         return not self.values
@@ -87,52 +99,99 @@ class FiniteFunction:
             self.values.items(), key=lambda kv: (kv[0].eps, kv[0].base))) + ")"
 
 
+def _nonzero(values: dict) -> dict:
+    """``values`` without the zeros a sum of canonical values can leave."""
+    return {p: v for p, v in values.items() if not v.is_zero()}
+
+
 # ---------------------------------------------------------------------------
 # Gaussian-polynomial functions on the line
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GaussTerm:
-    """p(t) * exp(-rate (t - center)^2); coeffs[k] is the t^k coefficient."""
+    """p(t) * exp(-rate (t - center)^2); coeffs[k] is the t^k coefficient.
+    Immutable, hashable and equal by value."""
 
-    coeffs: tuple[complex, ...]
-    rate: float
-    center: float = 0.0
+    __slots__ = ("coeffs", "rate", "center")
 
-    def __post_init__(self):
-        if self.rate <= 0:
+    def __init__(self, coeffs: tuple[complex, ...], rate: float, center: float = 0.0):
+        if rate <= 0:
             raise StructureError("Gaussian rate must be strictly positive")
         # false for a NaN rate or center as well as for an infinite one
-        if not (self.rate < inf and -inf < self.center < inf):
+        if not (rate < inf and -inf < center < inf):
             raise StructureError("Gaussian rate and center must be finite")
+        _set_coeffs(self, coeffs)
+        _set_rate(self, rate)
+        _set_center(self, center)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (GaussTerm, (self.coeffs, self.rate, self.center))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeffs, self.rate, self.center) == (other.coeffs, other.rate, other.center)
+
+    def __hash__(self):
+        return hash((self.coeffs, self.rate, self.center))
+
+    def __repr__(self):
+        return f"GaussTerm(coeffs={self.coeffs!r}, rate={self.rate!r}, center={self.center!r})"
 
     def __call__(self, t: float) -> complex:
         p = sum(c * t**k for k, c in enumerate(self.coeffs))
         return p * exp(-self.rate * (t - self.center) ** 2)
 
 
-def _poly_trim(coeffs) -> tuple[complex, ...]:
-    coeffs = [complex(c) for c in coeffs]
+_set_coeffs = GaussTerm.coeffs.__set__
+_set_rate = GaussTerm.rate.__set__
+_set_center = GaussTerm.center.__set__
+
+
+def _term(coeffs: tuple[complex, ...], rate: float, center: float) -> GaussTerm:
+    """A term from the rate and center of an existing term, which are
+    already valid; skips __init__ and its checks."""
+    t = object.__new__(GaussTerm)
+    _set_coeffs(t, coeffs)
+    _set_rate(t, rate)
+    _set_center(t, center)
+    return t
+
+
+def _poly_trim(coeffs: list[complex]) -> tuple[complex, ...]:
+    """A list of complex coefficients without its trailing zeros, as a
+    tuple; the list is consumed."""
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
 
 
 def _poly_shift(coeffs, shift: complex) -> tuple[complex, ...]:
-    """Coefficients of p(t + shift) given those of p(t)."""
+    """Coefficients of p(t + shift) given those of p(t); each power of
+    ``shift`` is formed once."""
     n = len(coeffs)
+    powers = [shift ** e for e in range(n)]
     out = [0j] * n
     for j, c in enumerate(coeffs):
         if c == 0:
             continue
         for k in range(j + 1):
-            out[k] += c * comb(j, k) * shift ** (j - k)
+            out[k] += c * comb(j, k) * powers[j - k]
     return _poly_trim(out)
 
 
+@lru_cache(maxsize=4096)
 def _abs_moment(k: int, rate: float) -> float:
-    """integral of |t|^k exp(-rate t^2) dt over the line."""
+    """integral of |t|^k exp(-rate t^2) dt over the line; a pure function of
+    (k, rate), memoized across calls, as the same few rates recur at every
+    frequency and in every L1 bound."""
     return gamma((k + 1) / 2.0) / rate ** ((k + 1) / 2.0)
 
 
@@ -169,7 +228,7 @@ class GaussianPoly:
 
     @staticmethod
     def gaussian(rate=1.0, center=0.0, coeffs=(1.0,), component="plus") -> "GaussianPoly":
-        coeffs = _poly_trim(coeffs)
+        coeffs = _poly_trim([complex(c) for c in coeffs])
         if not all(map(cmath.isfinite, coeffs)):
             raise StructureError("Gaussian coefficients must be finite")
         term = GaussTerm(coeffs, float(rate), float(center))
@@ -193,17 +252,17 @@ class GaussianPoly:
         scalar = complex(scalar)
         if scalar == 0:
             return GaussianPoly()
-        return self._map(lambda t: GaussTerm(
-            _poly_trim(c * scalar for c in t.coeffs), t.rate, t.center))
+        return self._map(lambda t: _term(
+            _poly_trim([c * scalar for c in t.coeffs]), t.rate, t.center))
 
     def conjugate(self) -> "GaussianPoly":
-        return self._map(lambda t: GaussTerm(
-            _poly_trim(c.conjugate() for c in t.coeffs), t.rate, t.center))
+        return self._map(lambda t: _term(
+            _poly_trim([c.conjugate() for c in t.coeffs]), t.rate, t.center))
 
     def reflect(self) -> "GaussianPoly":
         """t -> -t on both components."""
-        return self._map(lambda t: GaussTerm(
-            _poly_trim(c * (-1) ** k for k, c in enumerate(t.coeffs)), t.rate, -t.center))
+        return self._map(lambda t: _term(
+            _poly_trim([c * (-1) ** k for k, c in enumerate(t.coeffs)]), t.rate, -t.center))
 
     def twist_split(self):
         """Pairs (g, piece) whose pieces sum to f, every point of supp(piece)
@@ -229,7 +288,12 @@ class GaussianPoly:
         out = self._map(lambda t: GaussTerm(_poly_shift(t.coeffs, -tau), t.rate, t.center + tau))
         return GaussianPoly(out.plus, out.eps)
 
-    def derivative(self) -> "GaussianPoly":
+    def derivative(self, scalar=None) -> "GaussianPoly":
+        """d/dt on each component; with ``scalar``, times that scalar in the
+        same pass, each coefficient multiplied as ``scale`` does it."""
+        if scalar is not None:
+            scalar = complex(scalar)
+
         def d(term: GaussTerm) -> GaussTerm:
             p, a, mu = term.coeffs, term.rate, term.center
             dp = [k * p[k] for k in range(1, len(p))]
@@ -240,10 +304,13 @@ class GaussianPoly:
                 lin[k] += c * c0
                 lin[k + 1] += c * c1
             lin = _poly_trim(lin)
-            return GaussTerm(_poly_trim(
+            coeffs = _poly_trim([
                 (dp[k] if k < len(dp) else 0) + (lin[k] if k < len(lin) else 0)
                 for k in range(max(len(dp), len(lin)))
-            ), a, mu)
+            ])
+            if scalar is not None:
+                coeffs = _poly_trim([c * scalar for c in coeffs])
+            return _term(coeffs, a, mu)
 
         return self._map(d)
 
@@ -281,7 +348,7 @@ def _merge_terms(terms) -> tuple[GaussTerm, ...]:
     for (rate, center), acc in merged.items():
         coeffs = _poly_trim(acc)
         if coeffs:
-            out.append(GaussTerm(coeffs, rate, center))
+            out.append(_term(coeffs, rate, center))
     return tuple(out)
 
 
@@ -346,16 +413,7 @@ def _term_fourier(term: GaussTerm, freq: float) -> complex:
     """integral of p(t) exp(-a (t-mu)^2) exp(i freq t) dt, in closed form:
     p(t + mu + i freq/2a) against the moments of the centered Gaussian."""
     a, mu = term.rate, term.center
-    coeffs = term.coeffs
-    shift = 1j * freq / (2.0 * a) + mu
-    shifted = [0j] * len(coeffs)
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        for k in range(j + 1):
-            shifted[k] += c * comb(j, k) * shift ** (j - k)
-    while shifted and shifted[-1] == 0:
-        shifted.pop()
+    shifted = _poly_shift(term.coeffs, 1j * freq / (2.0 * a) + mu)
     total = sum([c * _gauss_moment(k, a) for k, c in enumerate(shifted)])
     return cmath.exp(1j * freq * mu) * exp(-freq * freq / (4.0 * a)) * total
 
@@ -365,13 +423,15 @@ def _term_l1_bound(term: GaussTerm, center_slack: float = 0.0) -> float:
     ``center_slack`` widens the bound so it also covers every translate of
     the term by at most that amount."""
     a, mu = term.rate, abs(term.center) + center_slack
-    moments = [_abs_moment(j, a) for j in range(len(term.coeffs))]
+    n = len(term.coeffs)
+    moments = [_abs_moment(j, a) for j in range(n)]
+    powers = [mu ** e for e in range(n)]
     total = 0.0
     for k, c in enumerate(term.coeffs):
         if c == 0:
             continue
         # |t|^k <= sum_j C(k,j) |mu|^(k-j) |u|^j with u = t - center
-        total += abs(c) * sum([comb(k, j) * mu ** (k - j) * moments[j] for j in range(k + 1)])
+        total += abs(c) * sum([comb(k, j) * powers[k - j] * moments[j] for j in range(k + 1)])
     return total
 
 
@@ -385,12 +445,15 @@ def convolve(f, h):
     if isinstance(f, FiniteFunction) and isinstance(h, FiniteFunction):
         f._check(h)
         pair = f.pair
+        table = pair.group.finite.table
         out: dict[GroupPoint, GaussianRational] = {}
-        for g, fv in f.values.items():
-            for g2, hv in h.values.items():
-                target = pair.multiply(g, g2)
+        for (g, e), fv in f.values.items():
+            row = table[g]
+            for (g2, e2), hv in h.values.items():
+                # the product (g, e)(g2, e2) of the epsilon-extension
+                target = GroupPoint(row[g2], e ^ e2)
                 out[target] = out.get(target, GR_ZERO) + fv * hv
-        return FiniteFunction(pair, out)
+        return FiniteFunction._raw(pair, _nonzero(out))
     if isinstance(f, GaussianPoly) and isinstance(h, GaussianPoly):
         plus = _convolve_sides(f.plus, h.plus) + _convolve_sides(f.eps, h.eps)
         eps = _convolve_sides(f.plus, h.eps) + _convolve_sides(f.eps, h.plus)
@@ -403,7 +466,7 @@ def breve(f):
     as finite groups and the real line have two-sided invariant Haar measure."""
     if isinstance(f, FiniteFunction):
         p = f.pair
-        return FiniteFunction(p, {p.inverse(g): v.conjugate() for g, v in f.values.items()})
+        return FiniteFunction._raw(p, {p.inverse(g): v.conjugate() for g, v in f.values.items()})
     if isinstance(f, GaussianPoly):
         return f.conjugate().reflect()
     raise MismatchError("unsupported function class")
@@ -413,8 +476,7 @@ def left_translate(g: GroupPoint, f):
     """L_g f (g') = f(g^{-1} g')."""
     if isinstance(f, FiniteFunction):
         p = f.pair
-        out = {p.multiply(g, q): v for q, v in f.values.items()}
-        return FiniteFunction(p, out)
+        return FiniteFunction._raw(p, {p.multiply(g, q): v for q, v in f.values.items()})
     if isinstance(f, GaussianPoly):
         out = f.translate(float(g.base))
         if g.eps:
@@ -428,8 +490,7 @@ def right_translate(g: GroupPoint, f):
     if isinstance(f, FiniteFunction):
         p = f.pair
         gi = p.inverse(g)
-        out = {p.multiply(q, gi): v for q, v in f.values.items()}
-        return FiniteFunction(p, out)
+        return FiniteFunction._raw(p, {p.multiply(q, gi): v for q, v in f.values.items()})
     # the line is abelian, so R_g = L_{g^-1}; negating the float keeps the
     # sign of a zero shift
     return left_translate(GroupPoint(-float(g.base), g.eps), f)
@@ -447,7 +508,7 @@ def right_derivative(pair: Supergroup, index: int, f):
         raise StructureError("right derivative only exists on line instances")
     if index != pair.generator_index:
         raise StructureError("the line instance has a single even generator")
-    return f.derivative().scale(-1.0)
+    return f.derivative(-1.0)
 
 
 def l1_bound(f, center_slack: float = 0.0) -> float:

@@ -18,6 +18,7 @@ every representation at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,23 +57,40 @@ class MatrixRep:
     pi_table: tuple[np.ndarray, ...] | None = None  # finite: per group element
     freq: float | None = None  # line: pi(t) = exp(i freq t) * identity
     validated: bool = field(default=False, compare=False)
+    # rho(word) per word taken, filled by rho_word; outside equality and repr
+    words: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.grading.shape[0]
+
+    @cached_property
+    def identity(self) -> np.ndarray:
+        """The real dim x dim identity, made once per representation; read-only."""
+        out = np.eye(self.dim)
+        out.flags.writeable = False
+        return out
 
     def pi(self, point: GroupPoint) -> np.ndarray:
         """The group layer on the epsilon-extension."""
         if self.pair.group.kind == FINITE:
             base = self.pi_table[point.base]
         else:
-            base = np.exp(1j * self.freq * float(point.base)) * np.eye(self.dim)
+            base = np.exp(1j * self.freq * float(point.base)) * self.identity
         return base @ self.grading if point.eps else base
 
     def rho_word(self, word: Word) -> np.ndarray:
-        out = np.eye(self.dim, dtype=complex)
-        for i in word:
-            out = out @ self.rho[i]
+        """rho(b_w1) ... rho(b_wk): the complex identity multiplied on the
+        right by each letter's matrix in turn.  Formed once per word and kept
+        read-only in ``words``, as rho is fixed once the representation is
+        built."""
+        out = self.words.get(word)
+        if out is None:
+            out = np.eye(self.dim, dtype=complex)
+            for i in word:
+                out = out @ self.rho[i]
+            out.flags.writeable = False
+            self.words[word] = out
         return out
 
     def pi_function(self, f) -> np.ndarray:
@@ -88,7 +106,7 @@ class MatrixRep:
             raise MismatchError("line representation needs a Gaussian-polynomial function")
         plus = fourier_at(f, self.freq, "plus")
         eps = fourier_at(f, self.freq, "eps")
-        return plus * np.eye(self.dim) + eps * self.grading
+        return plus * self.identity + eps * self.grading
 
 
 def _rho_of(coords: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Closed-form Gaussian-polynomial calculus against a quadrature oracle."""
 
+import cmath
+import copy
 import math
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from superrep import functions
+from superrep.catalog import load_catalog
+from superrep.dsl import parse
 from superrep.errors import StructureError
 from superrep.functions import (
     FiniteFunction,
@@ -24,6 +30,7 @@ from superrep.functions import (
     right_translate,
 )
 from superrep.groups import GroupPoint
+from superrep.scalars import GR_ZERO, GaussianRational
 
 
 def quad_complex(func, a=-30.0, b=30.0):
@@ -308,9 +315,11 @@ def _ref_merge(terms):
 
 
 def _ref_keyed(f, term_map):
-    return tuple(
-        tuple(t for t in map(term_map, side) if t.coeffs) for side in (f.plus, f.eps)
-    )
+    return _ref_sides((f.plus, f.eps), term_map)
+
+
+def _ref_sides(sides, term_map):
+    return tuple(tuple(t for t in map(term_map, side) if t.coeffs) for side in sides)
 
 
 def _ref_derivative_term(term):
@@ -381,3 +390,144 @@ def test_term_maps_match_the_reference_bit_for_bit(plus, eps, scalar, tau):
     assert _hexed(sides(f.reflect())) == _hexed(_ref_keyed(f, lambda t: GaussTerm(
         _ref_trim(c * (-1) ** k for k, c in enumerate(t.coeffs)), t.rate, -t.center)))
     assert _hexed(sides(f.translate(tau))) == _hexed(_ref_translate(f, tau))
+
+
+HCLINE = load_catalog("hc").pairs["hcline"]
+
+
+@settings(max_examples=200)
+@given(_terms, _terms)
+def test_right_derivative_is_derivative_then_scale_bit_for_bit(plus, eps):
+    # the right derivative was f.derivative().scale(-1.0): two term maps
+    f = GaussianPoly(plus, eps)
+    scalar = complex(-1.0)
+    expected = _ref_sides(_ref_keyed(f, _ref_derivative_term), lambda t: GaussTerm(
+        _ref_trim(c * scalar for c in t.coeffs), t.rate, t.center))
+    got = right_derivative(HCLINE, HCLINE.generator_index, f)
+    assert _hexed((got.plus, got.eps)) == _hexed(expected)
+
+
+# the Fourier and L1 term kernels as they were before the moments were
+# memoized and each power of the shift was formed once
+
+
+def _ref_abs_moment(k, rate):
+    return math.gamma((k + 1) / 2.0) / rate ** ((k + 1) / 2.0)
+
+
+def _ref_term_fourier(term, freq):
+    a, mu = term.rate, term.center
+    coeffs = term.coeffs
+    shift = 1j * freq / (2.0 * a) + mu
+    shifted = [0j] * len(coeffs)
+    for j, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        for k in range(j + 1):
+            shifted[k] += c * math.comb(j, k) * shift ** (j - k)
+    while shifted and shifted[-1] == 0:
+        shifted.pop()
+    total = sum([c * (0.0 if k % 2 else _ref_abs_moment(k, a)) for k, c in enumerate(shifted)])
+    return cmath.exp(1j * freq * mu) * math.exp(-freq * freq / (4.0 * a)) * total
+
+
+def _ref_term_l1_bound(term, center_slack):
+    a, mu = term.rate, abs(term.center) + center_slack
+    moments = [_ref_abs_moment(j, a) for j in range(len(term.coeffs))]
+    total = 0.0
+    for k, c in enumerate(term.coeffs):
+        if c == 0:
+            continue
+        total += abs(c) * sum([math.comb(k, j) * mu ** (k - j) * moments[j] for j in range(k + 1)])
+    return total
+
+
+# up to degree 7, where a power formed by repeated products would differ
+_long_terms = st.lists(
+    st.builds(GaussTerm, st.lists(_coeffs, max_size=8).map(tuple),
+              st.floats(0.1, 4.0), st.floats(-3.0, 3.0)),
+    max_size=3,
+)
+
+
+@settings(max_examples=200)
+@given(_long_terms, _terms, st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=4),
+       st.sampled_from([0.0, 0.5, 2.0]))
+def test_fourier_and_l1_kernels_match_the_reference_bit_for_bit(plus, eps, freqs, slack):
+    # several frequencies per function, so that memoized moments are reused
+    f = GaussianPoly(plus, eps)
+    for freq in freqs:
+        for component, side in (("plus", f.plus), ("eps", f.eps)):
+            got = fourier_at(f, freq, component)
+            expected = sum([_ref_term_fourier(t, freq) for t in side], 0j)
+            assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
+    expected = sum(_ref_term_l1_bound(t, slack) for t in f.plus) + sum(
+        _ref_term_l1_bound(t, slack) for t in f.eps)
+    got = l1_bound(f, slack)
+    # the int 0 of an empty sum included
+    assert type(got) is type(expected) and float(got).hex() == float(expected).hex()
+
+
+def test_gauss_term_is_an_immutable_value():
+    t = GaussTerm((1 + 2j, -0.5j), 1.5, -0.25)
+    same = GaussTerm((1 + 2j, -0.5j), 1.5, -0.25)
+    assert t == same and hash(t) == hash(same) and len({t, same}) == 1
+    assert hash(t) == hash(((1 + 2j, -0.5j), 1.5, -0.25))
+    assert t != GaussTerm((1 + 2j, -0.5j), 1.5, 0.25)
+    assert t != ((1 + 2j, -0.5j), 1.5, -0.25)
+    for name in ("coeffs", "rate", "center"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, 2.0)
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    with pytest.raises(AttributeError):
+        t.degree = 1
+    assert repr(t) == "GaussTerm(coeffs=((1+2j), (-0-0.5j)), rate=1.5, center=-0.25)"
+    assert repr(GaussTerm((1.0,), 2.0)) == "GaussTerm(coeffs=(1.0,), rate=2.0, center=0.0)"
+    assert pickle.loads(pickle.dumps(t)) == t and copy.deepcopy(t) == t
+    # the terms a map builds without the checks are equal to checked ones
+    assert GaussianPoly((t,)).scale(1).plus == (t,)
+
+
+S3PERM = parse((Path(__file__).parent.parent / "bench" / "fixtures" / "bench.sexp").read_text(),
+               load_catalog("hc")).pairs["s3perm"]
+
+
+def _ref_function(pair, pairs):
+    """The function of ``(point, value)`` pairs built by the checked
+    constructor, which converts every value and drops every zero."""
+    out = {}
+    for p, v in pairs:
+        out[p] = out.get(p, GR_ZERO) + v
+    return FiniteFunction(pair, out)
+
+
+def _items(f):
+    return list(f.values.items())
+
+
+def test_finite_maps_keep_values_and_dict_order():
+    # the S3 epsilon-extension is not abelian, and values in {-1, 0, 1} + i{-1, 0, 1}
+    # make sums cancel
+    pair = S3PERM
+    rng = random.Random(1515)
+    points = list(pair.points())
+    parts = [-1, 0, 1]
+    for _ in range(60):
+        f, h = (FiniteFunction(pair, {
+            p: GaussianRational(rng.choice(parts), rng.choice(parts))
+            for p in rng.sample(points, rng.randint(0, 12))}) for _ in range(2))
+        g = rng.choice(points)
+        gi = pair.inverse(g)
+        assert _items(convolve(f, h)) == _items(_ref_function(pair, [
+            (pair.multiply(p, q), fv * hv) for p, fv in f.values.items()
+            for q, hv in h.values.items()]))
+        assert _items(f + h) == _items(_ref_function(pair, _items(f) + _items(h)))
+        assert (f + f.scale(-1)).is_zero() and f.scale(0).is_zero()
+        assert _items(f.scale(GaussianRational(0, 1))) == _items(
+            _ref_function(pair, [(p, GaussianRational(0, 1) * v) for p, v in _items(f)]))
+        assert [(p, _items(piece)) for p, piece in f.twist_split()] == [
+            (p, [(p, v)]) for p, v in _items(f)]
+        assert _items(breve(f)) == [(pair.inverse(p), v.conjugate()) for p, v in _items(f)]
+        assert _items(left_translate(g, f)) == [(pair.multiply(g, p), v) for p, v in _items(f)]
+        assert _items(right_translate(g, f)) == [(pair.multiply(p, gi), v) for p, v in _items(f)]

@@ -319,6 +319,68 @@ def test_bound_matches_reference_recursion_bit_for_bit(hcline, monkeypatch):
     assert deepest == 6
 
 
+# prop33_bound of the catalog line elements, pinned by float.hex
+PINNED_BOUNDS = {
+    "a0": "0x1.c5bf891b4ef6ap+0",
+    "ax": "0x1.54d264f787eb7p+0",
+    "az": "0x1.0000000000000p+1",
+    "axz": "0x1.1fdbfe565dc49p+2",
+    "ax*axz": "0x1.0dc66d9e67659p+2",
+    "star(axz)*az": "0x1.253a55dc8fbd9p+3",
+}
+
+
+def catalog_line_elements(workspace):
+    elems = {name: workspace.elements[name] for name in ("a0", "ax", "az", "axz")}
+    elems["ax*axz"] = xp_multiply(elems["ax"], elems["axz"])
+    elems["star(axz)*az"] = xp_multiply(xp_star(elems["axz"]), elems["az"])
+    return elems
+
+
+def reference_rep_hat(rep, a):
+    """rep_hat with every rho-word and identity formed afresh per term."""
+    out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for word, f in a.terms.items():
+        rho = np.eye(rep.dim, dtype=complex)
+        for i in word:
+            rho = rho @ rep.rho[i]
+        pi = (fourier_at(f, rep.freq, "plus") * np.eye(rep.dim)
+              + fourier_at(f, rep.freq, "eps") * rep.grading)
+        out += rho @ pi
+    return out
+
+
+def test_catalog_line_bounds_and_hats_bit_for_bit(workspace, hc_grid):
+    elems = catalog_line_elements(workspace)
+    assert {name: prop33_bound(a).hex() for name, a in elems.items()} == PINNED_BOUNDS
+    for a in elems.values():
+        for rep in hc_grid:
+            expected = reference_rep_hat(rep, a).tobytes()
+            # the second call reads every rho-word from the rep's table
+            assert rep_hat(rep, a).tobytes() == expected == rep_hat(rep, a).tobytes()
+
+
+def test_rho_word_is_the_explicit_product_and_read_only(hcline, hc_grid, reg4):
+    fresh = make_hc_rep(hcline, 3.0)
+    assert not fresh.identity.flags.writeable
+    for rep in [fresh, reg4] + hc_grid:
+        d = len(rep.rho)
+        words = [()] + [(i,) for i in range(d)] + [
+            (i, j, k) for i in range(d) for j in range(d) for k in range(d)]
+        for word in words:
+            expected = np.eye(rep.dim, dtype=complex)
+            for i in word:
+                expected = expected @ rep.rho[i]
+            out = rep.rho_word(word)
+            assert out.tobytes() == expected.tobytes() and out.dtype == expected.dtype
+            assert not out.flags.writeable
+            with pytest.raises(ValueError):
+                out[0, 0] = 7.0
+            with pytest.raises(ValueError):
+                out += 1.0
+            assert rep.rho_word(word) is out and out.tobytes() == expected.tobytes()
+
+
 def test_bound_zero_on_purely_odd_positive_degree(z2odd):
     rng = random.Random(206)
     for _ in range(20):
