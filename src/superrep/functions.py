@@ -409,15 +409,6 @@ def _convolve_sides(f_terms, h_terms):
     return tuple(out)
 
 
-def _term_fourier(term: GaussTerm, freq: float) -> complex:
-    """integral of p(t) exp(-a (t-mu)^2) exp(i freq t) dt, in closed form:
-    p(t + mu + i freq/2a) against the moments of the centered Gaussian."""
-    a, mu = term.rate, term.center
-    shifted = _poly_shift(term.coeffs, 1j * freq / (2.0 * a) + mu)
-    total = sum([c * _gauss_moment(k, a) for k, c in enumerate(shifted)])
-    return cmath.exp(1j * freq * mu) * exp(-freq * freq / (4.0 * a)) * total
-
-
 def _term_l1_bound(term: GaussTerm, center_slack: float = 0.0) -> float:
     """Certified upper bound on the L1 norm of one term via moment bounds.
     ``center_slack`` widens the bound so it also covers every translate of
@@ -516,19 +507,34 @@ def l1_bound(f, center_slack: float = 0.0) -> float:
     if isinstance(f, FiniteFunction):
         return float(sum(abs(v) for v in f.values.values()))
     if isinstance(f, GaussianPoly):
-        return sum(_term_l1_bound(t, center_slack) for t in f.plus) + sum(
-            _term_l1_bound(t, center_slack) for t in f.eps
+        return sum((_term_l1_bound(t, center_slack) for t in f.plus), 0.0) + sum(
+            (_term_l1_bound(t, center_slack) for t in f.eps), 0.0
         )
     raise MismatchError("unsupported function class")
 
 
 def fourier_at(f: GaussianPoly, freq: float, component: str = "plus") -> complex:
-    """integral of f(t) e^{i freq t} dt over one component of the line."""
+    """integral of f(t) e^{i freq t} dt over one component of the line, in
+    one loop over its terms with i freq and -freq^2 formed once: a term
+    p(t) exp(-a (t-mu)^2) gives p(t + mu + i freq/2a) against the moments of
+    the centered Gaussian.  A constant term c needs no shift and gives c
+    times the zeroth moment; that differs from the shifted form at most in
+    the sign of a zero part, which the sum from 0j drops."""
     if not isinstance(f, GaussianPoly):
         raise MismatchError("fourier_at is a line-instance operation")
     terms = f.plus if component == "plus" else f.eps
     freq = float(freq)
-    return sum([_term_fourier(t, freq) for t in terms], 0j)
+    ifreq, neg_freq2 = 1j * freq, -freq * freq
+    values = []
+    for term in terms:
+        coeffs, a, mu = term.coeffs, term.rate, term.center
+        if len(coeffs) == 1:
+            total = coeffs[0] * _abs_moment(0, a)
+        else:
+            shifted = _poly_shift(coeffs, ifreq / (2.0 * a) + mu)
+            total = sum([c * _gauss_moment(k, a) for k, c in enumerate(shifted)])
+        values.append(cmath.exp(ifreq * mu) * exp(neg_freq2 / (4.0 * a)) * total)
+    return sum(values, 0j)
 
 
 def factor_gaussian(rate: float, center: float = 0.0):

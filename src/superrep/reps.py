@@ -268,15 +268,28 @@ def _derive(pair: Supergroup, even_word: Word, derived: dict):
     return out
 
 
-def _bound_term(pair: Supergroup, odd_word: Word, even_word: Word, derived: dict) -> float:
+def _bound_term(pair: Supergroup, odd_word: Word, even_word: Word, derived: dict,
+                bounds: dict) -> float:
     """Certified bound on || rho(odd_word) dpi(even_word) pi(f) || valid for
-    every unitary representation, by peeling odd letters; ``derived`` holds
-    the derivatives of f taken so far (see ``_derive``)."""
+    every unitary representation; ``derived`` holds the derivatives of f
+    taken so far (see ``_derive``) and ``bounds`` maps each (odd word, even
+    word) already bounded for f to its bound, so each is peeled once per
+    term."""
+    key = (odd_word, even_word)
+    out = bounds.get(key)
+    if out is None:
+        out = bounds[key] = _peel(pair, odd_word, even_word, derived, bounds)
+    return out
+
+
+def _peel(pair: Supergroup, odd_word: Word, even_word: Word, derived: dict,
+          bounds: dict) -> float:
+    """``_bound_term`` of one (odd word, even word), by peeling odd letters."""
     algebra = pair.algebra
     if not odd_word:
         return l1_bound(_derive(pair, even_word, derived))
     y, rest = odd_word[0], odd_word[1:]
-    tail = _bound_term(pair, rest, even_word, derived)
+    tail = _bound_term(pair, rest, even_word, derived, bounds)
     if tail == 0.0:
         return 0.0
     # || rho(y) W v ||^2 <= 1/2 ||W v|| * || rho([y,y]) W v ||, and the even
@@ -288,8 +301,9 @@ def _bound_term(pair: Supergroup, odd_word: Word, even_word: Word, derived: dict
         for j in range(len(rest)):
             for m, d in algebra.bracket_terms[k][rest[j]]:
                 replaced = rest[:j] + (m,) + rest[j + 1:]
-                pushed += weight * abs(float(d)) * _bound_term(pair, replaced, even_word, derived)
-        pushed += weight * _bound_term(pair, rest, (k,) + even_word, derived)
+                pushed += weight * abs(float(d)) * _bound_term(
+                    pair, replaced, even_word, derived, bounds)
+        pushed += weight * _bound_term(pair, rest, (k,) + even_word, derived, bounds)
     return (0.5 * tail * pushed) ** 0.5
 
 
@@ -301,7 +315,7 @@ def prop33_bound(a: CrossedElement) -> float:
     algebra = pair.algebra
     total = 0.0
     for word, f in a.terms.items():
-        derived = {(): f}
+        derived, bounds = {(): f}, {}
         # rewrite the monomial with all odd letters in front, as the
         # letter-peeling recursion requires
         reordered = normal_form(algebra, word, order=ODD_MAJOR_ORDER)
@@ -312,7 +326,7 @@ def prop33_bound(a: CrossedElement) -> float:
             odd_word, even_word = w[:split], w[split:]
             if any(algebra.parity[i] == ODD for i in even_word):
                 raise StructureError("odd-major normal form failed to order the word")
-            total += abs(c) * _bound_term(pair, odd_word, even_word, derived)
+            total += abs(c) * _bound_term(pair, odd_word, even_word, derived, bounds)
     return total
 
 

@@ -144,7 +144,8 @@ def build_superalgebra(name, basis_names, parity, constants) -> SuperAlgebra:
         name,
         tuple(basis_names),
         tuple(parity),
-        tuple(tuple(tuple(Fraction(c) for c in vec) for vec in row) for row in constants),
+        tuple(tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in vec)
+                    for vec in row) for row in constants),
     )
     validate_superalgebra(algebra).raise_if_failed()
     return algebra

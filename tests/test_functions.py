@@ -448,24 +448,38 @@ _long_terms = st.lists(
               st.floats(0.1, 4.0), st.floats(-3.0, 3.0)),
     max_size=3,
 )
+# one coefficient each, which the Fourier kernel takes without a shift
+_constant_terms = st.lists(
+    st.builds(
+        GaussTerm,
+        _coeffs.map(lambda c: (c,)),
+        st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.1, 4.0)),
+        st.one_of(st.sampled_from([0.0, -0.0, 1e-17, -0.75]), st.floats(-3.0, 3.0)),
+    ),
+    max_size=5,
+)
+_freqs = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-12.0, 12.0))
 
 
 @settings(max_examples=200)
-@given(_long_terms, _terms, st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=4),
+@given(_long_terms, _terms, _constant_terms, st.lists(_freqs, min_size=1, max_size=4),
        st.sampled_from([0.0, 0.5, 2.0]))
-def test_fourier_and_l1_kernels_match_the_reference_bit_for_bit(plus, eps, freqs, slack):
+def test_fourier_and_l1_kernels_match_the_reference_bit_for_bit(plus, eps, constant, freqs, slack):
     # several frequencies per function, so that memoized moments are reused
-    f = GaussianPoly(plus, eps)
-    for freq in freqs:
-        for component, side in (("plus", f.plus), ("eps", f.eps)):
-            got = fourier_at(f, freq, component)
-            expected = sum([_ref_term_fourier(t, freq) for t in side], 0j)
-            assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
-    expected = sum(_ref_term_l1_bound(t, slack) for t in f.plus) + sum(
-        _ref_term_l1_bound(t, slack) for t in f.eps)
+    f = GaussianPoly(plus + constant, eps)
+    # the merge leaves no -0.0 part in a coefficient, and the conjugate can
+    for g in (f, f.conjugate()):
+        for freq in freqs:
+            for component, side in (("plus", g.plus), ("eps", g.eps)):
+                got = fourier_at(g, freq, component)
+                expected = sum([_ref_term_fourier(t, freq) for t in side], 0j)
+                assert (got.real.hex(), got.imag.hex()) == (
+                    expected.real.hex(), expected.imag.hex())
+    expected = sum((_ref_term_l1_bound(t, slack) for t in f.plus), 0.0) + sum(
+        (_ref_term_l1_bound(t, slack) for t in f.eps), 0.0)
     got = l1_bound(f, slack)
-    # the int 0 of an empty sum included
-    assert type(got) is type(expected) and float(got).hex() == float(expected).hex()
+    # a float for the empty function too
+    assert type(got) is float and got.hex() == expected.hex()
 
 
 def test_gauss_term_is_an_immutable_value():

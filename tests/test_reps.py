@@ -40,6 +40,7 @@ from test_crossed import (
     random_finite_function,
     random_line_element,
 )
+from test_functions import _ref_term_fourier
 
 LAMBDAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
@@ -319,6 +320,38 @@ def test_bound_matches_reference_recursion_bit_for_bit(hcline, monkeypatch):
     assert deepest == 6
 
 
+def deep_odd_line(n):
+    """z even and x1...xn odd with [xi, xi] = z, on (line z)."""
+    odd = " ".join(f"(x{i} odd)" for i in range(1, n + 1))
+    brackets = " ".join(f"(bracket x{i} x{i} (1 z))" for i in range(1, n + 1))
+    source = f"(superalgebra deep (basis (z even) {odd}) {brackets}) (pair deepline deep (line z))"
+    return parse(source).pairs["deepline"]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bound_peels_each_word_pair_once_bit_for_bit(n, monkeypatch):
+    pair = deep_odd_line(n)
+    f = GaussianPoly.gaussian(1.0) + GaussianPoly.gaussian(0.5, -0.75, (0.25, 1j, -2.0), "eps")
+    a = CrossedElement(pair, {tuple(range(1, n + 1)): f})  # the monomial x1...xn
+    peeled, visited = [], []
+    peel, reference = reps._peel, reference_bound_term
+
+    def counted_peel(pair, odd_word, even_word, derived, bounds):
+        peeled.append((odd_word, even_word))
+        return peel(pair, odd_word, even_word, derived, bounds)
+
+    def counted_reference(pair, odd_word, even_word, f, seen):
+        visited.append((odd_word, even_word))
+        return reference(pair, odd_word, even_word, f, seen)
+
+    monkeypatch.setattr(reps, "_peel", counted_peel)
+    monkeypatch.setitem(globals(), "reference_bound_term", counted_reference)
+    assert prop33_bound(a).hex() == reference_prop33(a)[0].hex()
+    # each distinct (odd word, even word) once: 45 at n = 8, against 511 calls
+    assert len(peeled) == len(set(peeled)) == len(set(visited)) == (n + 1) * (n + 2) // 2
+    assert len(visited) == 2 ** (n + 1) - 1
+
+
 # prop33_bound of the catalog line elements, pinned by float.hex
 PINNED_BOUNDS = {
     "a0": "0x1.c5bf891b4ef6ap+0",
@@ -338,14 +371,17 @@ def catalog_line_elements(workspace):
 
 
 def reference_rep_hat(rep, a):
-    """rep_hat with every rho-word and identity formed afresh per term."""
+    """rep_hat with every rho-word and identity formed afresh per term, and
+    each Fourier value from the test-local term kernel."""
+    freq = float(rep.freq)
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
     for word, f in a.terms.items():
         rho = np.eye(rep.dim, dtype=complex)
         for i in word:
             rho = rho @ rep.rho[i]
-        pi = (fourier_at(f, rep.freq, "plus") * np.eye(rep.dim)
-              + fourier_at(f, rep.freq, "eps") * rep.grading)
+        plus = sum([_ref_term_fourier(t, freq) for t in f.plus], 0j)
+        eps = sum([_ref_term_fourier(t, freq) for t in f.eps], 0j)
+        pi = plus * np.eye(rep.dim) + eps * rep.grading
         out += rho @ pi
     return out
 
