@@ -25,7 +25,9 @@ from typing import Callable
 from . import linalg
 from .enveloping import UEElement, _accumulate, apply_auto, dagger, ue_multiply
 from .errors import MismatchError, UnsupportedInstanceError
-from .functions import GaussianPoly, breve, convolve, l1_bound, left_translate, right_translate
+from .functions import (
+    FiniteFunction, GaussianPoly, breve, convolve, l1_bound, left_translate, right_translate,
+)
 from .groups import LINE, GroupPoint, Supergroup
 from .scalars import GR_ONE
 
@@ -52,15 +54,30 @@ def _twist(pair: Supergroup, g: GroupPoint, D: UEElement) -> UEElement:
     return out
 
 
+def _check_function(pair: Supergroup, f):
+    """Refuse f unless it is a function of ``pair``: a ``FiniteFunction`` of
+    that pair on a finite pair, a ``GaussianPoly`` on a line pair."""
+    if pair.group.kind == LINE:
+        if not isinstance(f, GaussianPoly):
+            raise MismatchError("a line pair takes GaussianPoly functions")
+    elif not isinstance(f, FiniteFunction) or (f.pair is not pair and f.pair != pair):
+        raise MismatchError("a finite pair takes FiniteFunctions of that pair")
+
+
+@dataclass(init=False, repr=False)
 class CrossedElement:
-    """Finite sum of (PBW monomial) (x) (function) terms."""
+    """Finite sum of (PBW monomial) (x) (function) terms; equal by pair and
+    terms, unhashable."""
 
     __slots__ = ("pair", "terms")
+    pair: Supergroup
+    terms: dict[Word, object]
 
     def __init__(self, pair: Supergroup, terms=None):
         self.pair = pair
-        self.terms: dict[Word, object] = {}
+        self.terms = {}
         for w, f in (terms or {}).items():
+            _check_function(pair, f)
             if not f.is_zero():
                 self.terms[w] = f
 
@@ -73,6 +90,7 @@ class CrossedElement:
         """D (x) f for a general enveloping element D."""
         if element.algebra != pair.algebra:
             raise MismatchError("enveloping element belongs to a different algebra")
+        _check_function(pair, f)
         out = CrossedElement(pair)
         out._add_ue(element, f)
         return out
@@ -84,11 +102,6 @@ class CrossedElement:
     def _add_ue(self, element: UEElement, f):
         for w, c in element.terms.items():
             _accumulate(self.terms, w, f.scale(c))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CrossedElement):
-            return NotImplemented
-        return self.pair == other.pair and self.terms == other.terms
 
     def __add__(self, other: "CrossedElement") -> "CrossedElement":
         self._check(other)

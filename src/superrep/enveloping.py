@@ -12,6 +12,7 @@ ones), which the norm-bound recursion needs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MismatchError, StructureError
@@ -107,15 +108,19 @@ def _accumulate(acc: dict, word: Word, coeff):
             acc[word] = total
 
 
+@dataclass(init=False, repr=False)
 class UEElement:
-    """Element of the enveloping algebra in PBW normal form."""
+    """Element of the enveloping algebra in PBW normal form; equal by
+    algebra and terms (not by order), unhashable."""
 
     __slots__ = ("algebra", "terms", "order")
+    algebra: SuperAlgebra
+    terms: dict[Word, GaussianRational]
 
     def __init__(self, algebra: SuperAlgebra, terms=None, order: str = DECL_ORDER):
         self.algebra = algebra
         self.order = order
-        self.terms: dict[Word, GaussianRational] = dict(terms or {})
+        self.terms = dict(terms or {})
 
     @staticmethod
     def zero(algebra, order=DECL_ORDER) -> "UEElement":
@@ -176,13 +181,6 @@ class UEElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UEElement)
-            and self.algebra == other.algebra
-            and self.terms == other.terms
-        )
 
     def __repr__(self) -> str:
         if not self.terms:

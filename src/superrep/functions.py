@@ -11,7 +11,7 @@ integral the algebra needs has a closed form.
 from __future__ import annotations
 
 import cmath
-from functools import lru_cache
+from dataclasses import dataclass
 from math import comb, exp, gamma, inf, pi, sqrt
 
 from .errors import MismatchError, StructureError
@@ -23,17 +23,20 @@ from .scalars import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational
 # ---------------------------------------------------------------------------
 
 
+@dataclass(init=False, repr=False)
 class FiniteFunction:
     """Function on the epsilon-extension of a finite group, with exact
-    Gaussian-rational values."""
+    Gaussian-rational values; equal by pair and values, unhashable."""
 
     __slots__ = ("pair", "values")
+    pair: Supergroup
+    values: dict[GroupPoint, GaussianRational]
 
     def __init__(self, pair: Supergroup, values=None):
         if pair.group.kind != FINITE:
             raise MismatchError("FiniteFunction requires a finite group")
         self.pair = pair
-        self.values: dict[GroupPoint, GaussianRational] = {}
+        self.values = {}
         for p, v in (values or {}).items():
             v = GaussianRational.of(v)
             if not v.is_zero():
@@ -87,13 +90,6 @@ class FiniteFunction:
     def is_zero(self) -> bool:
         return not self.values
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FiniteFunction)
-            and self.pair == other.pair
-            and self.values == other.values
-        )
-
     def __repr__(self):
         return "FiniteFunction(" + ", ".join(f"{p}: {v}" for p, v in sorted(
             self.values.items(), key=lambda kv: (kv[0].eps, kv[0].base))) + ")"
@@ -109,11 +105,15 @@ def _nonzero(values: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, init=False)
 class GaussTerm:
     """p(t) * exp(-rate (t - center)^2); coeffs[k] is the t^k coefficient.
     Immutable, hashable and equal by value."""
 
     __slots__ = ("coeffs", "rate", "center")
+    coeffs: tuple[complex, ...]
+    rate: float
+    center: float
 
     def __init__(self, coeffs: tuple[complex, ...], rate: float, center: float = 0.0):
         if rate <= 0:
@@ -125,25 +125,9 @@ class GaussTerm:
         _set_rate(self, rate)
         _set_center(self, center)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
+        # the frozen __setattr__ would refuse the default slot restore
         return (GaussTerm, (self.coeffs, self.rate, self.center))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coeffs, self.rate, self.center) == (other.coeffs, other.rate, other.center)
-
-    def __hash__(self):
-        return hash((self.coeffs, self.rate, self.center))
-
-    def __repr__(self):
-        return f"GaussTerm(coeffs={self.coeffs!r}, rate={self.rate!r}, center={self.center!r})"
 
     def __call__(self, t: float) -> complex:
         p = sum(c * t**k for k, c in enumerate(self.coeffs))
@@ -187,11 +171,8 @@ def _poly_shift(coeffs, shift: complex) -> tuple[complex, ...]:
     return _poly_trim(out)
 
 
-@lru_cache(maxsize=4096)
 def _abs_moment(k: int, rate: float) -> float:
-    """integral of |t|^k exp(-rate t^2) dt over the line; a pure function of
-    (k, rate), memoized across calls, as the same few rates recur at every
-    frequency and in every L1 bound."""
+    """integral of |t|^k exp(-rate t^2) dt over the line."""
     return gamma((k + 1) / 2.0) / rate ** ((k + 1) / 2.0)
 
 
@@ -318,12 +299,13 @@ class GaussianPoly:
         return not self.plus and not self.eps
 
     def __eq__(self, other) -> bool:
-        """Equal merged term tuples, so that equal exact results compare
-        equal; like ``FiniteFunction``, the class is unhashable."""
+        """Equal merged terms on each component, in any order, so that equal
+        exact results compare equal; like ``FiniteFunction``, the class is
+        unhashable."""
         return (
             isinstance(other, GaussianPoly)
-            and self.plus == other.plus
-            and self.eps == other.eps
+            and _by_key(self.plus) == _by_key(other.plus)
+            and _by_key(self.eps) == _by_key(other.eps)
         )
 
     def __repr__(self):
@@ -333,6 +315,11 @@ class GaussianPoly:
             ) or "0"
 
         return f"GaussianPoly(plus: {side(self.plus)}; eps: {side(self.eps)})"
+
+
+def _by_key(terms) -> dict:
+    """Merged terms as a mapping from (rate, center) to coefficients."""
+    return {(t.rate, t.center): t.coeffs for t in terms}
 
 
 def _merge_terms(terms) -> tuple[GaussTerm, ...]:

@@ -12,6 +12,7 @@ reduces each result with one three-argument gcd.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -26,10 +27,14 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class GaussianRational:
     """Immutable (a + b*i)/d; ``re`` and ``im`` read back as ``Fraction``."""
 
     __slots__ = ("_a", "_b", "_d")
+    _a: int
+    _b: int
+    _d: int
 
     def __init__(self, re=0, im=0):
         re, im = _as_fraction(re), _as_fraction(im)
@@ -58,22 +63,9 @@ class GaussianRational:
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
+        # the frozen __setattr__ would refuse the default slot restore
         return (GaussianRational, (self.re, self.im))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._a == other._a and self._b == other._b and self._d == other._d
-
-    def __hash__(self):
-        return hash((self._a, self._b, self._d))
 
     def __add__(self, other):
         if other.__class__ is not GaussianRational:
@@ -156,7 +148,7 @@ class GaussianRational:
         return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
 
-# __setattr__ refuses every write, so values are filled in through the slots
+# the frozen __setattr__ refuses every write, so values are filled in through the slots
 _set_a = GaussianRational._a.__set__
 _set_b = GaussianRational._b.__set__
 _set_d = GaussianRational._d.__set__

@@ -72,6 +72,13 @@ def test_unknown_name_exits_2(capsys):
     assert "unknown" in json.loads(out)["error"]
 
 
+def test_roundtrip_with_a_vanishing_probe_image_exits_2(capsys):
+    # x acts by zero in a character, so x (x) delta_s has a zero image
+    code, out = run(capsys, "--catalog", "podd", "roundtrip", "--rep", "chi-pp", "--probe", "bx")
+    assert code == 2
+    assert json.loads(out) == {"error": "probe image vanishes on the test vector"}
+
+
 def test_missing_file_exits_2(capsys):
     code, out = run(capsys, "--file", "/does/not/exist.sexp", "validate",
                     "--pair", "hcline")

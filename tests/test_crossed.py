@@ -27,6 +27,8 @@ from superrep.groups import GroupPoint
 from superrep.reps import prop33_bound, taylor_norm_check
 from superrep.scalars import GR_ONE, GR_ZERO, GaussianRational
 
+from test_functions import S3PERM
+
 
 def random_finite_function(rng, pair):
     values = {
@@ -423,3 +425,41 @@ def test_line_elements_compare_exactly(workspace):
     assert ax == ax.scale(1)
     assert mul_lie(hcline, 0).lam(ax) == mul_lie(hcline, 0).lam(ax)
     assert ax != ax.scale(2)
+    one = UEElement.unit(hcline.algebra)
+    f, g = GaussianPoly.gaussian(1.0), GaussianPoly.gaussian(2.0, 0.5, (3.0,))
+    fg = CrossedElement.tensor(hcline, one, f) + CrossedElement.tensor(hcline, one, g)
+    gf = CrossedElement.tensor(hcline, one, g) + CrossedElement.tensor(hcline, one, f)
+    assert fg == gf and fg != gf.scale(2)
+
+
+FINITE_MESSAGE = "a finite pair takes FiniteFunctions of that pair"
+
+
+@pytest.mark.parametrize("pair_name, make_f, message", [
+    ("z2odd", lambda ws: GaussianPoly.gaussian(1.0), FINITE_MESSAGE),
+    ("z2odd", lambda ws: FiniteFunction.delta(S3PERM, GroupPoint(5)), FINITE_MESSAGE),
+    ("hcline", lambda ws: ws.functions["d1"], "a line pair takes GaussianPoly functions"),
+], ids=["line-function-on-finite-pair", "function-of-another-finite-pair",
+        "finite-function-on-line-pair"])
+def test_crossed_element_refuses_a_function_of_another_pair_or_class(
+        workspace, pair_name, make_f, message):
+    pair, f = workspace.pairs[pair_name], make_f(workspace)
+    with pytest.raises(MismatchError) as exc:
+        CrossedElement.tensor(pair, UEElement.unit(pair.algebra), f)
+    assert str(exc.value) == message
+    with pytest.raises(MismatchError) as exc:
+        CrossedElement(pair, {(): f})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ws: CrossedElement.tensor(ws.pairs["hcline"], UEElement.unit(ws.algebras["podd"]),
+                                      GaussianPoly.gaussian()),
+     "enveloping element belongs to a different algebra"),
+    (lambda ws: xp_multiply(ws.elements["ax"], ws.elements["bx"]),
+     "crossed elements live over different pairs"),
+], ids=["tensor-other-algebra", "product-of-two-pairs"])
+def test_crossed_refusals(workspace, call, message):
+    with pytest.raises(MismatchError) as exc:
+        call(workspace)
+    assert str(exc.value) == message

@@ -415,3 +415,26 @@ def test_repeats_that_add_stay_sums():
         "(element a fz",
         "  (tensor (ue (1 x)) (finitefunc (delta s 6))))",
     ]
+
+
+# Refusals that no other test reaches, each on line 5 after the prelude.
+REFUSALS = [
+    # (source after the prelude, message, column on line 5)
+    ("(rep r tl (grading 1) (rho x (((c 1)))) (freq 1))", "expected a numeric entry", 32),
+    ("(superalgebra a (basis (x odd)) (bracket x))",
+     "expected (bracket X Y (coef Z) ...)", 33),
+    (FINITE_HEAD + " (adj s ((-1)))))", "unknown finite-group clause 'adj'", 54),
+    ("(element a tl)", "element is (element NAME PAIR (tensor UE FUNC) ...)", 1),
+    ("(rep r tl (grading 1) (rho x) (freq 1))", "expected (rho BASIS MATRIX)", 23),
+    ("(function f tl (gauss 1 0 1))", "expected finitefunc or linefunc", 16),
+]
+
+
+@pytest.mark.parametrize("body, message, col", REFUSALS,
+                         ids=["matrix-entry", "bracket", "finite-group-clause", "short-element",
+                              "rho-arity", "function-literal"])
+def test_dsl_refusals(body, message, col):
+    with pytest.raises(DslError) as exc:
+        parse(PRELUDE + body)
+    assert str(exc.value) == f"5:{col}: {message}"
+    assert (exc.value.line, exc.value.col) == (5, col)

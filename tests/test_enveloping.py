@@ -20,6 +20,7 @@ from superrep.enveloping import (
     parity_flip,
     ue_multiply,
 )
+from superrep.errors import MismatchError, StructureError
 from superrep.scalars import GR_HALF, GR_I, GR_ONE, GaussianRational
 from superrep.superalgebra import ODD, build_superalgebra
 
@@ -262,3 +263,24 @@ def test_scalar_and_additive_operations(workspace, name):
         assert a * b == ue_multiply(a, b)
         assert a.scale(0).is_zero() and (0 * a).is_zero()
         assert a.is_zero() == (a == UEElement.zero(algebra)) == (not a.terms)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ws: normal_form(ws.algebras["hc"], (1, 0), order="bogus"),
+     ValueError, "unknown basis order 'bogus'"),
+    (lambda ws: UEElement.unit(ws.algebras["hc"]) + UEElement.unit(ws.algebras["podd"]),
+     MismatchError, "elements live over different algebras"),
+    (lambda ws: UEElement.unit(ws.algebras["hc"])
+     + UEElement.unit(ws.algebras["hc"], ODD_MAJOR_ORDER),
+     MismatchError, "elements use different PBW orders"),
+    (lambda ws: normal_form(ws.algebras["hc"], (0, 2)),
+     StructureError, "basis index 2 out of range"),
+    (lambda ws: check_automorphism(ws.algebras["hc"], [[1, 0]]).raise_if_failed(),
+     StructureError,
+     "automorphism failed validation: shape: expected 2 image vectors of length 2"),
+], ids=["unknown-order", "sum-of-two-algebras", "sum-of-two-orders", "index-out-of-range",
+        "automorphism-shape"])
+def test_enveloping_refusals(workspace, call, error, message):
+    with pytest.raises(error) as exc:
+        call(workspace)
+    assert str(exc.value) == message

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 from superrep import functions
 from superrep.catalog import load_catalog
 from superrep.dsl import parse
-from superrep.errors import StructureError
+from superrep.errors import MismatchError, StructureError
 from superrep.functions import (
     FiniteFunction,
     GaussTerm,
@@ -29,7 +29,7 @@ from superrep.functions import (
     right_derivative,
     right_translate,
 )
-from superrep.groups import GroupPoint
+from superrep.groups import LINE, GroupData, GroupPoint, Supergroup
 from superrep.scalars import GR_ZERO, GaussianRational
 
 
@@ -268,6 +268,10 @@ def test_gaussian_poly_equality_compares_merged_terms():
     assert f != f.swap_components() and f != f.scale(2) and f != f.plus
     with pytest.raises(TypeError):
         hash(f)
+    # a sum keeps the order of its terms, equality does not look at it
+    g, h = GaussianPoly.gaussian(1.0), GaussianPoly.gaussian(2.0, 0.5, (3.0,))
+    assert (g + h).plus != (h + g).plus
+    assert g + h == h + g and g + h != g + h.scale(2)
 
 
 # -- the term maps against the term-by-term reference ------------------------
@@ -545,3 +549,41 @@ def test_finite_maps_keep_values_and_dict_order():
         assert _items(breve(f)) == [(pair.inverse(p), v.conjugate()) for p, v in _items(f)]
         assert _items(left_translate(g, f)) == [(pair.multiply(g, p), v) for p, v in _items(f)]
         assert _items(right_translate(g, f)) == [(pair.multiply(p, gi), v) for p, v in _items(f)]
+
+
+def _finite(ws):
+    return FiniteFunction.delta(ws.pairs["z2odd"], GroupPoint(1))
+
+
+def _two_even_line_pair(ws):
+    """An unvalidated line pair over gl(1|1), whose even part is 2-dimensional."""
+    return Supergroup("gl11line", GroupData(LINE, "R", generator_name="N"),
+                      ws.algebras["gl11"])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ws: FiniteFunction(ws.pairs["hcline"]),
+     MismatchError, "FiniteFunction requires a finite group"),
+    (lambda ws: _finite(ws) + FiniteFunction.delta(S3PERM, GroupPoint(1)),
+     MismatchError, "functions live on different groups"),
+    (lambda ws: convolve(_finite(ws), GaussianPoly.gaussian()),
+     MismatchError, "convolution requires two functions of the same class"),
+    (lambda ws: breve(1.0), MismatchError, "unsupported function class"),
+    (lambda ws: left_translate(GroupPoint(0), 1.0), MismatchError, "unsupported function class"),
+    (lambda ws: l1_bound(1.0), MismatchError, "unsupported function class"),
+    (lambda ws: fourier_at(_finite(ws), 1.0),
+     MismatchError, "fourier_at is a line-instance operation"),
+    (lambda ws: right_derivative(ws.pairs["hcline"], 1, GaussianPoly.gaussian()),
+     StructureError, "right derivative requires an even basis element, got x"),
+    (lambda ws: right_derivative(ws.pairs["hcline"], 0, _finite(ws)),
+     StructureError, "right derivative only exists on line instances"),
+    (lambda ws: right_derivative(_two_even_line_pair(ws), 1, GaussianPoly.gaussian()),
+     StructureError, "the line instance has a single even generator"),
+], ids=["finite-function-on-line-pair", "sum-of-two-pairs", "convolve-two-classes",
+        "breve-non-function", "left-translate-non-function", "l1-bound-non-function",
+        "fourier-of-finite-function", "derivative-odd-element", "derivative-finite-function",
+        "derivative-second-even-element"])
+def test_functions_refusals(workspace, call, error, message):
+    with pytest.raises(error) as exc:
+        call(workspace)
+    assert str(exc.value) == message

@@ -332,3 +332,44 @@ def test_first_order_check_names_each_changed_column(hcline):
     for pair, names in cases:
         rows = {name: (ok, detail) for name, ok, detail in report_rows(validate_pair(pair))}
         assert rows["ad_derivative_matches_bracket"] == (False, names), pair.name
+
+
+NO_IDENTITY = FiniteGroup("g", ("a", "b"), ((0, 0), (0, 0)))
+NO_INVERSE = FiniteGroup("g", ("e", "s"), ((0, 1), (1, 1)))
+
+
+def _pair(workspace, group, algebra="podd"):
+    return validate_pair(Supergroup("q", group, workspace.algebras[algebra])).raise_if_failed()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ws: FiniteGroup("g", ("e", "s"), ((0, 1), (1,))).validate().raise_if_failed(),
+     StructureError, "group g failed validation: table_shape: "),
+    (lambda ws: FiniteGroup("g", ("e", "s"), ((0, 1), (1, 2))).validate().raise_if_failed(),
+     StructureError, "group g failed validation: closure: "),
+    (lambda ws: NO_IDENTITY.validate().raise_if_failed(),
+     StructureError, "group g failed validation: identity: no two-sided identity"),
+    (lambda ws: FiniteGroup("g", ("e", "s", "t"), ((0, 1, 2), (1, 0, 0), (2, 0, 0)))
+     .validate().raise_if_failed(),
+     StructureError, "group g failed validation: associativity: 4 violations"),
+    (lambda ws: NO_INVERSE.validate().raise_if_failed(),
+     StructureError, "group g failed validation: inverses: "),
+    (lambda ws: NO_IDENTITY.identity, StructureError, "group g has no identity"),
+    (lambda ws: NO_INVERSE.inverse(1), StructureError, "group g: element 1 has no inverse"),
+    (lambda ws: ws.pairs["z2odd"].generator_index,
+     UnsupportedInstanceError, "generator_index only exists for line groups"),
+    (lambda ws: _pair(ws, GroupData(FINITE, "z2", ws.pairs["z2odd"].group.finite,
+                                    ad_matrices=(((1,),),))),
+     StructureError,
+     "pair q failed validation: ad_shape: one adjoint matrix per group element required"),
+    (lambda ws: _pair(ws, GroupData(LINE, "R", generator_name="w"), "hc"),
+     StructureError, "pair q failed validation: generator: hc: unknown basis element 'w'"),
+    (lambda ws: _pair(ws, GroupData("torus", "T")),
+     StructureError, "pair q failed validation: kind: unknown group kind 'torus'"),
+], ids=["table-shape", "not-closed", "no-identity", "not-associative", "no-inverse",
+        "identity-of-table-without-one", "inverse-of-element-without-one",
+        "generator-index-on-finite-pair", "ad-shape", "unknown-generator", "unknown-kind"])
+def test_groups_refusals(workspace, call, error, message):
+    with pytest.raises(error) as exc:
+        call(workspace)
+    assert str(exc.value) == message

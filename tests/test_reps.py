@@ -1,17 +1,21 @@
 """Matrix representations, the bridge, and certified norm bounds."""
 
+import cmath
+import functools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superrep import reps
 from superrep.crossed import CrossedElement, mul_group, mul_lie, xp_multiply, xp_star
 from superrep.dsl import parse
 from superrep.enveloping import ODD_MAJOR_ORDER, UEElement, normal_form
-from superrep.errors import StructureError
+from superrep.errors import MismatchError, StructureError, UnsupportedInstanceError
 from superrep.functions import (
     FiniteFunction,
     GaussianPoly,
@@ -603,3 +607,64 @@ def test_ccr_flags_and_span(z2odd, hc_grid, workspace):
     )
     assert hc_doc["flags"] == {"nilpotent": True, "odd_generated": True}
     assert all(r["finite_rank"] for r in hc_doc["representations"])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ws: ws.reps["reg4"].pi_function(GaussianPoly.gaussian()),
+     MismatchError, "finite representation needs a finite function"),
+    (lambda ws: ws.reps["hc-rep-2"].pi_function(ws.functions["d1"]),
+     MismatchError, "line representation needs a Gaussian-polynomial function"),
+    (lambda ws: reps.SeminormInterval(1.0, 0.5),
+     StructureError, "seminorm interval must satisfy lower <= upper"),
+    (lambda ws: taylor_norm_check(ws.pairs["z2odd"], ws.elements["bx"], []),
+     UnsupportedInstanceError, "Taylor check requires a line instance"),
+], ids=["finite-rep-line-function", "line-rep-finite-function", "interval-order",
+        "taylor-on-finite-pair"])
+def test_reps_refusals(workspace, call, error, message):
+    with pytest.raises(error) as exc:
+        call(workspace)
+    assert str(exc.value) == message
+
+
+# -- the certificate on many odd generators ----------------------------------
+
+PAULI = {
+    "1": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
+}
+DEEP_LINES = {n: deep_odd_line(n) for n in range(1, 9)}
+
+
+def _pauli_word(letters):
+    return functools.reduce(np.kron, [PAULI[c] for c in letters])
+
+
+def jordan_wigner_rep(n, lam):
+    """On z even, x1...xn odd, [xi, xi] = z: rho(z) = i lam and rho(xj) =
+    sqrt(lam/2) e^{i pi/4} gamma_j, with gamma_j the Jordan-Wigner Clifford
+    matrices Z...Z X 1...1 and Z...Z Y 1...1 on ceil(n/2) qubits, graded by
+    the chirality Z...Z.  For n = 1 this is ``make_hc_rep``."""
+    m = (n + 1) // 2
+    gammas = [_pauli_word("Z" * k + p + "1" * (m - k - 1)) for k in range(m) for p in "XY"]
+    # a complex root, so that lam < 0 still satisfies the bracket relations
+    scale = cmath.exp(1j * math.pi / 4) * cmath.sqrt(lam / 2)
+    rho = (1j * lam * np.eye(2 ** m),) + tuple(scale * g for g in gammas[:n])
+    return MatrixRep(f"jw-{n}-{lam}", DEEP_LINES[n], _pauli_word("Z" * m), rho, freq=lam)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(max_examples=15)
+@given(st.floats(0.05, 20, exclude_min=True, exclude_max=True), st.randoms(use_true_random=False))
+def test_certificate_holds_on_many_odd_generators(n, lam, rng):
+    rep = jordan_wigner_rep(n, lam)
+    validate_rep(rep).raise_if_failed()
+    a = random_line_element(rng, rep.pair, max_deg=4)
+    norm, bound = operator_norm(rep_hat(rep, a)), prop33_bound(a)
+    assert norm <= bound + 1e-12
+
+
+def test_jordan_wigner_family_needs_a_positive_frequency():
+    report = validate_rep(jordan_wigner_rep(3, -1.0))
+    assert [c.name for c in report.failures()] == ["odd_symmetry"]

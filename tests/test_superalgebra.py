@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from superrep import linalg
 from superrep.catalog import load_catalog
 from superrep.enveloping import check_automorphism
-from superrep.errors import StructureError
+from superrep.errors import MismatchError, StructureError
 from superrep.scalars import GR_ZERO, GaussianRational
 from superrep.superalgebra import (
     SuperAlgebra,
@@ -333,3 +333,21 @@ def test_bracket_terms_is_the_nonzero_part_of_the_dense_table(data):
     phi = data.draw(_maps(algebra.dim))
     assert (check_automorphism(algebra, phi).to_dict()
             == _reference_check_automorphism(algebra, phi).to_dict())
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda hc: SuperAlgebra("a", ("x",), (1, 1), (((0,),),)),
+     StructureError, "a: parity list does not match basis size"),
+    (lambda hc: SuperAlgebra("a", ("x",), (2,), (((0,),),)),
+     StructureError, "a: parity values must be 0 or 1"),
+    (lambda hc: SuperAlgebra("a", ("x",), (1,), (((0, 0),),)),
+     StructureError, "a: structure constants must form an 1x1 table of 1-vectors"),
+    (lambda hc: hc.index("w"), StructureError, "hc: unknown basis element 'w'"),
+    (lambda hc: hc.bracket([1], [1, 0]),
+     MismatchError, "hc: coordinate vectors must have length 2"),
+], ids=["parity-length", "parity-value", "constants-shape", "unknown-name",
+        "bracket-vector-length"])
+def test_superalgebra_refusals(hc, call, error, message):
+    with pytest.raises(error) as exc:
+        call(hc)
+    assert str(exc.value) == message
