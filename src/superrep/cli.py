@@ -1,11 +1,12 @@
-"""Command-line interface: workspace loading, dispatch, JSON emission.
+"""Command-line interface: one table of subcommands, their flags and the
+workspace category of each name flag; name lookup, dispatch, JSON emission.
 
 Exit codes: 0 the requested check passed (or the command only computes a
-value), 1 a validation/numeric check failed, 2 usage or input errors,
-including an ``--out`` path that cannot be written.
-JSON output is deterministic: keys in fixed order, floats printed through
-their shortest round-trip form capped at 15 significant digits, complex
-numbers as [re, im] pairs.
+value), 1 a validation/numeric check failed or the result is not finite,
+2 usage or input errors, including an ``--out`` path that cannot be written.
+JSON output is deterministic and strict: keys in fixed order, floats printed
+through their shortest round-trip form capped at 15 significant digits,
+complex numbers as [re, im] pairs, and never NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -19,31 +20,15 @@ import sys
 import numpy as np
 
 from .catalog import CATALOG_NAMES, load_catalog
-from .crossed import (
-    CrossedElement,
-    gamma_integral,
-    element_sample_difference,
-    orbit_derivative_check,
-    xp_multiply,
-    xp_star,
-)
+from .crossed import (CrossedElement, element_sample_difference, gamma_integral,
+                      orbit_derivative_check, xp_multiply, xp_star)
 from .dsl import Workspace, parse_file, read_word
 from .enveloping import UEElement, dagger as ue_dagger, normal_form
 from .errors import DslError, SuperrepError
 from .functions import FiniteFunction
-from .groups import FINITE, GroupPoint
-from .reps import (
-    ccr_report,
-    operator_norm,
-    prop33_bound,
-    reconstruct_pi,
-    reconstruct_rho,
-    rep_hat,
-    seminorm_interval,
-    taylor_norm_check,
-    validate_rep,
-)
-from .groups import validate_pair
+from .groups import FINITE, GroupPoint, validate_pair
+from .reps import (ccr_report, operator_norm, prop33_bound, reconstruct_pi, reconstruct_rho,
+                   rep_hat, seminorm_interval, taylor_norm_check, validate_rep)
 from .superalgebra import validate_superalgebra
 
 
@@ -65,15 +50,6 @@ def _norm(value):
     if isinstance(value, (list, tuple)):
         return [_norm(v) for v in value]
     return value
-
-
-def emit(doc: dict, out_path: str | None):
-    text = json.dumps(_norm(doc), indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _matrix_json(mat: np.ndarray):
@@ -126,19 +102,6 @@ def _ue_json(elem: UEElement) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _load_workspace(args) -> Workspace:
-    ws = Workspace()
-    for name in args.catalog or []:
-        load_catalog(name, workspace=ws)
-    for path in args.file or []:
-        parse_file(path, ws)
-    return ws
-
-
-def _family(ws: Workspace, name: str):
-    return [ws.lookup("rep", r) for r in ws.lookup("family", name)]
-
-
 def _tolerance(text: str) -> float:
     """A ``--tol`` value: a finite number >= 0."""
     value = float(text)
@@ -155,29 +118,78 @@ def _step(text: str) -> float:
     return value
 
 
+# subcommand -> (help, flag, ...).  A flag (NAME, CATEGORY[, SETTINGS]) is a
+# required name of a workspace definition; (NAME, SETTINGS) is a plain option.
+# SETTINGS go to argparse.  Subcommand "x-y" runs cmd_x_y(args, *definitions),
+# with one definition per name flag given, in this order.
+_COMMANDS = {
+    "validate": ("validate an algebra or a pair", ("--pair", "pair"), ("--algebra", "algebra")),
+    "nf": ("PBW normal form of a word", ("--algebra", "algebra"),
+           ("--word", {"required": True, "help": "comma- or space-separated basis names"}),
+           ("--order", {"choices": ("decl", "oddmajor"), "default": "decl"})),
+    "dagger": ("formal adjoint of a word", ("--algebra", "algebra"),
+               ("--word", {"required": True})),
+    "xp-mul": ("twisted convolution product", ("--left", "element"), ("--right", "element")),
+    "xp-star": ("involution of a crossed element", ("--elem", "element")),
+    "gamma-check": ("integrated-action identity against the product", ("--pair", "pair"),
+                    ("--f", "function"), ("--h", "function"),
+                    ("--word", {"default": "", "help": "enveloping word for the D factor"})),
+    "rep-check": ("representation axiom checks", ("--rep", "rep")),
+    "hat": ("matrix image of a crossed element", ("--rep", "rep"), ("--elem", "element")),
+    "bound": ("certified operator-norm bound", ("--elem", "element")),
+    "seminorm": ("seminorm interval over a family", ("--elem", "element"), ("--family", "family")),
+    "roundtrip": ("group/algebra action recovered from the bridge", ("--rep", "rep"),
+                  ("--probe", "element")),
+    "ccr-report": ("finite-rank and structural flags", ("--family", "family"),
+                   ("--elem", "element", {"action": "append"})),
+    "orbit-deriv": ("certified first-order orbit derivative residual", ("--pair", "pair"),
+                    ("--elem", "element"), ("--h", {"type": _step, "default": 0.1})),
+    "taylor": ("first-order Taylor norm bound check", ("--pair", "pair"),
+               ("--elem", "element"), ("--family", "family")),
+}
+
+
+def _resolve(ws: Workspace, args) -> list:
+    """The definitions the name flags of ``args.command`` give, looked up in
+    table order: a family gives its list of reps, a repeated flag a list of
+    definitions.  An absent flag (one side of validate) gives none."""
+    definitions = []
+    for flag, kind, *_ in _COMMANDS[args.command][1:]:
+        name = getattr(args, flag[2:])
+        if isinstance(kind, dict) or name is None:  # a plain option, or absent
+            continue
+        if isinstance(name, list):
+            definitions.append([ws.lookup(kind, n) for n in name])
+        elif kind == "family":
+            definitions.append([ws.lookup("rep", r) for r in ws.lookup("family", name)])
+        else:
+            definitions.append(ws.lookup(kind, name))
+    if args.command == "gamma-check":
+        ws.require_function_pair(args.f, args.pair, None)
+        ws.require_function_pair(args.h, args.pair, None)
+    return definitions
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(ws: Workspace, args) -> tuple[dict, bool]:
-    if args.pair:
-        pair = ws.lookup("pair", args.pair)
-        report = validate_pair(pair)
-        alg_report = validate_superalgebra(pair.algebra)
+def cmd_validate(args, subject) -> tuple[dict, bool]:
+    if args.pair is not None:
+        report = validate_pair(subject)
+        alg_report = validate_superalgebra(subject.algebra)
         ok = report.ok and alg_report.ok
         return {
             "subject": args.pair,
             "ok": ok,
             "checks": report.to_dict()["checks"] + alg_report.to_dict()["checks"],
         }, ok
-    algebra = ws.lookup("algebra", args.algebra)
-    report = validate_superalgebra(algebra)
+    report = validate_superalgebra(subject)
     return report.to_dict(), report.ok
 
 
-def cmd_nf(ws: Workspace, args) -> tuple[dict, bool]:
-    algebra = ws.lookup("algebra", args.algebra)
+def cmd_nf(args, algebra) -> tuple[dict, bool]:
     word = read_word(algebra, args.word)
     result = normal_form(algebra, word, order=args.order)
     return {
@@ -188,8 +200,7 @@ def cmd_nf(ws: Workspace, args) -> tuple[dict, bool]:
     }, True
 
 
-def cmd_dagger(ws: Workspace, args) -> tuple[dict, bool]:
-    algebra = ws.lookup("algebra", args.algebra)
+def cmd_dagger(args, algebra) -> tuple[dict, bool]:
     word = read_word(algebra, args.word)
     result = ue_dagger(normal_form(algebra, word))
     return {
@@ -199,25 +210,16 @@ def cmd_dagger(ws: Workspace, args) -> tuple[dict, bool]:
     }, True
 
 
-def cmd_xp_mul(ws: Workspace, args) -> tuple[dict, bool]:
-    a = ws.lookup("element", args.left)
-    b = ws.lookup("element", args.right)
-    product = xp_multiply(a, b)
+def cmd_xp_mul(args, a, b) -> tuple[dict, bool]:
     return {"left": args.left, "right": args.right,
-            "product": _element_json(product)}, True
+            "product": _element_json(xp_multiply(a, b))}, True
 
 
-def cmd_xp_star(ws: Workspace, args) -> tuple[dict, bool]:
-    a = ws.lookup("element", args.elem)
+def cmd_xp_star(args, a) -> tuple[dict, bool]:
     return {"elem": args.elem, "star": _element_json(xp_star(a))}, True
 
 
-def cmd_gamma_check(ws: Workspace, args) -> tuple[dict, bool]:
-    pair = ws.lookup("pair", args.pair)
-    f = ws.lookup("function", args.f)
-    h = ws.lookup("function", args.h)
-    ws.require_function_pair(args.f, args.pair, None)
-    ws.require_function_pair(args.h, args.pair, None)
+def cmd_gamma_check(args, pair, f, h) -> tuple[dict, bool]:
     word = read_word(pair.algebra, args.word)
     d = normal_form(pair.algebra, word)
     lhs = gamma_integral(pair, f, d, h)
@@ -233,15 +235,12 @@ def cmd_gamma_check(ws: Workspace, args) -> tuple[dict, bool]:
     return {"pair": args.pair, "deviation": deviation, "tol": args.tol, "ok": ok}, ok
 
 
-def cmd_rep_check(ws: Workspace, args) -> tuple[dict, bool]:
-    rep = ws.lookup("rep", args.rep)
+def cmd_rep_check(args, rep) -> tuple[dict, bool]:
     report = validate_rep(rep)
     return report.to_dict(), report.ok
 
 
-def cmd_hat(ws: Workspace, args) -> tuple[dict, bool]:
-    rep = ws.lookup("rep", args.rep)
-    a = ws.lookup("element", args.elem)
+def cmd_hat(args, rep, a) -> tuple[dict, bool]:
     mat = rep_hat(rep, a)
     return {
         "rep": args.rep,
@@ -251,8 +250,7 @@ def cmd_hat(ws: Workspace, args) -> tuple[dict, bool]:
     }, True
 
 
-def cmd_bound(ws: Workspace, args) -> tuple[dict, bool]:
-    a = ws.lookup("element", args.elem)
+def cmd_bound(args, a) -> tuple[dict, bool]:
     names = a.pair.algebra.basis_names
     terms = []
     for w in sorted(a.terms):
@@ -261,18 +259,12 @@ def cmd_bound(ws: Workspace, args) -> tuple[dict, bool]:
     return {"elem": args.elem, "upper": prop33_bound(a), "terms": terms}, True
 
 
-def cmd_seminorm(ws: Workspace, args) -> tuple[dict, bool]:
-    a = ws.lookup("element", args.elem)
-    family = _family(ws, args.family)
-    interval = seminorm_interval(a, family)
-    doc = {"elem": args.elem, "family": args.family}
-    doc.update(interval.to_dict())
-    return doc, True
+def cmd_seminorm(args, a, family) -> tuple[dict, bool]:
+    interval = seminorm_interval(a, family).to_dict()
+    return {"elem": args.elem, "family": args.family, **interval}, True
 
 
-def cmd_roundtrip(ws: Workspace, args) -> tuple[dict, bool]:
-    rep = ws.lookup("rep", args.rep)
-    probe = ws.lookup("element", args.probe)
+def cmd_roundtrip(args, rep, probe) -> tuple[dict, bool]:
     pair = rep.pair
     rng = random.Random(args.seed)
     v = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -305,17 +297,12 @@ def cmd_roundtrip(ws: Workspace, args) -> tuple[dict, bool]:
     }, ok
 
 
-def cmd_ccr_report(ws: Workspace, args) -> tuple[dict, bool]:
-    family = _family(ws, args.family)
-    generators = [ws.lookup("element", nm) for nm in args.elem]
+def cmd_ccr_report(args, family, generators) -> tuple[dict, bool]:
     doc = ccr_report(family, generators)
-    doc = {"family": args.family, "generators": list(args.elem), **doc}
-    return doc, True
+    return {"family": args.family, "generators": list(args.elem), **doc}, True
 
 
-def cmd_orbit_deriv(ws: Workspace, args) -> tuple[dict, bool]:
-    pair = ws.lookup("pair", args.pair)
-    a = ws.lookup("element", args.elem)
+def cmd_orbit_deriv(args, pair, a) -> tuple[dict, bool]:
     r1 = orbit_derivative_check(pair, a, args.h)
     r2 = orbit_derivative_check(pair, a, args.h / 2.0)
     ratio = (r2 / r1) if r1 else 0.0
@@ -331,17 +318,14 @@ def cmd_orbit_deriv(ws: Workspace, args) -> tuple[dict, bool]:
     }, ok
 
 
-def cmd_taylor(ws: Workspace, args) -> tuple[dict, bool]:
-    pair = ws.lookup("pair", args.pair)
-    a = ws.lookup("element", args.elem)
-    family = _family(ws, args.family)
+def cmd_taylor(args, pair, a, family) -> tuple[dict, bool]:
     doc = taylor_norm_check(pair, a, family)
     doc = {"pair": args.pair, "elem": args.elem, "family": args.family, **doc}
     return doc, doc["ok"]
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser and entry point
 # ---------------------------------------------------------------------------
 
 
@@ -367,110 +351,62 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[common])
-
-    p = add_command("validate", "validate an algebra or a pair")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--pair")
-    g.add_argument("--algebra")
-    p.set_defaults(func=cmd_validate)
-
-    p = add_command("nf", "PBW normal form of a word")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--word", required=True, help="comma- or space-separated basis names")
-    p.add_argument("--order", choices=("decl", "oddmajor"), default="decl")
-    p.set_defaults(func=cmd_nf)
-
-    p = add_command("dagger", "formal adjoint of a word")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=cmd_dagger)
-
-    p = add_command("xp-mul", "twisted convolution product")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.set_defaults(func=cmd_xp_mul)
-
-    p = add_command("xp-star", "involution of a crossed element")
-    p.add_argument("--elem", required=True)
-    p.set_defaults(func=cmd_xp_star)
-
-    p = add_command("gamma-check", "integrated-action identity against the product")
-    p.add_argument("--pair", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--h", required=True)
-    p.add_argument("--word", default="", help="enveloping word for the D factor")
-    p.set_defaults(func=cmd_gamma_check)
-
-    p = add_command("rep-check", "representation axiom checks")
-    p.add_argument("--rep", required=True)
-    p.set_defaults(func=cmd_rep_check)
-
-    p = add_command("hat", "matrix image of a crossed element")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--elem", required=True)
-    p.set_defaults(func=cmd_hat)
-
-    p = add_command("bound", "certified operator-norm bound")
-    p.add_argument("--elem", required=True)
-    p.set_defaults(func=cmd_bound)
-
-    p = add_command("seminorm", "seminorm interval over a family")
-    p.add_argument("--elem", required=True)
-    p.add_argument("--family", required=True)
-    p.set_defaults(func=cmd_seminorm)
-
-    p = add_command("roundtrip", "group/algebra action recovered from the bridge")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--probe", required=True)
-    p.set_defaults(func=cmd_roundtrip)
-
-    p = add_command("ccr-report", "finite-rank and structural flags")
-    p.add_argument("--family", required=True)
-    p.add_argument("--elem", action="append", required=True)
-    p.set_defaults(func=cmd_ccr_report)
-
-    p = add_command("orbit-deriv", "certified first-order orbit derivative residual")
-    p.add_argument("--pair", required=True)
-    p.add_argument("--elem", required=True)
-    p.add_argument("--h", type=_step, default=0.1)
-    p.set_defaults(func=cmd_orbit_deriv)
-
-    p = add_command("taylor", "first-order Taylor norm bound check")
-    p.add_argument("--pair", required=True)
-    p.add_argument("--elem", required=True)
-    p.add_argument("--family", required=True)
-    p.set_defaults(func=cmd_taylor)
-
+    for command, (help_text, *flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, parents=[common])
+        # validate takes exactly one of its two names
+        names = p.add_mutually_exclusive_group(required=True) if command == "validate" else p
+        for flag, kind, *settings in flags:
+            if isinstance(kind, dict):
+                p.add_argument(flag, **kind)
+            else:
+                names.add_argument(flag, required=command != "validate", **dict(*settings))
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _json(doc: dict) -> str:
+    """Deterministic strict JSON of ``doc``; a NaN or an infinity in it
+    raises OverflowError."""
     try:
-        args = parser.parse_args(argv, argparse.Namespace(**_DEFAULTS))
+        return json.dumps(_norm(doc), indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise OverflowError(exc) from None
+
+
+def main(argv=None) -> int:
+    try:
+        args = build_parser().parse_args(argv, argparse.Namespace(**_DEFAULTS))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        ws = _load_workspace(args)
-        doc, ok = args.func(ws, args)
-        code = 0 if ok else 1
-    except DslError as exc:
-        doc, code = {"error": str(exc)}, 2
+        ws = Workspace()
+        for name in args.catalog or []:
+            load_catalog(name, workspace=ws)
+        for path in args.file or []:
+            parse_file(path, ws)
+        definitions = _resolve(ws, args)
+        # looked up here, so a handler rebound on the module is the one run
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
+        doc, ok = handler(args, *definitions)
+        text, code = _json(doc), 0 if ok else 1
+    except (DslError, OSError) as exc:
+        text, code = _json({"error": str(exc)}), 2
     except SuperrepError as exc:
-        doc, code = {"error": str(exc)}, 1
-    except OSError as exc:
-        doc, code = {"error": str(exc)}, 2
+        text, code = _json({"error": str(exc)}), 1
+    except OverflowError as exc:
+        # a NaN or an infinity in the result, or a float overflow computing it
+        text, code = _json({"error": f"non-finite result: {exc}"}), 1
     except Exception as exc:
         # a structured error, never a traceback
-        doc, code = {"error": f"internal error: {type(exc).__name__}: {exc}"}, 1
+        text, code = _json({"error": f"internal error: {type(exc).__name__}: {exc}"}), 1
     try:
-        emit(doc, args.out)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except OSError as exc:
         # an unwritable --out is an input error; report it on stdout
-        emit({"error": str(exc)}, None)
+        sys.stdout.write(_json({"error": str(exc)}))
         return 2
     return code
 

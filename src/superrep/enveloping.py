@@ -111,11 +111,13 @@ def _accumulate(acc: dict, word: Word, coeff):
 @dataclass(init=False, repr=False)
 class UEElement:
     """Element of the enveloping algebra in PBW normal form; equal by
-    algebra and terms (not by order), unhashable."""
+    algebra, order and terms (its terms are normal forms in that order),
+    unhashable."""
 
     __slots__ = ("algebra", "terms", "order")
     algebra: SuperAlgebra
     terms: dict[Word, GaussianRational]
+    order: str
 
     def __init__(self, algebra: SuperAlgebra, terms=None, order: str = DECL_ORDER):
         self.algebra = algebra

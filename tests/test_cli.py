@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,13 @@ def test_unknown_name_exits_2(capsys):
     code, out = run(capsys, "--catalog", "hc", "bound", "--elem", "nope")
     assert code == 2
     assert "unknown" in json.loads(out)["error"]
+
+
+def test_empty_pair_name_is_an_unknown_pair(capsys):
+    # an empty --pair is looked up, not taken for the absent side of validate
+    code, out = run(capsys, "--catalog", "hc", "validate", "--pair", "")
+    assert code == 2
+    assert json.loads(out) == {"error": "unknown pair ''"}
 
 
 def test_roundtrip_with_a_vanishing_probe_image_exits_2(capsys):
@@ -434,3 +442,86 @@ def test_mutated_catalog_files_keep_the_exit_code_and_output_contract(
     source_path.write_text(mutated_source(name, mutations), encoding="utf-8")
     others = [arg for other in CATALOG_NAMES if other != name for arg in ("--catalog", other)]
     _keeps_the_contract(data.draw(_argv(others + ["--file", str(source_path)])))
+
+
+# -- one definition table: required flags and lookup order -------------------
+
+# the flags of _COMMANDS that may be left out; every other one is required
+_OPTIONAL = {("nf", "--order"), ("gamma-check", "--word"), ("orbit-deriv", "--h")}
+
+
+@pytest.mark.parametrize("command, flag", sorted(
+    {(command, flag) for command, alternatives in _COMMANDS.items()
+     for flags in alternatives for flag in flags} - _OPTIONAL))
+def test_each_required_flag_omitted_is_a_usage_error(capsys, command, flag):
+    # a value each plain option accepts; any name will do for the others
+    values = {"--order": "decl", "--h": "0.1" if command == "orbit-deriv" else "a0"}
+    for flags in _COMMANDS[command]:
+        if flag not in flags:
+            continue
+        args = [arg for other in flags if other != flag
+                for arg in (other, values.get(other, "a0"))]
+        code = main(["--catalog", "hc", command, *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "required" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    "xp-mul", "gamma-check", "hat", "seminorm", "roundtrip", "ccr-report", "orbit-deriv",
+    "taylor",
+])
+def test_names_resolve_in_flag_order(capsys, command):
+    # every name unknown, given in reverse: the first name flag is looked up first
+    [flags] = _COMMANDS[command]
+    names = [flag for flag in flags
+             if flag in _CATEGORY and (command, flag) not in _OPTIONAL]
+    args = [arg for i, flag in reversed(list(enumerate(names))) for arg in (flag, f"no{i}")]
+    code, out = run(capsys, "--catalog", "hc", "--catalog", "podd", command, *args)
+    assert code == 2
+    assert json.loads(out) == {"error": f"unknown {_CATEGORY[names[0]]} 'no0'"}
+
+
+def test_gamma_check_looks_up_every_name_before_the_pair_check(capsys):
+    code, out = run(capsys, "--catalog", "hc", "--catalog", "podd", "gamma-check",
+                    "--pair", "z2odd", "--f", "gauss1", "--h", "nosuch")
+    assert code == 2
+    assert json.loads(out) == {"error": "unknown function 'nosuch'"}
+
+
+# -- strict JSON: a non-finite result is an error -----------------------------
+
+_OVERFLOWS = {
+    # exp(-a t^2) with a = 1e308: the derivative's 2.0 * a * mu is inf * 0
+    "nan-bound": ("(gauss 1e308 0 1)", ("bound", "--elem", "a")),
+    # a subnormal rate: the bound overflows to infinity
+    "inf-bound": ("(gauss 1e-320 0 1)", ("bound", "--elem", "a")),
+    # a far centre overflows a moment's mu ** e
+    "overflow-orbit": ("(gauss 1 1e300 1)", ("orbit-deriv", "--pair", "tinyline", "--elem", "a")),
+    # coefficients near the float maximum multiply to inf - inf
+    "nan-product": ("(gauss 1 0 1e308 1e308)", ("xp-mul", "--left", "a", "--right", "a")),
+}
+
+
+@pytest.mark.parametrize("gauss, argv", _OVERFLOWS.values(), ids=_OVERFLOWS)
+def test_non_finite_result_exits_1(capsys, tmp_path, gauss, argv):
+    src = tmp_path / "big.sexp"
+    src.write_text(TINY_LINE + f"(element a tinyline (tensor (ue (1 x)) (linefunc (plus {gauss}))))\n")
+    code, out = run(capsys, "--file", str(src), *argv)
+    assert code == 1
+    [error] = json.loads(out).values()
+    assert error.startswith("non-finite result: ")
+
+
+# -- the benchmark's golden output --------------------------------------------
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(_ROOT, "bench", "golden", "cli.json"), encoding="utf-8") as _fh:
+    _GOLDEN = json.load(_fh)
+
+
+@pytest.mark.parametrize("entry", _GOLDEN, ids=[" ".join(g["argv"]) for g in _GOLDEN])
+def test_golden_output(capsys, monkeypatch, entry):
+    monkeypatch.chdir(_ROOT)  # one command names a relative path
+    assert run(capsys, *entry["argv"]) == (entry["exit"], entry["stdout"])

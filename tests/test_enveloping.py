@@ -265,6 +265,19 @@ def test_scalar_and_additive_operations(workspace, name):
         assert a.is_zero() == (a == UEElement.zero(algebra)) == (not a.terms)
 
 
+def test_equality_compares_the_order(hc):
+    # x is normal in both orders, so only the order tells the two apart
+    x = hc.basis_names.index("x")
+    decl = normal_form(hc, (x,))
+    odd_major = normal_form(hc, (x,), order=ODD_MAJOR_ORDER)
+    assert decl.terms == odd_major.terms
+    assert decl != odd_major and not decl == odd_major
+    assert decl == normal_form(hc, (x,)) == UEElement.generator(hc, x)
+    assert odd_major == normal_form(hc, (x,), order=ODD_MAJOR_ORDER)
+    with pytest.raises(MismatchError, match="different PBW orders"):
+        decl - odd_major
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda ws: normal_form(ws.algebras["hc"], (1, 0), order="bogus"),
      ValueError, "unknown basis order 'bogus'"),
