@@ -12,6 +12,7 @@ complex numbers as [re, im] pairs, and never NaN or Infinity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -333,7 +334,10 @@ def cmd_taylor(args, pair, a, family) -> tuple[dict, bool]:
 _DEFAULTS = {"file": None, "catalog": None, "out": None, "tol": 1e-8, "seed": 0}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the command line, built once per process and shared by
+    every ``main`` call; callers must not mutate it."""
     # The workspace/IO flags are usable before or after the subcommand.  They
     # set nothing when absent, so the subcommand never overwrites a value the
     # top-level parser read; their defaults come from _DEFAULTS.

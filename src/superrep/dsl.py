@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .crossed import CrossedElement
@@ -58,22 +58,22 @@ _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?(i)?\Z")
 _FLOAT = re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?(i)?\Z")
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     kind: str  # "symbol" | "rational" | "float" | "imag-rational" | "imag-float"
     value: object
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class SList:
+class SList(NamedTuple):
     items: tuple
     line: int
     col: int
 
 
 def _classify(text: str, line: int, col: int) -> Atom:
+    if not (text[0] in "+-." or text[0].isdecimal()):  # neither number pattern matches
+        return Atom("symbol", text, line, col)
     m = _RATIONAL.match(text)
     if m:
         body = text[:-1] if m.group(2) else text

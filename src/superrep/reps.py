@@ -42,8 +42,16 @@ Word = tuple[int, ...]
 TOL = 1e-9
 
 
+def _finite(mat: np.ndarray) -> np.ndarray:
+    """``mat`` itself; a NaN or an infinite entry raises OverflowError."""
+    if not np.isfinite(mat).all():
+        raise OverflowError("matrix with a non-finite entry")
+    return mat
+
+
 def operator_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat, 2)) if mat.size else 0.0
+    """Spectral norm; a non-finite matrix is refused (OverflowError)."""
+    return float(np.linalg.norm(_finite(mat), 2)) if mat.size else 0.0
 
 
 @dataclass
@@ -450,7 +458,7 @@ def ccr_report(family: list[MatrixRep], generators: list[CrossedElement]) -> dic
     for rep in family:
         images = [rep_hat(rep, a).reshape(-1) for a in generators]
         stack = np.array(images) if images else np.zeros((0, rep.dim * rep.dim))
-        rank = int(np.linalg.matrix_rank(stack, tol=1e-10)) if images else 0
+        rank = int(np.linalg.matrix_rank(_finite(stack), tol=1e-10)) if images else 0
         out["representations"].append(
             {
                 "name": rep.name,

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -514,6 +516,59 @@ def test_non_finite_result_exits_1(capsys, tmp_path, gauss, argv):
     assert error.startswith("non-finite result: ")
 
 
+@pytest.fixture
+def huge(tmp_path):
+    """A file defining an element whose bridge matrix is infinite on
+    hc-rep-4 and hc-rep-8 only."""
+    src = tmp_path / "huge.sexp"
+    src.write_text("(element e hcline (tensor (ue (1 x)) "
+                   "(linefunc (plus (gauss 1 0 1e308 1e308)))))\n")
+    return str(src)
+
+
+@pytest.mark.parametrize("argv", [
+    ("seminorm", "--elem", "e", "--family", "hc-grid"),
+    ("taylor", "--pair", "hcline", "--elem", "e", "--family", "hc-grid"),
+    ("ccr-report", "--family", "hc-grid", "--elem", "e"),
+    ("hat", "--rep", "hc-rep-4", "--elem", "e"),
+], ids=lambda argv: argv[0])
+def test_non_finite_bridge_matrix_exits_1(capsys, huge, argv):
+    code, out = run(capsys, "--catalog", "hc", "--file", huge, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": "non-finite result: matrix with a non-finite entry"}
+
+
+def test_finite_bridge_matrix_near_the_float_maximum_is_printed(capsys, huge):
+    code, out = run(capsys, "--catalog", "hc", "--file", huge, "hat", "--rep", "hc-rep-2",
+                    "--elem", "e")
+    assert code == 0
+    assert 9e307 < json.loads(out)["operator_norm"] < 1e308
+
+
+# -- one parser per process ---------------------------------------------------
+
+# each of these would see a leftover of the one before if the parser kept state
+_SEQUENCE = [
+    ("--catalog", "hc", "nf", "--algebra", "hc", "--word", "x", "--order", "bogus"),
+    ("--help",),
+    ("--catalog", "hc", "ccr-report", "--family", "hc-grid", "--elem", "a0", "--elem", "ax"),
+    ("--catalog", "hc", "ccr-report", "--family", "hc-grid", "--elem", "a0"),
+    ("--catalog", "hc", "--catalog", "podd", "validate", "--pair", "z2odd"),
+    ("--catalog", "hc", "validate", "--pair", "z2odd"),
+]
+
+
+def test_the_shared_parser_keeps_no_state():
+    first = []
+    for argv in _SEQUENCE:
+        cli.build_parser.cache_clear()  # a new parser, as in a new process
+        first.append(_run(list(argv)))
+    parser = cli.build_parser()
+    assert [_run(list(argv)) for argv in _SEQUENCE] == first
+    assert cli.build_parser() is parser
+    assert [code for code, _, _ in first] == [2, 0, 0, 0, 0, 2]
+
+
 # -- the benchmark's golden output --------------------------------------------
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -525,3 +580,11 @@ with open(os.path.join(_ROOT, "bench", "golden", "cli.json"), encoding="utf-8") 
 def test_golden_output(capsys, monkeypatch, entry):
     monkeypatch.chdir(_ROOT)  # one command names a relative path
     assert run(capsys, *entry["argv"]) == (entry["exit"], entry["stdout"])
+
+
+def test_golden_output_in_a_new_process():
+    [entry] = [g for g in _GOLDEN if "bound" in g["argv"]]
+    env = {**os.environ, "PYTHONPATH": os.path.join(_ROOT, "src")}
+    done = subprocess.run([sys.executable, "-m", "superrep.cli", *entry["argv"]], cwd=_ROOT,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (entry["exit"], entry["stdout"])

@@ -609,6 +609,14 @@ def test_ccr_flags_and_span(z2odd, hc_grid, workspace):
     assert all(r["finite_rank"] for r in hc_doc["representations"])
 
 
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
+def test_a_non_finite_matrix_is_refused(entry):
+    mat = np.array([[1.0, entry], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(OverflowError, match="matrix with a non-finite entry"):
+        operator_norm(mat)
+    assert operator_norm(np.eye(2) * 1e308) == 1e308
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda ws: ws.reps["reg4"].pi_function(GaussianPoly.gaussian()),
      MismatchError, "finite representation needs a finite function"),
