@@ -265,9 +265,12 @@ class GaussianPoly:
     def translate(self, tau: float) -> "GaussianPoly":
         """t -> t - tau (left translation by tau on each component)."""
         tau = float(tau)
+
+        def shift(t: GaussTerm) -> GaussTerm:
+            return GaussTerm(_poly_shift(t.coeffs, -tau), t.rate, t.center + tau)
+
         # c + tau can round two centers together, so the result is merged
-        out = self._map(lambda t: GaussTerm(_poly_shift(t.coeffs, -tau), t.rate, t.center + tau))
-        return GaussianPoly(out.plus, out.eps)
+        return GaussianPoly(map(shift, self.plus), map(shift, self.eps))
 
     def derivative(self, scalar=None) -> "GaussianPoly":
         """d/dt on each component; with ``scalar``, times that scalar in the

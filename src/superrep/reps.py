@@ -8,11 +8,12 @@ are checked with explicit witness matrices: each check is
 ``np.allclose(lhs, rhs, atol=TOL, rtol=1e-5)`` per matrix, and all of them
 are evaluated in one fused comparison.
 
-The bridge sends D (x) f to rho(D) pi(f); its operator norm over an explicit
-family gives the lower end of the seminorm interval, and a certified
-recursion on the monomial letters (peeling odd letters by Cauchy-Schwarz,
-turning even letters into derivatives of f) gives the upper end, valid for
-every representation at once.
+The bridge ``rep_hat`` sends D (x) f to rho(D) pi(f); it is the one way
+into matrices, and it refuses an image with a NaN or an infinite entry
+(OverflowError).  Its operator norm over an explicit family gives the lower
+end of the seminorm interval, and a certified recursion on the monomial
+letters (peeling odd letters by Cauchy-Schwarz, turning even letters into
+derivatives of f) gives the upper end, valid for every representation at once.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ import numpy as np
 from .crossed import CrossedElement, mul_group, mul_lie
 from .enveloping import ODD_MAJOR_ORDER, normal_form
 from .errors import MismatchError, StructureError, UnsupportedInstanceError
-from .functions import (
-    FiniteFunction,
-    GaussianPoly,
-    fourier_at,
-    l1_bound,
-    right_derivative,
-)
+from .functions import fourier_at, l1_bound, right_derivative
 from .groups import FINITE, LINE, GroupPoint, Supergroup
 from .superalgebra import EVEN, ODD, is_nilpotent, is_odd_generated
 from .validation import ValidationReport
@@ -101,17 +96,14 @@ class MatrixRep:
             self.words[word] = out
         return out
 
-    def pi_function(self, f) -> np.ndarray:
-        """pi(f): the function integrated against the group layer."""
+    def _pi_function(self, f) -> np.ndarray:
+        """pi(f): the function integrated against the group layer; f is a
+        function of the pair, as ``rep_hat``, the only caller, has checked."""
         if self.pair.group.kind == FINITE:
-            if not isinstance(f, FiniteFunction):
-                raise MismatchError("finite representation needs a finite function")
             out = np.zeros((self.dim, self.dim), dtype=complex)
             for point, v in f.values.items():
                 out += complex(v) * self.pi(point)
             return out
-        if not isinstance(f, GaussianPoly):
-            raise MismatchError("line representation needs a Gaussian-polynomial function")
         plus = fourier_at(f, self.freq, "plus")
         eps = fourier_at(f, self.freq, "eps")
         return plus * self.identity + eps * self.grading
@@ -248,15 +240,16 @@ def validate_rep(rep: MatrixRep) -> ValidationReport:
 
 
 def rep_hat(rep: MatrixRep, a: CrossedElement) -> np.ndarray:
-    """The bridge: sum of rho(D) pi(f) over the canonical terms."""
+    """The bridge: sum of rho(D) pi(f) over the canonical terms; an image
+    with a NaN or an infinite entry is refused (OverflowError)."""
     if not rep.validated:
         validate_rep(rep).raise_if_failed()
     if a.pair != rep.pair:
         raise MismatchError("element and representation live over different pairs")
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
     for word, f in a.terms.items():
-        out += rep.rho_word(word) @ rep.pi_function(f)
-    return out
+        out += rep.rho_word(word) @ rep._pi_function(f)
+    return _finite(out)
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +420,13 @@ def taylor_norm_check(
     pair.require_trivial_line_ad()
     z = pair.generator_index
     lam_z = mul_lie(pair, z)
+    z_a = lam_z.lam(a)
     # the constant M bounds rho(z^2 D) pi(f) uniformly over representations
-    zz_a = lam_z.lam(lam_z.lam(a))
-    m_const = prop33_bound(zz_a)
+    m_const = prop33_bound(lam_z.lam(z_a))
     rows = []
     for t in (1e-1, 1e-2, 1e-3):
         moved = mul_group(pair, GroupPoint(t, False)).lam(a)
-        defect = (moved - a).scale(1.0 / t) - lam_z.lam(a)
+        defect = (moved - a).scale(1.0 / t) - z_a
         family_max = max(
             (operator_norm(rep_hat(rep, defect)) for rep in family), default=0.0
         )
@@ -457,8 +450,7 @@ def ccr_report(family: list[MatrixRep], generators: list[CrossedElement]) -> dic
     out = {"representations": [], "flags": {}}
     for rep in family:
         images = [rep_hat(rep, a).reshape(-1) for a in generators]
-        stack = np.array(images) if images else np.zeros((0, rep.dim * rep.dim))
-        rank = int(np.linalg.matrix_rank(_finite(stack), tol=1e-10)) if images else 0
+        rank = int(np.linalg.matrix_rank(np.array(images), tol=1e-10)) if images else 0
         out["representations"].append(
             {
                 "name": rep.name,

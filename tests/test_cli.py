@@ -531,6 +531,14 @@ def huge(tmp_path):
     ("taylor", "--pair", "hcline", "--elem", "e", "--family", "hc-grid"),
     ("ccr-report", "--family", "hc-grid", "--elem", "e"),
     ("hat", "--rep", "hc-rep-4", "--elem", "e"),
+    # a NaN probe image, not a vanishing one
+    ("roundtrip", "--rep", "hc-rep-4", "--probe", "e"),
+    # a finite probe image whose rho(z) multiple overflows: not a NaN left out
+    # of the maximum deviation; the CLI prints numpy's matmul warnings on
+    # stderr, which the test settings would otherwise raise
+    pytest.param(("roundtrip", "--rep", "hc-rep-2", "--probe", "e"), id="roundtrip-rho-z",
+                 marks=pytest.mark.filterwarnings(
+                     "ignore:(overflow|invalid value) encountered in matmul:RuntimeWarning")),
 ], ids=lambda argv: argv[0])
 def test_non_finite_bridge_matrix_exits_1(capsys, huge, argv):
     code, out = run(capsys, "--catalog", "hc", "--file", huge, *argv)

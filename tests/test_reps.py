@@ -15,7 +15,7 @@ from superrep import reps
 from superrep.crossed import CrossedElement, mul_group, mul_lie, xp_multiply, xp_star
 from superrep.dsl import parse
 from superrep.enveloping import ODD_MAJOR_ORDER, UEElement, normal_form
-from superrep.errors import MismatchError, StructureError, UnsupportedInstanceError
+from superrep.errors import StructureError, UnsupportedInstanceError
 from superrep.functions import (
     FiniteFunction,
     GaussianPoly,
@@ -120,19 +120,23 @@ def test_hat_closed_form_hc(hcline):
 
 
 def test_pi_from_group_side_equals_hat_of_unit_tensor(hcline, z2odd, reg4):
-    # finite case
+    # finite case: pi(f) is the sum of f(p) pi(p) over the support
     rng = random.Random(201)
     for _ in range(20):
         f = random_finite_function(rng, z2odd)
         a = CrossedElement.tensor(z2odd, UEElement.unit(z2odd.algebra), f)
-        assert np.allclose(reg4.pi_function(f), rep_hat(reg4, a))
-    # line case
+        group_side = sum((complex(v) * reg4.pi(p) for p, v in f.values.items()),
+                         np.zeros((reg4.dim, reg4.dim), dtype=complex))
+        assert np.allclose(group_side, rep_hat(reg4, a))
+    # line case: the Fourier value of each component times I or the grading
     rep = make_hc_rep(hcline, 0.5)
     f = GaussianPoly.gaussian(1.0, 0.3, (1.0, 1.0)) + GaussianPoly(
         (), GaussianPoly.gaussian(2.0, 0.0, (0.5,)).plus
     )
     a = CrossedElement.tensor(hcline, UEElement.unit(hcline.algebra), f)
-    assert np.allclose(rep.pi_function(f), rep_hat(rep, a), atol=1e-12)
+    group_side = (fourier_at(f, rep.freq, "plus") * np.eye(rep.dim)
+                  + fourier_at(f, rep.freq, "eps") * rep.grading)
+    assert np.allclose(group_side, rep_hat(rep, a), atol=1e-12)
 
 
 def test_star_homomorphism_finite_100(z2odd, reg4, z2_chars):
@@ -617,17 +621,30 @@ def test_a_non_finite_matrix_is_refused(entry):
     assert operator_norm(np.eye(2) * 1e308) == 1e308
 
 
+@pytest.mark.parametrize("call", [
+    lambda rep, a: rep_hat(rep, a),
+    lambda rep, a: reconstruct_pi(rep, GroupPoint(0.5, False), a, np.ones(rep.dim)),
+    lambda rep, a: reconstruct_rho(rep, 0, a, np.ones(rep.dim)),
+], ids=["rep_hat", "reconstruct_pi", "reconstruct_rho"])
+def test_a_non_finite_image_is_refused_by_the_bridge(workspace, call):
+    """x (x) (1e308 + 1e308 t) e^{-t^2} has an infinite Fourier value at the
+    frequency of hc-rep-4, and rho(x) times it is NaN where it meets a zero:
+    rep_hat refuses it, so a reconstruction does not read it as a vanishing
+    probe image.  At frequency 2 the image is finite and returned."""
+    pair = workspace.pairs["hcline"]
+    x = UEElement.generator(pair.algebra, pair.algebra.basis_names.index("x"))
+    a = CrossedElement.tensor(pair, x, GaussianPoly.gaussian(1.0, 0.0, (1e308, 1e308)))
+    with pytest.raises(OverflowError, match="^matrix with a non-finite entry$"):
+        call(workspace.reps["hc-rep-4"], a)
+    assert 9e307 < operator_norm(rep_hat(workspace.reps["hc-rep-2"], a)) < 1e308
+
+
 @pytest.mark.parametrize("call, error, message", [
-    (lambda ws: ws.reps["reg4"].pi_function(GaussianPoly.gaussian()),
-     MismatchError, "finite representation needs a finite function"),
-    (lambda ws: ws.reps["hc-rep-2"].pi_function(ws.functions["d1"]),
-     MismatchError, "line representation needs a Gaussian-polynomial function"),
     (lambda ws: reps.SeminormInterval(1.0, 0.5),
      StructureError, "seminorm interval must satisfy lower <= upper"),
     (lambda ws: taylor_norm_check(ws.pairs["z2odd"], ws.elements["bx"], []),
      UnsupportedInstanceError, "Taylor check requires a line instance"),
-], ids=["finite-rep-line-function", "line-rep-finite-function", "interval-order",
-        "taylor-on-finite-pair"])
+], ids=["interval-order", "taylor-on-finite-pair"])
 def test_reps_refusals(workspace, call, error, message):
     with pytest.raises(error) as exc:
         call(workspace)

@@ -187,6 +187,20 @@ def test_line_twist_split(hcline):
     assert [g for g, _ in only_eps.twist_split()] == [GroupPoint(0, True)]
 
 
+def test_line_twist_split_clears_negative_zero_parts(hcline):
+    """The pieces are merged again, and the merge's sum from 0j turns the
+    -0.0 parts that a conjugate leaves into 0.0; without it, the star of
+    x (x) -e^{-t^2} would carry, and the CLI print, a -0.0 real part."""
+    f = GaussianPoly.gaussian(1.0, 0.0, (-1.0,)).conjugate()
+    assert f.plus[0].coeffs[0].imag.hex() == "-0x0.0p+0"
+    [(_, piece)] = f.twist_split()
+    assert [c.imag.hex() for c in piece.plus[0].coeffs] == ["0x0.0p+0"]
+    x = UEElement.generator(hcline.algebra, hcline.algebra.basis_names.index("x"))
+    a = CrossedElement.tensor(hcline, x, GaussianPoly.gaussian(1.0, 0.0, (-1.0,)))
+    [star] = xp_star(a).terms.values()
+    assert [(c.real.hex(), c.imag) for c in star.plus[0].coeffs] == [("0x0.0p+0", 1.0)]
+
+
 # -- the twist memo ----------------------------------------------------------
 
 
