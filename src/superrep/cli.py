@@ -367,6 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _snapshot(name: str) -> Workspace:
+    """The shipped catalog ``name``, parsed and validated once per process;
+    every ``main`` call merges it into its own workspace, sharing the
+    definitions (their memos grow), so callers must not mutate it."""
+    return load_catalog(name)
+
+
 def _json(doc: dict) -> str:
     """Deterministic strict JSON of ``doc``; a NaN or an infinity in it
     raises OverflowError."""
@@ -384,7 +392,7 @@ def main(argv=None) -> int:
     try:
         ws = Workspace()
         for name in args.catalog or []:
-            load_catalog(name, workspace=ws)
+            ws.merge(_snapshot(name))
         for path in args.file or []:
             parse_file(path, ws)
         definitions = _resolve(ws, args)

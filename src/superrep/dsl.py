@@ -257,18 +257,28 @@ class Workspace:
     def table(self, category: str) -> dict:
         return getattr(self, self._TABLES[category])
 
-    def _define(self, category: str, name: str, node, value):
+    def _define(self, category: str, name: str, site: tuple[int, int], value):
+        """Add ``value`` as ``name``, defined by the form at ``site`` (line,
+        column); a name defined before is refused there."""
         key = (category, name)
         if key in self._sites:
             line, col = self._sites[key]
             raise DslError(
                 f"duplicate {category} name {name!r} (first defined at "
                 f"line {line}, column {col})",
-                node.line,
-                node.col,
+                *site,
             )
-        self._sites[key] = (node.line, node.col)
+        self._sites[key] = site
         self.table(category)[name] = value
+
+    def merge(self, other: Workspace):
+        """Add every definition of ``other``, a workspace parsed on its own, in
+        its order of definition.  The definitions are shared, not copied.  A
+        name defined here already is refused at ``other``'s first such site,
+        the error that parsing ``other``'s source into this workspace gives."""
+        for (category, name), site in other._sites.items():
+            self._define(category, name, site, other.table(category)[name])
+        self._function_pairs.update(other._function_pairs)
 
     def require_function_pair(self, name: str, pair_name: str, node):
         """Refuse the defined function ``name`` unless it lives on the pair
@@ -382,7 +392,7 @@ def _build_superalgebra(ws: Workspace, form: SList):
         algebra = build_superalgebra(name, names, parity, constants)
     except Exception as exc:
         raise DslError(str(exc), form.line, form.col) from exc
-    ws._define("algebra", name, form, algebra)
+    ws._define("algebra", name, (form.line, form.col), algebra)
 
 
 def _build_pair(ws: Workspace, form: SList):
@@ -443,7 +453,7 @@ def _build_pair(ws: Workspace, form: SList):
         pair = build_pair(name, group, algebra)
     except Exception as exc:
         raise DslError(str(exc), form.line, form.col) from exc
-    ws._define("pair", name, form, pair)
+    ws._define("pair", name, (form.line, form.col), pair)
 
 
 def _point(pair: Supergroup, node) -> GroupPoint:
@@ -516,7 +526,7 @@ def _build_function(ws: Workspace, form: SList):
     pair_name = _expect_symbol(form.items[2], "pair name")
     pair = ws.lookup("pair", pair_name, form.items[2])
     func = _function_literal(pair, form.items[3])
-    ws._define("function", name, form, func)
+    ws._define("function", name, (form.line, form.col), func)
     ws._function_pairs[name] = pair_name
 
 
@@ -552,7 +562,7 @@ def _build_element(ws: Workspace, form: SList):
         ue = _ue_literal(pair, term.items[1])
         func = _function_ref(ws, pair, term.items[2])
         total = total + CrossedElement.tensor(pair, ue, func)
-    ws._define("element", name, form, total)
+    ws._define("element", name, (form.line, form.col), total)
 
 
 def _matrix(node) -> np.ndarray:
@@ -632,7 +642,7 @@ def _build_rep(ws: Workspace, form: SList):
     if not report.ok:
         raise DslError(f"representation {name!r} fails validation ({report.summary()})",
                        form.line, form.col)
-    ws._define("rep", name, form, rep)
+    ws._define("rep", name, (form.line, form.col), rep)
 
 
 def _build_family(ws: Workspace, form: SList):
@@ -644,7 +654,7 @@ def _build_family(ws: Workspace, form: SList):
         nm = _expect_symbol(node, "rep name")
         ws.lookup("rep", nm, node)
         members.append(nm)
-    ws._define("family", name, form, members)
+    ws._define("family", name, (form.line, form.col), members)
 
 
 _BUILDERS = {

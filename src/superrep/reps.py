@@ -247,8 +247,13 @@ def rep_hat(rep: MatrixRep, a: CrossedElement) -> np.ndarray:
     if a.pair != rep.pair:
         raise MismatchError("element and representation live over different pairs")
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for word, f in a.terms.items():
-        out += rep.rho_word(word) @ rep._pi_function(f)
+    # an overflow or a NaN on the way is refused as it happens, not warned of
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for word, f in a.terms.items():
+                out += rep.rho_word(word) @ rep._pi_function(f)
+        except FloatingPointError:
+            raise OverflowError("matrix with a non-finite entry") from None
     return _finite(out)
 
 

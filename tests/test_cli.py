@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from superrep import cli
 from superrep.catalog import CATALOG_NAMES, load_catalog
 from superrep.cli import main
+from superrep.dsl import DslError, Workspace, parse_file, print_workspace
 
 from test_dsl import MUTATION, mutated_source
 
@@ -534,16 +535,23 @@ def huge(tmp_path):
     # a NaN probe image, not a vanishing one
     ("roundtrip", "--rep", "hc-rep-4", "--probe", "e"),
     # a finite probe image whose rho(z) multiple overflows: not a NaN left out
-    # of the maximum deviation; the CLI prints numpy's matmul warnings on
-    # stderr, which the test settings would otherwise raise
-    pytest.param(("roundtrip", "--rep", "hc-rep-2", "--probe", "e"), id="roundtrip-rho-z",
-                 marks=pytest.mark.filterwarnings(
-                     "ignore:(overflow|invalid value) encountered in matmul:RuntimeWarning")),
+    # of the maximum deviation, and no numpy warning on the way
+    pytest.param(("roundtrip", "--rep", "hc-rep-2", "--probe", "e"), id="roundtrip-rho-z"),
 ], ids=lambda argv: argv[0])
 def test_non_finite_bridge_matrix_exits_1(capsys, huge, argv):
     code, out = run(capsys, "--catalog", "hc", "--file", huge, *argv)
     assert code == 1
     assert json.loads(out) == {"error": "non-finite result: matrix with a non-finite entry"}
+
+
+def test_bridge_overflow_is_refused_without_a_warning(huge):
+    # under -W error a numpy warning would end as an internal error
+    env = {**os.environ, "PYTHONPATH": os.path.join(_ROOT, "src")}
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "superrep.cli", "--catalog", "hc",
+                           "--file", huge, "roundtrip", "--rep", "hc-rep-2", "--probe", "e"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, json.loads(done.stdout), done.stderr) == (
+        1, {"error": "non-finite result: matrix with a non-finite entry"}, "")
 
 
 def test_finite_bridge_matrix_near_the_float_maximum_is_printed(capsys, huge):
@@ -553,9 +561,13 @@ def test_finite_bridge_matrix_near_the_float_maximum_is_printed(capsys, huge):
     assert 9e307 < json.loads(out)["operator_norm"] < 1e308
 
 
-# -- one parser per process ---------------------------------------------------
+# -- one parser and one copy of each shipped catalog per process --------------
 
-# each of these would see a leftover of the one before if the parser kept state
+# an abelian algebra named like the shipped hc, in which x x is 0, not z/2
+_REDEFINE_HC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "redefine_hc.sexp")
+
+# each of these would see a leftover of the one before if the parser or a
+# shipped catalog kept state
 _SEQUENCE = [
     ("--catalog", "hc", "nf", "--algebra", "hc", "--word", "x", "--order", "bogus"),
     ("--help",),
@@ -563,18 +575,68 @@ _SEQUENCE = [
     ("--catalog", "hc", "ccr-report", "--family", "hc-grid", "--elem", "a0"),
     ("--catalog", "hc", "--catalog", "podd", "validate", "--pair", "z2odd"),
     ("--catalog", "hc", "validate", "--pair", "z2odd"),
+    ("--file", _REDEFINE_HC, "nf", "--algebra", "hc", "--word", "x,x"),
+    ("--catalog", "hc", "nf", "--algebra", "hc", "--word", "x,x"),
+    ("--catalog", "hc", "--file", _REDEFINE_HC, "nf", "--algebra", "hc", "--word", "x,x"),
+    ("--catalog", "hc", "--catalog", "hc", "nf", "--algebra", "hc", "--word", "x,x"),
 ]
 
 
 def test_the_shared_parser_keeps_no_state():
     first = []
     for argv in _SEQUENCE:
-        cli.build_parser.cache_clear()  # a new parser, as in a new process
+        # a new parser and new catalogs, as in a new process
+        cli.build_parser.cache_clear()
+        cli._snapshot.cache_clear()
         first.append(_run(list(argv)))
-    parser = cli.build_parser()
+    parser, hc = cli.build_parser(), cli._snapshot("hc")
     assert [_run(list(argv)) for argv in _SEQUENCE] == first
-    assert cli.build_parser() is parser
-    assert [code for code, _, _ in first] == [2, 0, 0, 0, 0, 2]
+    assert cli.build_parser() is parser and cli._snapshot("hc") is hc
+    assert [code for code, _, _ in first] == [2, 0, 0, 0, 0, 2, 0, 0, 2, 2]
+    assert first[6][1] != first[7][1]  # the file's hc, then the shipped one
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_a_snapshot_built_workspace_prints_as_a_fresh_catalog(name):
+    ws = Workspace()
+    ws.merge(cli._snapshot(name))
+    assert print_workspace(ws) == print_workspace(load_catalog(name))
+
+
+def test_merged_snapshots_are_the_catalogs_parsed_together():
+    ws, fresh = Workspace(), load_catalog()
+    for name in CATALOG_NAMES:
+        ws.merge(cli._snapshot(name))
+    assert print_workspace(ws) == print_workspace(fresh)
+    assert list(ws._sites.items()) == list(fresh._sites.items())
+    assert ws._function_pairs == fresh._function_pairs
+
+
+def test_load_catalog_shares_nothing_with_the_snapshots():
+    for name in CATALOG_NAMES:
+        fresh, shared = load_catalog(name), cli._snapshot(name)
+        for category in shared._TABLES:
+            for key, value in shared.table(category).items():
+                assert fresh.table(category)[key] is not value
+
+
+@pytest.mark.parametrize("sources", [
+    ("--catalog", "hc", "--catalog", "hc"),
+    ("--catalog", "toys", "--catalog", "hc", "--catalog", "podd", "--catalog", "podd"),
+    ("--catalog", "hc", "--file", _REDEFINE_HC),
+], ids=["catalog-twice", "catalog-twice-among-others", "file-redefines-catalog"])
+def test_a_name_clash_gives_the_error_of_a_real_parse(capsys, sources):
+    # every source parsed into one workspace, as main did before snapshots
+    ws = Workspace()
+    with pytest.raises(DslError) as exc:
+        for flag, name in zip(sources[::2], sources[1::2]):
+            if flag == "--catalog":
+                load_catalog(name, workspace=ws)
+            else:
+                parse_file(name, ws)
+    assert "duplicate algebra name" in str(exc.value)
+    code, out = run(capsys, *sources, "nf", "--algebra", "hc", "--word", "x")
+    assert (code, out) == (2, cli._json({"error": str(exc.value)}))
 
 
 # -- the benchmark's golden output --------------------------------------------
@@ -588,6 +650,17 @@ with open(os.path.join(_ROOT, "bench", "golden", "cli.json"), encoding="utf-8") 
 def test_golden_output(capsys, monkeypatch, entry):
     monkeypatch.chdir(_ROOT)  # one command names a relative path
     assert run(capsys, *entry["argv"]) == (entry["exit"], entry["stdout"])
+
+
+def test_handlers_leave_the_shared_catalogs_unchanged(capsys, monkeypatch):
+    monkeypatch.chdir(_ROOT)
+    before = [print_workspace(cli._snapshot(name)) for name in CATALOG_NAMES]
+    for _ in range(2):
+        for entry in _GOLDEN:
+            assert run(capsys, *entry["argv"]) == (entry["exit"], entry["stdout"])
+    assert [print_workspace(cli._snapshot(name)) for name in CATALOG_NAMES] == before
+    assert all(rep.validated for name in CATALOG_NAMES
+               for rep in cli._snapshot(name).reps.values())
 
 
 def test_golden_output_in_a_new_process():

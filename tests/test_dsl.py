@@ -68,6 +68,29 @@ def test_duplicate_name_reports_both_sites():
     assert msg.startswith("2:")  # second definition site
 
 
+def _state(ws):
+    return print_workspace(ws), list(ws._sites.items()), ws._function_pairs
+
+
+def test_merge_is_parsing_into_the_workspace():
+    # merging a workspace parsed on its own gives what parsing its source in
+    # gives: the same definitions, sites and order, or the same first error
+    clash = "(superalgebra b (basis (w even)))\n\n  (pair tinyline b (line w))\n"
+    for source in (HC_SOURCE, catalog_source("podd"), clash):
+        merged, parsed = parse(HC_SOURCE), parse(HC_SOURCE)
+        try:
+            parse(source, parsed)
+        except DslError as exc:
+            with pytest.raises(DslError) as caught:
+                merged.merge(parse(source))
+            assert str(caught.value) == str(exc)
+        else:
+            merged.merge(parse(source))
+            assert _state(merged) == _state(parsed)
+    assert str(caught.value) == ("3:3: duplicate pair name 'tinyline' "
+                                 "(first defined at line 5, column 1)")
+
+
 def test_zero_denominator_is_a_lexical_error():
     with pytest.raises(DslError, match="zero denominator") as exc:
         read_forms("(superalgebra a (basis (x odd)) (bracket x x (1/0 x)))")
