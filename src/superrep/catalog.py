@@ -16,8 +16,8 @@ def catalog_source(name: str) -> str:
     return (resources.files(__package__) / "data" / f"{name}.sexp").read_text("utf-8")
 
 
-def load_catalog(*names: str, workspace: Workspace | None = None) -> Workspace:
-    ws = workspace or Workspace()
+def load_catalog(*names: str) -> Workspace:
+    ws = Workspace()
     for name in names or CATALOG_NAMES:
         parse(catalog_source(name), ws)
     return ws

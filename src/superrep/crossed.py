@@ -48,7 +48,7 @@ def _twist(pair: Supergroup, g: GroupPoint, D: UEElement) -> UEElement:
         if image is None:
             phi = linalg.transpose(pair.ad_point(g))
             mono = UEElement(algebra, {w: GR_ONE}, D.order)
-            image = memo[probe] = apply_auto(algebra, phi, mono, checked=True)
+            image = memo[probe] = apply_auto(algebra, phi, mono)
         for ww, cc in image.terms.items():
             _accumulate(out.terms, ww, c * cc)
     return out

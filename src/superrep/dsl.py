@@ -32,7 +32,7 @@ from typing import NamedTuple
 from . import linalg
 from .crossed import CrossedElement
 from .enveloping import UEElement, normal_form
-from .errors import DslError
+from .errors import DslError, SuperrepError
 from .functions import FiniteFunction, GaussTerm, GaussianPoly
 from .groups import (
     FINITE,
@@ -390,7 +390,7 @@ def _build_superalgebra(ws: Workspace, form: SList):
             constants[j][i] = [-sign * c for c in constants[i][j]]
     try:
         algebra = build_superalgebra(name, names, parity, constants)
-    except Exception as exc:
+    except SuperrepError as exc:
         raise DslError(str(exc), form.line, form.col) from exc
     ws._define("algebra", name, (form.line, form.col), algebra)
 
@@ -406,8 +406,7 @@ def _build_pair(ws: Workspace, form: SList):
     if kind == "line":
         if len(gform.items) != 2:
             raise DslError("line group is (line GENERATOR)", gform.line, gform.col)
-        group = GroupData(LINE, f"{name}-line",
-                          generator_name=_expect_symbol(gform.items[1], "generator"))
+        group = GroupData(LINE, generator_name=_expect_symbol(gform.items[1], "generator"))
     elif kind == "finite":
         elements = table = None
         clauses, ad_sites = {}, {}  # sites of the set-once clauses and ad names
@@ -446,12 +445,12 @@ def _build_pair(ws: Workspace, form: SList):
         identity_mat = tuple(map(tuple, linalg.identity_matrix(algebra.dim)))
         mats = tuple(tuple(map(tuple, ad[nm])) if nm in ad else identity_mat
                      for nm in elements)
-        group = GroupData(FINITE, f"{name}-group", finite=fg, ad_matrices=mats)
+        group = GroupData(FINITE, finite=fg, ad_matrices=mats)
     else:
         raise DslError(f"unknown group kind {kind!r}", gform.line, gform.col)
     try:
         pair = build_pair(name, group, algebra)
-    except Exception as exc:
+    except SuperrepError as exc:
         raise DslError(str(exc), form.line, form.col) from exc
     ws._define("pair", name, (form.line, form.col), pair)
 

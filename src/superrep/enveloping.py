@@ -269,11 +269,10 @@ def check_automorphism(algebra: SuperAlgebra, phi) -> ValidationReport:
     return report
 
 
-def apply_auto(algebra: SuperAlgebra, phi, a: UEElement, checked=False) -> UEElement:
+def apply_auto(algebra: SuperAlgebra, phi, a: UEElement) -> UEElement:
     """Apply the algebra automorphism induced by the bracket- and
     parity-preserving linear map phi (image vectors per basis index)."""
-    if not checked:
-        check_automorphism(algebra, phi).raise_if_failed()
+    check_automorphism(algebra, phi).raise_if_failed()
     phi = [[GaussianRational.of(c) for c in v] for v in phi]
     out = UEElement.zero(algebra, a.order)
     for w, c in a.terms.items():

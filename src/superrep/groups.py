@@ -13,7 +13,7 @@ flip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -106,7 +106,7 @@ class GroupData:
     or the real line generated by one even basis element."""
 
     kind: str
-    name: str
+    _: KW_ONLY
     finite: FiniteGroup | None = None
     # adjoint matrix per finite group element, rows of rationals
     ad_matrices: tuple[tuple[tuple[Fraction, ...], ...], ...] | None = None

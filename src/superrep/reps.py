@@ -59,7 +59,7 @@ class MatrixRep:
     rho: tuple[np.ndarray, ...]  # one matrix per algebra basis element
     pi_table: tuple[np.ndarray, ...] | None = None  # finite: per group element
     freq: float | None = None  # line: pi(t) = exp(i freq t) * identity
-    validated: bool = field(default=False, compare=False)
+    validated: bool = field(default=False, init=False, compare=False)
     # rho(word) per word taken, filled by rho_word; outside equality and repr
     words: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -345,12 +345,16 @@ def prop33_bound(a: CrossedElement) -> float:
 class SeminormInterval:
     lower: float
     upper: float
-    kernel_flag: bool = False  # the certified bound forces the value to 0
     empty_family: bool = False
 
     def __post_init__(self):
         if self.lower > self.upper:
             raise StructureError("seminorm interval must satisfy lower <= upper")
+
+    @property
+    def kernel_flag(self) -> bool:
+        """The certified bound forces the value to 0."""
+        return self.upper == 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -366,13 +370,13 @@ def seminorm_interval(a: CrossedElement, family: list[MatrixRep]) -> SeminormInt
     below, the certified recursion from above."""
     upper = prop33_bound(a)
     if not family:
-        return SeminormInterval(0.0, upper, kernel_flag=(upper == 0.0), empty_family=True)
+        return SeminormInterval(0.0, upper, empty_family=True)
     lower = max(operator_norm(rep_hat(rep, a)) for rep in family)
     if upper == 0.0:
         # the certified bound already forces every representation to kill a
         lower = 0.0
     lower = min(lower, upper)
-    return SeminormInterval(lower, upper, kernel_flag=(upper == 0.0))
+    return SeminormInterval(lower, upper)
 
 
 # ---------------------------------------------------------------------------

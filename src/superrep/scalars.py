@@ -22,8 +22,6 @@ def _as_fraction(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superrep import cli
-from superrep.catalog import CATALOG_NAMES, load_catalog
+from superrep import cli, dsl
+from superrep.catalog import CATALOG_NAMES, catalog_source, load_catalog
 from superrep.cli import main
-from superrep.dsl import DslError, Workspace, parse_file, print_workspace
+from superrep.dsl import DslError, Workspace, parse, parse_file, print_workspace
 
 from test_dsl import MUTATION, mutated_source
 
@@ -243,6 +243,22 @@ def test_unexpected_exception_is_a_structured_error(capsys, monkeypatch):
     assert code == 1
     assert json.loads(captured.out) == {"error": "internal error: RuntimeError: boom"}
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("builder", ["build_superalgebra", "build_pair"])
+def test_a_bug_in_a_builder_is_an_internal_error(capsys, monkeypatch, tmp_path, builder):
+    """Only a SuperrepError from a builder is a located input error; any other
+    exception is a bug, which parse lets through and main reports as such."""
+    def broken(*args):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(dsl, builder, broken)
+    with pytest.raises(TypeError, match="boom"):
+        parse(TINY_LINE)
+    src = tmp_path / "tiny.sexp"
+    src.write_text(TINY_LINE)
+    code, out = run(capsys, "--file", str(src), "validate", "--pair", "tinyline")
+    assert (code, json.loads(out)) == (1, {"error": "internal error: TypeError: boom"})
 
 
 def test_freq_without_number_exits_2(capsys, tmp_path):
@@ -631,7 +647,7 @@ def test_a_name_clash_gives_the_error_of_a_real_parse(capsys, sources):
     with pytest.raises(DslError) as exc:
         for flag, name in zip(sources[::2], sources[1::2]):
             if flag == "--catalog":
-                load_catalog(name, workspace=ws)
+                parse(catalog_source(name), ws)
             else:
                 parse_file(name, ws)
     assert "duplicate algebra name" in str(exc.value)

@@ -463,3 +463,18 @@ def test_crossed_refusals(workspace, call, message):
     with pytest.raises(MismatchError) as exc:
         call(workspace)
     assert str(exc.value) == message
+
+
+def test_reprs_spell_out_each_term(workspace):
+    one = "poly[(1+0j)]*exp(-{}(t-0.0)^2)"
+    assert repr(workspace.elements["axz"]) == (
+        f"CrossedElement[z*x (x) GaussianPoly(plus: {one.format(2.0)}; eps: 0); "
+        f"x (x) GaussianPoly(plus: {one.format(1.0)}; eps: 0)]")
+    assert repr(workspace.elements["bmix"]) == (
+        "CrossedElement[1 (x) FiniteFunction((0): 1, (1): -1/2, (1, eps): 1i); "
+        "x (x) FiniteFunction((0, eps): 1)]")
+    assert repr(CrossedElement(workspace.pairs["hcline"])) == "CrossedElement[0]"
+    hc = workspace.algebras["hc"]
+    assert repr(UEElement.generator(hc, 1) - UEElement.unit(hc).scale(2)) == "(-2)·1 + (1)·x"
+    assert repr(UEElement.zero(hc)) == "0"
+    assert repr(mul_group(workspace.pairs["hcline"], GroupPoint(1))) == "Multiplier(group(1))"

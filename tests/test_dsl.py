@@ -109,6 +109,13 @@ def test_non_finite_numbers_are_located_errors():
     assert exc.value.line == 7
 
 
+def test_a_token_that_starts_like_a_number_but_is_none_is_a_symbol():
+    (form,) = read_forms("(1x -y + 2)")
+    assert [(a.kind, a.value, a.col) for a in form.items] == [
+        ("symbol", "1x", 2), ("symbol", "-y", 5), ("symbol", "+", 8), ("rational", 2, 10),
+    ]
+
+
 def test_pi_matrix_checked_against_grading():
     src = (
         "(superalgebra p (basis (x odd)))\n"

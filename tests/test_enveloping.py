@@ -159,10 +159,8 @@ def test_rotation_commutes_with_multiplication(hc2, rng):
     for _ in range(25):
         a = random_element(rng, hc2, terms=2, max_len=3)
         b = random_element(rng, hc2, terms=2, max_len=3)
-        lhs = apply_auto(hc2, phi, ue_multiply(a, b), checked=True)
-        rhs = ue_multiply(
-            apply_auto(hc2, phi, a, checked=True), apply_auto(hc2, phi, b, checked=True)
-        )
+        lhs = apply_auto(hc2, phi, ue_multiply(a, b))
+        rhs = ue_multiply(apply_auto(hc2, phi, a), apply_auto(hc2, phi, b))
         assert lhs == rhs
 
 
@@ -204,6 +202,8 @@ def test_broken_map_rejected(hc2):
         [zero, zero, Fraction(1)],
     ]
     assert not check_automorphism(hc2, phi).ok
+    with pytest.raises(StructureError, match="bracket_homomorphism"):
+        apply_auto(hc2, phi, UEElement.generator(hc2, 1))
 
 
 def test_parity_flip_is_bracket_automorphism(hc2, rng):

@@ -228,6 +228,7 @@ def test_finite_convolution_unit(z2odd):
     ds = FiniteFunction.delta(z2odd, GroupPoint(1, False))
     assert convolve(d1, ds) == ds
     assert convolve(ds, ds) == d1
+    assert convolve(d1 - ds, ds) == ds - d1
 
 
 def test_finite_breve_involutive(z2odd, rng):
@@ -272,6 +273,7 @@ def test_gaussian_poly_equality_compares_merged_terms():
     g, h = GaussianPoly.gaussian(1.0), GaussianPoly.gaussian(2.0, 0.5, (3.0,))
     assert (g + h).plus != (h + g).plus
     assert g + h == h + g and g + h != g + h.scale(2)
+    assert (g + h) - h == g and g - g == GaussianPoly()
 
 
 # -- the term maps against the term-by-term reference ------------------------
@@ -557,7 +559,7 @@ def _finite(ws):
 
 def _two_even_line_pair(ws):
     """An unvalidated line pair over gl(1|1), whose even part is 2-dimensional."""
-    return Supergroup("gl11line", GroupData(LINE, "R", generator_name="N"),
+    return Supergroup("gl11line", GroupData(LINE, generator_name="N"),
                       ws.algebras["gl11"])
 
 

@@ -14,7 +14,7 @@ from superrep.dsl import DslError, parse
 from superrep.groups import FINITE, GroupPoint
 from superrep.linalg import transpose
 from superrep.errors import StructureError
-from superrep.reps import MatrixRep, rep_hat, validate_rep
+from superrep.reps import MatrixRep, rep_hat, seminorm_interval, validate_rep
 from superrep.validation import ValidationReport
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "bench", "fixtures", "bench.sexp")
@@ -316,6 +316,20 @@ def test_failing_revalidation_clears_validated(name, field, value):
     a = next(e for e in load_catalog().elements.values() if e.pair == rep.pair)
     with pytest.raises(StructureError, match="failed validation"):
         rep_hat(rep, a)
+
+
+def test_an_unvalidated_rep_gets_no_norm_and_no_interval():
+    """hc-rep-2 with every rho scaled by 50 is not a representation, and
+    only validate_rep can mark a representation validated, so rep_hat and
+    the seminorm refuse it instead of reporting a norm above the certified
+    bound."""
+    shipped = next(r for r in SHIPPED if r.name == "hc-rep-2")
+    rep = MatrixRep("scaled", shipped.pair, shipped.grading,
+                    tuple(50 * m for m in shipped.rho), freq=shipped.freq)
+    ax = load_catalog("hc").elements["ax"]
+    for call in (lambda: rep_hat(rep, ax), lambda: seminorm_interval(ax, [rep])):
+        with pytest.raises(StructureError, match="representation scaled failed validation"):
+            call()
 
 
 def test_zero_dimensional_algebra_and_space():
