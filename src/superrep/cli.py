@@ -253,11 +253,12 @@ def cmd_hat(args, rep, a) -> tuple[dict, bool]:
 
 def cmd_bound(args, a) -> tuple[dict, bool]:
     names = a.pair.algebra.basis_names
-    terms = []
-    for w in sorted(a.terms):
-        single = CrossedElement(a.pair, {w: a.terms[w]})
-        terms.append({"word": [names[i] for i in w], "bound": prop33_bound(single)})
-    return {"elem": args.elem, "upper": prop33_bound(a), "terms": terms}, True
+    a.pair.require_trivial_line_ad()  # refused even when a has no term
+    # on every pair the bound accepts, each PBW monomial is its own odd-major
+    # form, so prop33_bound(a) adds exactly these values in a.terms order
+    bounds = {w: prop33_bound(CrossedElement(a.pair, {w: f})) for w, f in a.terms.items()}
+    terms = [{"word": [names[i] for i in w], "bound": bounds[w]} for w in sorted(bounds)]
+    return {"elem": args.elem, "upper": sum(bounds.values(), 0.0), "terms": terms}, True
 
 
 def cmd_seminorm(args, a, family) -> tuple[dict, bool]:
@@ -398,13 +399,16 @@ def main(argv=None) -> int:
         definitions = _resolve(ws, args)
         # looked up here, so a handler rebound on the module is the one run
         handler = globals()["cmd_" + args.command.replace("-", "_")]
-        doc, ok = handler(args, *definitions)
+        # an overflow or a NaN in the handler's numpy arithmetic is refused
+        # as it happens, not warned of
+        with np.errstate(over="raise", invalid="raise"):
+            doc, ok = handler(args, *definitions)
         text, code = _json(doc), 0 if ok else 1
     except (DslError, OSError) as exc:
         text, code = _json({"error": str(exc)}), 2
     except SuperrepError as exc:
         text, code = _json({"error": str(exc)}), 1
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:
         # a NaN or an infinity in the result, or a float overflow computing it
         text, code = _json({"error": f"non-finite result: {exc}"}), 1
     except Exception as exc:

@@ -384,29 +384,21 @@ def seminorm_interval(a: CrossedElement, family: list[MatrixRep]) -> SeminormInt
 # ---------------------------------------------------------------------------
 
 
-def _reconstruct(rep: MatrixRep, multiplier, probe: CrossedElement,
-                 v: np.ndarray) -> np.ndarray:
-    """rep_hat of the multiplier's left action on the probe, applied to v;
-    undefined when rep_hat(probe) v vanishes."""
-    base = rep_hat(rep, probe) @ v
-    if not np.any(np.abs(base) > 0):
-        raise StructureError("probe image is zero; reconstruction undefined")
-    return rep_hat(rep, multiplier.lam(probe)) @ v
-
-
 def reconstruct_pi(
     rep: MatrixRep, g: GroupPoint, probe: CrossedElement, v: np.ndarray
 ) -> np.ndarray:
     """Recover pi(g) on the vector rep_hat(probe) v as rep_hat of the left
-    multiplier action on the probe."""
-    return _reconstruct(rep, mul_group(rep.pair, g), probe, v)
+    multiplier action on the probe, applied to v; the identity holds for
+    every v, so a vanishing probe image gives pi(g) 0 = 0."""
+    return rep_hat(rep, mul_group(rep.pair, g).lam(probe)) @ v
 
 
 def reconstruct_rho(
     rep: MatrixRep, x, probe: CrossedElement, v: np.ndarray
 ) -> np.ndarray:
-    """Recover rho(x) on the vector rep_hat(probe) v via the Lie multiplier."""
-    return _reconstruct(rep, mul_lie(rep.pair, x), probe, v)
+    """Recover rho(x) on the vector rep_hat(probe) v via the Lie multiplier;
+    like ``reconstruct_pi``, it holds for every v."""
+    return rep_hat(rep, mul_lie(rep.pair, x).lam(probe)) @ v
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Command-line interface: determinism, exit codes and output routing."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,12 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superrep import cli, dsl
+from superrep import cli, dsl, reps
 from superrep.catalog import CATALOG_NAMES, catalog_source, load_catalog
 from superrep.cli import main
+from superrep.crossed import xp_multiply
 from superrep.dsl import DslError, Workspace, parse, parse_file, print_workspace
 
+from test_crossed import random_line_element
 from test_dsl import MUTATION, mutated_source
+from test_reps import HC2LINE_SOURCE
 
 
 def run(capsys, *argv):
@@ -533,13 +538,19 @@ def test_non_finite_result_exits_1(capsys, tmp_path, gauss, argv):
     assert error.startswith("non-finite result: ")
 
 
+# an element whose bridge matrix is infinite on hc-rep-4 and hc-rep-8 only
+_HUGE = "(element e hcline (tensor (ue (1 x)) (linefunc (plus (gauss 1 0 1e308 1e308)))))\n"
+# a finite probe image whose pi and rho multiples overflow in roundtrip's own
+# vector arithmetic, outside rep_hat
+_NEAR_MAX = ("(element e hcline (tensor (ue (1)) "
+             "(linefunc (plus (gauss 1 0 5e307)) (eps (gauss 1 0 5e307)))))\n")
+
+
 @pytest.fixture
 def huge(tmp_path):
-    """A file defining an element whose bridge matrix is infinite on
-    hc-rep-4 and hc-rep-8 only."""
+    """A file defining the element of ``_HUGE``."""
     src = tmp_path / "huge.sexp"
-    src.write_text("(element e hcline (tensor (ue (1 x)) "
-                   "(linefunc (plus (gauss 1 0 1e308 1e308)))))\n")
+    src.write_text(_HUGE)
     return str(src)
 
 
@@ -560,14 +571,35 @@ def test_non_finite_bridge_matrix_exits_1(capsys, huge, argv):
     assert json.loads(out) == {"error": "non-finite result: matrix with a non-finite entry"}
 
 
-def test_bridge_overflow_is_refused_without_a_warning(huge):
+_BRIDGE_OVERFLOWS = {
+    "rep-hat": (_HUGE, ("roundtrip", "--rep", "hc-rep-2", "--probe", "e"),
+                "matrix with a non-finite entry"),
+    "roundtrip-vectors": (_NEAR_MAX, ("--seed", "2", "roundtrip", "--rep", "hc-rep-1-4",
+                                      "--probe", "e"), "overflow encountered in matmul"),
+}
+
+
+def test_bridge_overflow_is_refused_without_a_warning(tmp_path):
     # under -W error a numpy warning would end as an internal error
     env = {**os.environ, "PYTHONPATH": os.path.join(_ROOT, "src")}
-    done = subprocess.run([sys.executable, "-W", "error", "-m", "superrep.cli", "--catalog", "hc",
-                           "--file", huge, "roundtrip", "--rep", "hc-rep-2", "--probe", "e"],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert (done.returncode, json.loads(done.stdout), done.stderr) == (
-        1, {"error": "non-finite result: matrix with a non-finite entry"}, "")
+    for name, (source, argv, error) in _BRIDGE_OVERFLOWS.items():
+        src = tmp_path / f"{name}.sexp"
+        src.write_text(source)
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "superrep.cli",
+                               "--catalog", "hc", "--file", str(src), *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, json.loads(done.stdout), done.stderr) == (
+            1, {"error": f"non-finite result: {error}"}, ""), name
+
+
+@pytest.mark.filterwarnings("error")
+def test_roundtrip_vector_overflow_exits_1(tmp_path):
+    # the deviation is not a maximum that silently dropped a NaN
+    src = tmp_path / "near_max.sexp"
+    src.write_text(_NEAR_MAX)
+    assert _run(["--catalog", "hc", "--file", str(src), "--seed", "2", "roundtrip",
+                 "--rep", "hc-rep-1-4", "--probe", "e"]) == (
+        1, cli._json({"error": "non-finite result: overflow encountered in matmul"}), "")
 
 
 def test_finite_bridge_matrix_near_the_float_maximum_is_printed(capsys, huge):
@@ -575,6 +607,80 @@ def test_finite_bridge_matrix_near_the_float_maximum_is_printed(capsys, huge):
                     "--elem", "e")
     assert code == 0
     assert 9e307 < json.loads(out)["operator_norm"] < 1e308
+
+
+# -- one bridge matrix per reconstruction, one recursion per bound term -------
+
+
+@pytest.mark.parametrize("catalog, rep, probe, points, generators", [
+    ("hc", "hc-rep-2", "a0", 3, 2),  # t = 0.5, t = 1 and epsilon; z and x
+    ("podd", "reg4", "b0", 4, 1),  # e, s and their epsilon points; x
+])
+def test_roundtrip_forms_one_bridge_matrix_per_reconstruction(
+        capsys, monkeypatch, catalog, rep, probe, points, generators):
+    calls, rep_hat = [], reps.rep_hat
+
+    def counted(*args):
+        calls.append(args)
+        return rep_hat(*args)
+
+    monkeypatch.setattr(reps, "rep_hat", counted)
+    monkeypatch.setattr(cli, "rep_hat", counted)
+    code, _ = run(capsys, "--catalog", catalog, "roundtrip", "--rep", rep, "--probe", probe)
+    assert code == 0
+    # the probe image, then one per group point and one per generator
+    assert len(calls) == 1 + points + generators == 6
+
+
+def test_bound_runs_the_recursion_once_per_term(capsys, monkeypatch):
+    calls, prop33_bound = [], cli.prop33_bound
+
+    def counted(a):
+        calls.append(a)
+        return prop33_bound(a)
+
+    monkeypatch.setattr(cli, "prop33_bound", counted)
+    code, out = run(capsys, "--catalog", "hc", "bound", "--elem", "axz")
+    assert code == 0
+    assert len(calls) == len(json.loads(out)["terms"]) == 2
+    assert all(len(a.terms) == 1 for a in calls)
+
+
+def _upper(a) -> float:
+    doc, _ = cli.cmd_bound(argparse.Namespace(elem="a"), a)
+    return doc["upper"]
+
+
+def test_bound_upper_is_the_bound_of_the_whole_element_bit_for_bit(hcline):
+    # every shipped element; the bound accepts each of them
+    elements = [a for name in CATALOG_NAMES for a in cli._snapshot(name).table("element").values()]
+    assert len(elements) == 8
+    # and products whose terms come in another order than the sorted one
+    rng, pairs = random.Random(23), (hcline, parse(HC2LINE_SOURCE).pairs["hc2tline"])
+    while len(elements) < 108:
+        pair = rng.choice(pairs)
+        a = xp_multiply(random_line_element(rng, pair), random_line_element(rng, pair))
+        if len(a.terms) >= 3 and list(a.terms) != sorted(a.terms):
+            elements.append(a)
+    for a in elements:
+        assert _upper(a).hex() == reps.prop33_bound(a).hex()
+
+
+def test_bound_of_a_zero_element(capsys, tmp_path):
+    src = tmp_path / "zero.sexp"
+    src.write_text(
+        "(element e0 hcline (tensor (ue) gauss1))\n"
+        # z acts on the odd part by x -> x + t y: a line pair the bound refuses
+        "(superalgebra shear (basis (z even) (x odd) (y odd)) (bracket z x (1 y)))\n"
+        "(pair shearline shear (line z))\n"
+        "(element s0 shearline (tensor (ue) (linefunc (plus (gauss 1 0 1)))))\n")
+    code, out = run(capsys, "--catalog", "hc", "--file", str(src), "bound", "--elem", "e0")
+    assert (code, out) == (0, '{\n  "elem": "e0",\n  "upper": 0.0,\n  "terms": []\n}\n')
+    # refused even for an element with no term
+    code, out = run(capsys, "--catalog", "hc", "--file", str(src), "bound", "--elem", "s0")
+    assert (code, json.loads(out)) == (1, {"error": "shearline: line instances with a "
+                                           "nontrivial adjoint action on the algebra are "
+                                           "not supported"})
 
 
 # -- one parser and one copy of each shipped catalog per process --------------
