@@ -415,7 +415,7 @@ def main(argv=None) -> int:
         # a structured error, never a traceback
         text, code = _json({"error": f"internal error: {type(exc).__name__}: {exc}"}), 1
     try:
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:

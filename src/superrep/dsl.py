@@ -56,6 +56,8 @@ import numpy as np
 _TOKEN = re.compile(r"""\(|\)|;[^\n]*|[^\s();]+""")
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?(i)?\Z")
 _FLOAT = re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?(i)?\Z")
+# a byte that is not UTF-8, as the surrogateescape error handler reads it
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class Atom(NamedTuple):
@@ -162,15 +164,21 @@ def _index(node, names, what: str, unknown: str) -> int:
         raise DslError(f"unknown {unknown} {nm!r}", node.line, node.col) from None
 
 
+def _once(sites: dict, key, node, label: str):
+    """Record ``key`` as given at ``node`` in ``sites`` (key -> node); a key
+    given twice is refused at the repeat."""
+    first = sites.get(key)
+    if first is not None:
+        raise DslError(f"{label} given twice (first at line {first.line}, "
+                       f"column {first.col})", node.line, node.col)
+    sites[key] = node
+
+
 def _declare(sites: dict, node, what: str, kind: str) -> str:
     """Record the symbol ``node`` as a new name in ``sites`` (name -> node);
     a name given twice is refused at the repeat."""
     nm = _expect_symbol(node, what)
-    first = sites.get(nm)
-    if first is not None:
-        raise DslError(f"{kind} {nm!r} given twice (first at line {first.line}, "
-                       f"column {first.col})", node.line, node.col)
-    sites[nm] = node
+    _once(sites, nm, node, f"{kind} {nm!r}")
     return nm
 
 
@@ -319,8 +327,16 @@ def parse(source: str, workspace: Workspace | None = None) -> Workspace:
 
 
 def parse_file(path: str, workspace: Workspace | None = None) -> Workspace:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read(), workspace)
+    """Parse the UTF-8 file at ``path``; its first byte that is not UTF-8 is
+    a DslError located at that byte."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        source = fh.read()
+    bad = _ESCAPED_BYTE.search(source)
+    if bad:
+        at = bad.start()
+        raise DslError(f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8",
+                       source.count("\n", 0, at) + 1, at - source.rfind("\n", 0, at))
+    return parse(source, workspace)
 
 
 def read_word(algebra, text: str) -> tuple[int, ...]:
@@ -365,15 +381,7 @@ def _build_superalgebra(ws: Workspace, form: SList):
             raise DslError("expected (bracket X Y (coef Z) ...)", entry.line, entry.col)
         i, j = (_index(node, names, "basis name", "basis element")
                 for node in entry.items[1:3])
-        if (i, j) in given:
-            first = given[i, j]
-            raise DslError(
-                f"bracket [{names[i]},{names[j]}] given twice (first at line "
-                f"{first.line}, column {first.col})",
-                entry.line,
-                entry.col,
-            )
-        given[i, j] = entry
+        _once(given, (i, j), entry, f"bracket [{names[i]},{names[j]}]")
         vec = [Fraction(0)] * n
         for piece in entry.items[3:]:
             piece = _expect_list(piece, "(coef basis)")

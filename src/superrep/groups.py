@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .enveloping import check_automorphism
-from .errors import MismatchError, StructureError, UnsupportedInstanceError
+from .errors import StructureError, UnsupportedInstanceError
 from .superalgebra import EVEN, SuperAlgebra
 from .validation import ValidationReport
 

@@ -28,7 +28,7 @@ from .enveloping import ODD_MAJOR_ORDER, normal_form
 from .errors import MismatchError, StructureError, UnsupportedInstanceError
 from .functions import fourier_at, l1_bound, right_derivative
 from .groups import FINITE, LINE, GroupPoint, Supergroup
-from .superalgebra import EVEN, ODD, is_nilpotent, is_odd_generated
+from .superalgebra import is_nilpotent, is_odd_generated
 from .validation import ValidationReport
 
 Word = tuple[int, ...]
@@ -131,6 +131,7 @@ def _complex_matrices(matrices, d: int) -> np.ndarray:
     ).reshape(len(matrices), d, d)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_rep(rep: MatrixRep) -> ValidationReport:
     """Check the unitary-representation axioms with explicit witnesses.
 
@@ -138,7 +139,9 @@ def validate_rep(rep: MatrixRep) -> ValidationReport:
     1e-5) on one matrix per label, and its detail joins the labels whose
     matrices differ into the check's format.  The witness matrices of all
     checks are stacked and compared in one fused ``np.isclose``.  A failing
-    shape check ends the report, so that only n x n matrices are stacked."""
+    shape check ends the report, so that only n x n matrices are stacked.
+    Witnesses are formed with numpy's overflow and invalid-value warnings
+    off; a NaN in a witness matches nothing, so its check fails."""
     report = ValidationReport(f"representation {rep.name}")
     shape = np.shape(rep.grading)
     if len(shape) != 2 or shape[0] != shape[1]:  # the only row of its report
@@ -239,21 +242,20 @@ def validate_rep(rep: MatrixRep) -> ValidationReport:
     return report
 
 
+# an errstate instance of its own: numpy < 2 keeps the saved state on the
+# instance, and rep_hat may call validate_rep
+@np.errstate(over="ignore", invalid="ignore")
 def rep_hat(rep: MatrixRep, a: CrossedElement) -> np.ndarray:
-    """The bridge: sum of rho(D) pi(f) over the canonical terms; an image
-    with a NaN or an infinite entry is refused (OverflowError)."""
+    """The bridge: sum of rho(D) pi(f) over the canonical terms, formed with
+    numpy's overflow and invalid-value warnings off; an image with a NaN or
+    an infinite entry is refused (OverflowError)."""
     if not rep.validated:
         validate_rep(rep).raise_if_failed()
     if a.pair != rep.pair:
         raise MismatchError("element and representation live over different pairs")
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    # an overflow or a NaN on the way is refused as it happens, not warned of
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            for word, f in a.terms.items():
-                out += rep.rho_word(word) @ rep._pi_function(f)
-        except FloatingPointError:
-            raise OverflowError("matrix with a non-finite entry") from None
+    for word, f in a.terms.items():
+        out += rep.rho_word(word) @ rep._pi_function(f)
     return _finite(out)
 
 
@@ -326,12 +328,8 @@ def prop33_bound(a: CrossedElement) -> float:
         # letter-peeling recursion requires
         reordered = normal_form(algebra, word, order=ODD_MAJOR_ORDER)
         for w, c in reordered.terms.items():
-            split = next(
-                (k for k, i in enumerate(w) if algebra.parity[i] == EVEN), len(w)
-            )
+            split = sum(algebra.parity[i] for i in w)  # how many odd letters lead w
             odd_word, even_word = w[:split], w[split:]
-            if any(algebra.parity[i] == ODD for i in even_word):
-                raise StructureError("odd-major normal form failed to order the word")
             total += abs(c) * _bound_term(pair, odd_word, even_word, derived, bounds)
     return total
 

@@ -125,6 +125,22 @@ def test_unwritable_out_exits_2_without_traceback(capsys, tmp_path):
         assert captured.err == ""
 
 
+def test_empty_out_is_an_unwritable_path(capsys):
+    code = main(["--catalog", "hc", "--out", "", "validate", "--pair", "hcline"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {"error": "[Errno 2] No such file or directory: ''"}
+    assert captured.err == ""
+
+
+def test_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    src = tmp_path / "latin1.sexp"
+    src.write_bytes(b"(superalgebra a (basis (z even)))\n; caf\xe9\n")
+    code, out = run(capsys, "--file", str(src), "validate", "--algebra", "a")
+    assert code == 2
+    assert json.loads(out)["error"].startswith("2:")
+
+
 def test_element_with_a_function_of_another_pair_exits_2(capsys, tmp_path):
     src = tmp_path / "cross.sexp"
     src.write_text("(element bad z2odd (tensor (ue (1 x)) gauss1))\n")
@@ -571,25 +587,37 @@ def test_non_finite_bridge_matrix_exits_1(capsys, huge, argv):
     assert json.loads(out) == {"error": "non-finite result: matrix with a non-finite entry"}
 
 
-_BRIDGE_OVERFLOWS = {
-    "rep-hat": (_HUGE, ("roundtrip", "--rep", "hc-rep-2", "--probe", "e"),
-                "matrix with a non-finite entry"),
-    "roundtrip-vectors": (_NEAR_MAX, ("--seed", "2", "roundtrip", "--rep", "hc-rep-1-4",
-                                      "--probe", "e"), "overflow encountered in matmul"),
+# a line rep whose rho(z)^2 overflows in validate_rep's bracket witnesses
+_OVERFLOWING_REP = """\
+(superalgebra a (basis (z even) (x odd)) (bracket x x (1 z)))
+(pair p a (line z))
+(rep r p (grading 1 -1) (freq 1e300) (rho z ((1e300i 0) (0 1e300i))))
+"""
+
+# name: (file source, argv after --file, exit code, error)
+_OVERFLOWS = {
+    "rep-hat": (_HUGE, ("--catalog", "hc", "roundtrip", "--rep", "hc-rep-2", "--probe", "e"),
+                1, "non-finite result: matrix with a non-finite entry"),
+    "roundtrip-vectors": (_NEAR_MAX, ("--catalog", "hc", "--seed", "2", "roundtrip",
+                                      "--rep", "hc-rep-1-4", "--probe", "e"),
+                          1, "non-finite result: overflow encountered in matmul"),
+    "validate-witness": (_OVERFLOWING_REP, ("validate", "--pair", "p"), 2,
+                         "3:1: representation 'r' fails validation "
+                         "(bracket_morphism: [z,z], [x,x])"),
 }
 
 
 def test_bridge_overflow_is_refused_without_a_warning(tmp_path):
     # under -W error a numpy warning would end as an internal error
     env = {**os.environ, "PYTHONPATH": os.path.join(_ROOT, "src")}
-    for name, (source, argv, error) in _BRIDGE_OVERFLOWS.items():
+    for name, (source, argv, code, error) in _OVERFLOWS.items():
         src = tmp_path / f"{name}.sexp"
         src.write_text(source)
         done = subprocess.run([sys.executable, "-W", "error", "-m", "superrep.cli",
-                               "--catalog", "hc", "--file", str(src), *argv],
+                               "--file", str(src), *argv],
                               env=env, capture_output=True, text=True, timeout=60)
         assert (done.returncode, json.loads(done.stdout), done.stderr) == (
-            1, {"error": f"non-finite result: {error}"}, ""), name
+            code, {"error": error}, ""), name
 
 
 @pytest.mark.filterwarnings("error")

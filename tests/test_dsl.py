@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superrep.catalog import CATALOG_NAMES, catalog_source, load_catalog
-from superrep.dsl import DslError, Workspace, parse, print_workspace, read_forms
+from superrep.dsl import DslError, Workspace, parse, parse_file, print_workspace, read_forms
 from superrep.errors import SuperrepError
 from superrep.reps import validate_rep
 
@@ -182,6 +182,23 @@ def test_printed_reps_still_validate():
 def test_comments_and_whitespace_ignored():
     ws = parse("; leading comment\n(superalgebra a ; inline\n  (basis (x odd)))")
     assert "a" in ws.algebras
+
+
+def test_a_byte_that_is_not_utf8_is_located(tmp_path):
+    src = tmp_path / "latin1.sexp"
+    src.write_bytes(b"(superalgebra a (basis (z even)))\n; caf\xe9\n")
+    with pytest.raises(DslError, match="byte 0xe9 is not UTF-8") as exc:
+        parse_file(str(src))
+    assert (exc.value.line, exc.value.col) == (2, 6)
+    # lines end at \r\n and at a lone \r too, as when the file is valid
+    src.write_bytes(b"(superalgebra a\r\n (basis (z even)))\r; \xff")
+    with pytest.raises(DslError) as exc:
+        parse_file(str(src))
+    assert (exc.value.line, exc.value.col) == (3, 3)
+    src.write_bytes(b"(superalgebra a\r\n (basis (z even)))\r(pair p a (line 1/0))")
+    with pytest.raises(DslError, match="zero denominator") as exc:
+        parse_file(str(src))
+    assert (exc.value.line, exc.value.col) == (3, 17)
 
 
 def test_freq_needs_a_number():
