@@ -249,9 +249,8 @@ class Workspace:
         self.elements: dict[str, CrossedElement] = {}
         self.reps: dict[str, MatrixRep] = {}
         self.families: dict[str, list[str]] = {}
-        self._sites: dict[tuple[str, str], tuple[int, int]] = {}
-        # pair name per function (GaussianPoly carries no back-reference)
-        self._function_pairs: dict[str, str] = {}
+        # (category, name) -> (line, column, owner name or None) of its form
+        self._sites: dict[tuple[str, str], tuple[int, int, str | None]] = {}
 
     _TABLES = {
         "algebra": "algebras",
@@ -265,16 +264,17 @@ class Workspace:
     def table(self, category: str) -> dict:
         return getattr(self, self._TABLES[category])
 
-    def _define(self, category: str, name: str, site: tuple[int, int], value):
+    def _define(self, category: str, name: str, site: tuple, value):
         """Add ``value`` as ``name``, defined by the form at ``site`` (line,
-        column); a name defined before is refused there."""
+        column, and the name of the algebra or pair it is over, or None); a
+        name defined before is refused there."""
         key = (category, name)
         if key in self._sites:
-            line, col = self._sites[key]
+            line, col, _ = self._sites[key]
             raise DslError(
                 f"duplicate {category} name {name!r} (first defined at "
                 f"line {line}, column {col})",
-                *site,
+                *site[:2],
             )
         self._sites[key] = site
         self.table(category)[name] = value
@@ -286,12 +286,11 @@ class Workspace:
         the error that parsing ``other``'s source into this workspace gives."""
         for (category, name), site in other._sites.items():
             self._define(category, name, site, other.table(category)[name])
-        self._function_pairs.update(other._function_pairs)
 
     def require_function_pair(self, name: str, pair_name: str, node):
         """Refuse the defined function ``name`` unless it lives on the pair
         ``pair_name``; the error is located at ``node`` unless that is None."""
-        defined_on = self._function_pairs[name]
+        defined_on = self._sites["function", name][2]
         if defined_on != pair_name:
             raise DslError(
                 f"function {name!r} is defined on pair {defined_on!r}, not {pair_name!r}",
@@ -311,18 +310,22 @@ class Workspace:
 
 def parse(source: str, workspace: Workspace | None = None) -> Workspace:
     ws = workspace or Workspace()
-    for form in read_forms(source):
-        form = _expect_list(form, "top-level form")
+    for form in read_forms(source):  # each an SList: an atom there is refused
         head = _head(form)
-        builder = _BUILDERS.get(head)
-        if builder is None:
-            raise DslError(
-                f"unknown form {head!r}; expected one of "
-                f"{', '.join(sorted(_BUILDERS))}",
-                form.line,
-                form.col,
-            )
-        builder(ws, form)
+        if head not in _FORMS:
+            raise DslError(f"unknown form {head!r}; expected one of "
+                           f"{', '.join(sorted(_FORMS))}", form.line, form.col)
+        category, fewest, most, usage, owner_category, build = _FORMS[head]
+        if not fewest <= len(form.items) <= most:
+            raise DslError(usage, form.line, form.col)
+        name = _expect_symbol(form.items[1], f"{category} name")
+        owner = owner_name = None
+        if owner_category:
+            node = form.items[2]
+            owner_name = _expect_symbol(node, f"{owner_category} name")
+            owner = ws.lookup(owner_category, owner_name, node)
+        ws._define(category, name, (form.line, form.col, owner_name),
+                   build(ws, form, name, owner))
     return ws
 
 
@@ -352,10 +355,7 @@ def read_word(algebra, text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _build_superalgebra(ws: Workspace, form: SList):
-    if len(form.items) < 3:
-        raise DslError("superalgebra needs a name and a basis", form.line, form.col)
-    name = _expect_symbol(form.items[1], "algebra name")
+def _build_superalgebra(ws: Workspace, form: SList, name: str, owner: None):
     basis_form = _expect_list(form.items[2], "(basis ...)")
     if _head(basis_form) != "basis":
         raise DslError("expected (basis ...)", basis_form.line, basis_form.col)
@@ -397,18 +397,12 @@ def _build_superalgebra(ws: Workspace, form: SList):
             sign = -1 if (parity[i] and parity[j]) else 1
             constants[j][i] = [-sign * c for c in constants[i][j]]
     try:
-        algebra = build_superalgebra(name, names, parity, constants)
+        return build_superalgebra(name, names, parity, constants)
     except SuperrepError as exc:
         raise DslError(str(exc), form.line, form.col) from exc
-    ws._define("algebra", name, (form.line, form.col), algebra)
 
 
-def _build_pair(ws: Workspace, form: SList):
-    if len(form.items) != 4:
-        raise DslError("pair is (pair NAME ALGEBRA <group form>)", form.line, form.col)
-    name = _expect_symbol(form.items[1], "pair name")
-    algebra = ws.lookup("algebra", _expect_symbol(form.items[2], "algebra name"),
-                        form.items[2])
+def _build_pair(ws: Workspace, form: SList, name: str, algebra):
     gform = _expect_list(form.items[3], "group form")
     kind = _head(gform)
     if kind == "line":
@@ -457,10 +451,9 @@ def _build_pair(ws: Workspace, form: SList):
     else:
         raise DslError(f"unknown group kind {kind!r}", gform.line, gform.col)
     try:
-        pair = build_pair(name, group, algebra)
+        return build_pair(name, group, algebra)
     except SuperrepError as exc:
         raise DslError(str(exc), form.line, form.col) from exc
-    ws._define("pair", name, (form.line, form.col), pair)
 
 
 def _point(pair: Supergroup, node) -> GroupPoint:
@@ -525,16 +518,8 @@ def _function_ref(ws: Workspace, pair: Supergroup, node):
     return _function_literal(pair, node)
 
 
-def _build_function(ws: Workspace, form: SList):
-    if len(form.items) != 4:
-        raise DslError("function is (function NAME PAIR <literal>)",
-                       form.line, form.col)
-    name = _expect_symbol(form.items[1], "function name")
-    pair_name = _expect_symbol(form.items[2], "pair name")
-    pair = ws.lookup("pair", pair_name, form.items[2])
-    func = _function_literal(pair, form.items[3])
-    ws._define("function", name, (form.line, form.col), func)
-    ws._function_pairs[name] = pair_name
+def _build_function(ws: Workspace, form: SList, name: str, pair: Supergroup):
+    return _function_literal(pair, form.items[3])
 
 
 def _ue_literal(pair: Supergroup, node) -> UEElement:
@@ -554,13 +539,7 @@ def _ue_literal(pair: Supergroup, node) -> UEElement:
     return out
 
 
-def _build_element(ws: Workspace, form: SList):
-    if len(form.items) < 4:
-        raise DslError("element is (element NAME PAIR (tensor UE FUNC) ...)",
-                       form.line, form.col)
-    name = _expect_symbol(form.items[1], "element name")
-    pair = ws.lookup("pair", _expect_symbol(form.items[2], "pair name"),
-                     form.items[2])
+def _build_element(ws: Workspace, form: SList, name: str, pair: Supergroup):
     total = CrossedElement.zero(pair)
     for term in form.items[3:]:
         term = _expect_list(term, "(tensor UE FUNC)")
@@ -569,7 +548,7 @@ def _build_element(ws: Workspace, form: SList):
         ue = _ue_literal(pair, term.items[1])
         func = _function_ref(ws, pair, term.items[2])
         total = total + CrossedElement.tensor(pair, ue, func)
-    ws._define("element", name, (form.line, form.col), total)
+    return total
 
 
 def _matrix(node) -> np.ndarray:
@@ -579,12 +558,7 @@ def _matrix(node) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _build_rep(ws: Workspace, form: SList):
-    if len(form.items) < 4:
-        raise DslError("rep needs a name, a pair and clauses", form.line, form.col)
-    name = _expect_symbol(form.items[1], "rep name")
-    pair = ws.lookup("pair", _expect_symbol(form.items[2], "pair name"),
-                     form.items[2])
+def _build_rep(ws: Workspace, form: SList, name: str, pair: Supergroup):
     algebra = pair.algebra
     grading = None
     rho: dict[int, np.ndarray] = {}
@@ -649,28 +623,31 @@ def _build_rep(ws: Workspace, form: SList):
     if not report.ok:
         raise DslError(f"representation {name!r} fails validation ({report.summary()})",
                        form.line, form.col)
-    ws._define("rep", name, (form.line, form.col), rep)
+    return rep
 
 
-def _build_family(ws: Workspace, form: SList):
-    if len(form.items) < 3:
-        raise DslError("family is (family NAME REP ...)", form.line, form.col)
-    name = _expect_symbol(form.items[1], "family name")
+def _build_family(ws: Workspace, form: SList, name: str, owner: None):
     members = []
     for node in form.items[2:]:
         nm = _expect_symbol(node, "rep name")
         ws.lookup("rep", nm, node)
         members.append(nm)
-    ws._define("family", name, (form.line, form.col), members)
+    return members
 
 
-_BUILDERS = {
-    "superalgebra": _build_superalgebra,
-    "pair": _build_pair,
-    "function": _build_function,
-    "element": _build_element,
-    "rep": _build_rep,
-    "family": _build_family,
+# head: (category, fewest and most items, the error for any other count, the
+# category of the owner named at item 2 or None, builder)
+_FORMS = {
+    "superalgebra": ("algebra", 3, math.inf, "superalgebra needs a name and a basis",
+                     None, _build_superalgebra),
+    "pair": ("pair", 4, 4, "pair is (pair NAME ALGEBRA <group form>)",
+             "algebra", _build_pair),
+    "function": ("function", 4, 4, "function is (function NAME PAIR <literal>)",
+                 "pair", _build_function),
+    "element": ("element", 4, math.inf, "element is (element NAME PAIR (tensor UE FUNC) ...)",
+                "pair", _build_element),
+    "rep": ("rep", 4, math.inf, "rep needs a name, a pair and clauses", "pair", _build_rep),
+    "family": ("family", 3, math.inf, "family is (family NAME REP ...)", None, _build_family),
 }
 
 
@@ -772,7 +749,7 @@ def print_workspace(ws: Workspace) -> str:
                 f"(table {table}){''.join(ads)}))"
             )
     for name, func in ws.functions.items():
-        pname = ws._function_pairs[name]
+        pname = ws._sites["function", name][2]
         out.append(f"(function {name} {pname} {_print_function(ws.pairs[pname], func)})")
     for name, elem in ws.elements.items():
         terms = []

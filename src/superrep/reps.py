@@ -141,7 +141,9 @@ def validate_rep(rep: MatrixRep) -> ValidationReport:
     checks are stacked and compared in one fused ``np.isclose``.  A failing
     shape check ends the report, so that only n x n matrices are stacked.
     Witnesses are formed with numpy's overflow and invalid-value warnings
-    off; a NaN in a witness matches nothing, so its check fails."""
+    off; a NaN in a witness matches nothing, so its check fails, and a
+    failing label whose witness has a NaN or an infinite entry is marked
+    "(non-finite witness)"."""
     report = ValidationReport(f"representation {rep.name}")
     shape = np.shape(rep.grading)
     if len(shape) != 2 or shape[0] != shape[1]:  # the only row of its report
@@ -178,8 +180,12 @@ def validate_rep(rep: MatrixRep) -> ValidationReport:
         if finite and (rep.pi_table is None or len(rep.pi_table) != size
                        or any(m.shape != (n, n) for m in rep.pi_table)):
             stop = ("pi_table", False, "one unitary matrix per group element required")
+        elif finite and rep.freq is not None:
+            stop = ("pi_table", False, "finite representation takes no frequency")
         elif not finite and rep.freq is None:
             stop = ("frequency", False, "line representation needs a frequency")
+        elif not finite and rep.pi_table is not None:
+            stop = ("frequency", False, "line representation takes no pi_table")
     if stop is None:
         rho = np.array(rep.rho).reshape(d, n, n)
         if finite:
@@ -232,9 +238,11 @@ def validate_rep(rep: MatrixRep) -> ValidationReport:
         ]
 
     lhs, rhs = (np.concatenate(stacks) for stacks in zip(*(c[3:] for c in checks)))
-    verdicts = iter(np.isclose(lhs, rhs, atol=TOL).all(axis=(-2, -1)).tolist())
+    verdicts = iter(zip(np.isclose(lhs, rhs, atol=TOL).all(axis=(-2, -1)).tolist(),
+                        (np.isfinite(lhs) & np.isfinite(rhs)).all(axis=(-2, -1)).tolist()))
     for name, fmt, labels, _, _ in checks:
-        bad = [str(label) for label in labels if not next(verdicts)]
+        bad = [f"{label}{'' if clean else ' (non-finite witness)'}"
+               for label, (ok, clean) in zip(labels, verdicts) if not ok]
         report.add(name, not bad, fmt.format(", ".join(bad)))
     if stop:
         report.add(*stop)

@@ -40,7 +40,7 @@ def test_inline_and_named_function_literals():
     ws = parse(HC_SOURCE)
     a = ws.elements["a"]
     assert len(a.terms) == 2
-    assert ws._function_pairs["bump"] == "tinyline"
+    assert ws._sites["function", "bump"] == (6, 1, "tinyline")
 
 
 def test_function_reference_must_share_the_element_pair():
@@ -69,7 +69,7 @@ def test_duplicate_name_reports_both_sites():
 
 
 def _state(ws):
-    return print_workspace(ws), list(ws._sites.items()), ws._function_pairs
+    return print_workspace(ws), list(ws._sites.items())
 
 
 def test_merge_is_parsing_into_the_workspace():
@@ -384,6 +384,38 @@ DIAGNOSTICS = [
     ("(family f nope)", "unknown rep 'nope'", 11),
     ("(element a tl (tensor (ue (1 x)) ghost))", "unknown function 'ghost'", 34),
     ("(rep r ghost (grading 1) (freq 1))", "unknown pair 'ghost'", 8),
+    # every top-level form: item count, then name, then owner, then body,
+    # then the duplicate-name check
+    ("(function f tl)", r"function is \(function NAME PAIR <literal>\)", 1),
+    ("(function f tl (linefunc) (linefunc))",
+     r"function is \(function NAME PAIR <literal>\)", 1),
+    ("(pair q)", r"pair is \(pair NAME ALGEBRA <group form>\)", 1),
+    ("(pair q tiny (line z) x)", r"pair is \(pair NAME ALGEBRA <group form>\)", 1),
+    ("(pair 3)", r"pair is \(pair NAME ALGEBRA <group form>\)", 1),
+    ("(superalgebra 3 (basis (x odd)))", "expected algebra name", 15),
+    ("(pair 3 tiny (line z))", "expected pair name", 7),
+    ("(function (f) tl (linefunc))", "expected function name", 11),
+    ("(function 3 ghost (linefunc))", "expected function name", 11),
+    ("(element 1/2 tl (tensor (ue (1 x)) (linefunc)))", "expected element name", 10),
+    ("(rep 2i tl (grading 1) (freq 1))", "expected rep name", 6),
+    ("(family 3 r)", "expected family name", 9),
+    ("(pair q 3 (line z))", "expected algebra name", 9),
+    ("(function f (tl) (linefunc))", "expected pair name", 13),
+    ("(element a 1.5 (tensor (ue (1 x)) (linefunc)))", "expected pair name", 12),
+    ("(rep r (tl) (grading 1) (freq 1))", "expected pair name", 8),
+    ("(pair q ghost (line z))", "unknown algebra 'ghost'", 9),
+    ("(function f ghost (linefunc))", "unknown pair 'ghost'", 13),
+    ("(element a ghost (tensor (eu) (linefunc)))", "unknown pair 'ghost'", 12),
+    ("(pair tl tiny (torus))", "unknown group kind 'torus'", 15),
+    ("(pair tl tiny (line z))",
+     r"duplicate pair name 'tl' \(first defined at line 2, column 1\)$", 1),
+    ("(superalgebra tiny (basis (z even)))",
+     r"duplicate algebra name 'tiny' \(first defined at line 1, column 1\)$", 1),
+    ("(function g tl (linefunc)) (function g fz (finitefunc))",
+     r"duplicate function name 'g' \(first defined at line 5, column 1\)$", 28),
+    ("(group g)", "unknown form 'group'; expected one of element, family, function, "
+     "pair, rep, superalgebra$", 1),
+    ("(3 g)", "expected form keyword$", 2),
     ("x", "expected '\\(' at top level", 1),
     # an atom is read before its place is checked
     ("1/0", "zero denominator in rational literal", 1),

@@ -38,6 +38,13 @@ def rho_vector(rep: MatrixRep, coords) -> np.ndarray:
     return out
 
 
+def _label(label, lhs, rhs) -> str:
+    """``label``, marked when a witness has a NaN or an infinite entry."""
+    if np.isfinite(lhs).all() and np.isfinite(rhs).all():
+        return str(label)
+    return f"{label} (non-finite witness)"
+
+
 def allclose_validate_rep(rep: MatrixRep, tol: float = 1e-9) -> ValidationReport:
     """The per-matrix check that the fused one replaced: one ``np.allclose``
     per basis pair, group element, point and generator."""
@@ -63,32 +70,37 @@ def allclose_validate_rep(rep: MatrixRep, tol: float = 1e-9) -> ValidationReport
         if rep.pi_table is None or len(rep.pi_table) != size:
             report.add("pi_table", False, "one unitary matrix per group element required")
             return report
+        if rep.freq is not None:
+            report.add("pi_table", False, "finite representation takes no frequency")
+            return report
+        names = pair.group.finite.element_names
         unitary_bad = [
-            pair.group.finite.element_names[g]
-            for g in range(size)
-            if not np.allclose(rep.pi_table[g] @ rep.pi_table[g].conj().T, eye, atol=tol)
+            _label(names[g], pi @ pi.conj().T, eye)
+            for g, pi in enumerate(rep.pi_table)
+            if not np.allclose(pi @ pi.conj().T, eye, atol=tol)
         ]
         report.add("pi_unitary", not unitary_bad, ", ".join(unitary_bad))
-        hom_bad = [
-            (a, b)
-            for a in range(size)
-            for b in range(size)
-            if not np.allclose(
-                rep.pi_table[a] @ rep.pi_table[b],
-                rep.pi_table[pair.group.finite.table[a][b]],
-                atol=tol,
-            )
-        ]
-        report.add("pi_homomorphism", not hom_bad, f"pairs {hom_bad}" if hom_bad else "")
+        hom_bad = []
+        for a in range(size):
+            for b in range(size):
+                lhs = rep.pi_table[a] @ rep.pi_table[b]
+                rhs = rep.pi_table[pair.group.finite.table[a][b]]
+                if not np.allclose(lhs, rhs, atol=tol):
+                    hom_bad.append(_label((a, b), lhs, rhs))
+        report.add("pi_homomorphism", not hom_bad,
+                   f"pairs [{', '.join(hom_bad)}]" if hom_bad else "")
         comm_bad = [
-            pair.group.finite.element_names[g]
-            for g in range(size)
-            if not np.allclose(rep.pi_table[g] @ rep.grading, rep.grading @ rep.pi_table[g], atol=tol)
+            _label(names[g], pi @ rep.grading, rep.grading @ pi)
+            for g, pi in enumerate(rep.pi_table)
+            if not np.allclose(pi @ rep.grading, rep.grading @ pi, atol=tol)
         ]
         report.add("grading_commutes_with_group", not comm_bad, ", ".join(comm_bad))
     else:
         if rep.freq is None:
             report.add("frequency", False, "line representation needs a frequency")
+            return report
+        if rep.pi_table is not None:
+            report.add("frequency", False, "line representation takes no pi_table")
             return report
         report.add("frequency", True)
         z = pair.generator_index
@@ -106,18 +118,19 @@ def allclose_validate_rep(rep: MatrixRep, tol: float = 1e-9) -> ValidationReport
             lhs = rep.rho[i] @ rep.rho[j] - sign * rep.rho[j] @ rep.rho[i]
             rhs = rho_vector(rep, algebra.constants[i][j])
             if not np.allclose(lhs, rhs, atol=tol):
-                bracket_bad.append(f"[{algebra.basis_names[i]},{algebra.basis_names[j]}]")
+                label = f"[{algebra.basis_names[i]},{algebra.basis_names[j]}]"
+                bracket_bad.append(_label(label, lhs, rhs))
     report.add("bracket_morphism", not bracket_bad, ", ".join(bracket_bad))
 
     sym_bad = [
-        algebra.basis_names[i]
+        _label(algebra.basis_names[i], rep.rho[i].conj().T, -1j * rep.rho[i])
         for i in algebra.odd_indices()
         if not np.allclose(rep.rho[i].conj().T, -1j * rep.rho[i], atol=tol)
     ]
     report.add("odd_symmetry", not sym_bad, ", ".join(sym_bad))
 
     skew_bad = [
-        algebra.basis_names[i]
+        _label(algebra.basis_names[i], rep.rho[i].conj().T, -rep.rho[i])
         for i in algebra.even_indices()
         if not np.allclose(rep.rho[i].conj().T, -rep.rho[i], atol=tol)
     ]
@@ -132,9 +145,10 @@ def allclose_validate_rep(rep: MatrixRep, tol: float = 1e-9) -> ValidationReport
         pg_inv = pg.conj().T
         images = transpose(pair.ad_point(point))
         for i in range(algebra.dim):
-            target = rho_vector(rep, images[i])
-            if not np.allclose(pg @ rep.rho[i] @ pg_inv, target, atol=tol):
-                cov_bad.append(f"Ad{point!r} on {algebra.basis_names[i]}")
+            moved, target = pg @ rep.rho[i] @ pg_inv, rho_vector(rep, images[i])
+            if not np.allclose(moved, target, atol=tol):
+                label = f"Ad{point!r} on {algebra.basis_names[i]}"
+                cov_bad.append(_label(label, moved, target))
     report.add("covariance", not cov_bad, ", ".join(cov_bad))
 
     rep.validated = report.ok
@@ -282,6 +296,25 @@ def test_grading_that_is_not_square_is_the_only_failing_row(grading):
         ("grading_shape", False, "grading must be a square matrix"),
     ]
     assert rep.validated is False
+
+
+@pytest.mark.parametrize("name, field, value, row", [
+    ("reg4", "freq", 3.0,
+     ("pi_table", False, "finite representation takes no frequency")),
+    ("hc-rep-2", "pi_table", (np.eye(2, dtype=complex),),
+     ("frequency", False, "line representation takes no pi_table")),
+], ids=["finite-with-freq", "line-with-pi-table"])
+def test_a_group_field_of_the_other_kind_is_refused(name, field, value, row):
+    shipped = next(r for r in SHIPPED if r.name == name)
+    rep = MatrixRep(name, shipped.pair, shipped.grading, shipped.rho,
+                    pi_table=shipped.pi_table, freq=shipped.freq)
+    setattr(rep, field, value)
+    report = validate_rep(rep)
+    assert _check_names(report) == [
+        ("grading_diagonal_sign", True, ""), ("grading_involutive", True, ""),
+        ("rho_shape", True, ""), row,
+    ]
+    assert report.to_dict() == allclose_validate_rep(rep).to_dict()
 
 
 def test_line_rep_without_frequency_stops_at_frequency():
