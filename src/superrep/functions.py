@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from math import comb, exp, gamma, inf, pi, sqrt
+from numbers import Real
 
 from .errors import MismatchError, StructureError
 from .groups import FINITE, GroupPoint, Supergroup
@@ -493,7 +494,10 @@ def right_derivative(pair: Supergroup, index: int, f):
 
 
 def l1_bound(f, center_slack: float = 0.0) -> float:
-    """Certified upper bound on the L1 norm over the epsilon-extension."""
+    """Certified upper bound on the L1 norm over the epsilon-extension; a
+    ``center_slack`` that is not a finite number >= 0 is refused."""
+    if not (isinstance(center_slack, Real) and 0 <= center_slack < inf):
+        raise StructureError("center slack must be a finite number >= 0")
     if isinstance(f, FiniteFunction):
         return float(sum(abs(v) for v in f.values.values()))
     if isinstance(f, GaussianPoly):

@@ -233,6 +233,10 @@ def validate_pair(pair: Supergroup) -> ValidationReport:
 
     if group.kind == FINITE:
         fg = group.finite
+        if fg is None or group.generator_name is not None:
+            report.add("group_table", False, "finite pair needs a finite group" if fg is None
+                       else "finite pair takes no generator")
+            return report
         grp_report = fg.validate()
         report.add("group_table", grp_report.ok, grp_report.summary())
         if not grp_report.ok:
@@ -268,6 +272,10 @@ def validate_pair(pair: Supergroup) -> ValidationReport:
     if group.kind == LINE:
         report.add("even_part_line", len(algebra.even_indices()) == 1,
                    "the even part of a line pair must be 1-dimensional")
+        if group.finite is not None or group.ad_matrices is not None:
+            report.add("generator", False, "line pair takes no finite group"
+                       if group.finite is not None else "line pair takes no adjoint matrices")
+            return report
         try:
             z = algebra.index(group.generator_name)
         except StructureError as exc:

@@ -18,8 +18,9 @@ derivatives of f) gives the upper end, valid for every representation at once.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -272,55 +273,40 @@ def rep_hat(rep: MatrixRep, a: CrossedElement) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _derive(pair: Supergroup, even_word: Word, derived: dict):
-    """R_D f for a word of even letters (applied right to left).  ``derived``
-    maps each even word already taken to R_word f for one term's f, from
-    ``{(): f}`` on; a miss derives the suffix first, so each suffix of each
-    word is derived once per term."""
-    out = derived.get(even_word)
-    if out is None:
-        inner = _derive(pair, even_word[1:], derived)
-        out = derived[even_word] = right_derivative(pair, even_word[0], inner)
-    return out
+@contextmanager
+def _term_bound(pair: Supergroup, f):
+    """Yields ``bound(odd_word, even_word)``: a certified bound on
+    || rho(odd_word) dpi(even_word) pi(f) || valid for every unitary
+    representation.  It peels odd letters by Cauchy-Schwarz over the chain
+    ``derived(even_word)`` = R_D f (even letters applied right to left); both
+    are cached per term, so each (odd word, even word) is bounded once and
+    each suffix of each even word derived once, as ``cache_info()`` counts."""
 
+    @cache
+    def derived(even_word: Word):
+        if not even_word:
+            return f
+        return right_derivative(pair, even_word[0], derived(even_word[1:]))
 
-def _bound_term(pair: Supergroup, odd_word: Word, even_word: Word, derived: dict,
-                bounds: dict) -> float:
-    """Certified bound on || rho(odd_word) dpi(even_word) pi(f) || valid for
-    every unitary representation; ``derived`` holds the derivatives of f
-    taken so far (see ``_derive``) and ``bounds`` maps each (odd word, even
-    word) already bounded for f to its bound, so each is peeled once per
-    term."""
-    key = (odd_word, even_word)
-    out = bounds.get(key)
-    if out is None:
-        out = bounds[key] = _peel(pair, odd_word, even_word, derived, bounds)
-    return out
+    @cache
+    def bound(odd_word: Word, even_word: Word) -> float:
+        if not odd_word:
+            return l1_bound(derived(even_word))
+        y, rest = odd_word[0], odd_word[1:]
+        tail = bound(rest, even_word)
+        if tail == 0.0:
+            return 0.0
+        # || rho(y) W v ||^2 <= 1/2 ||W v|| * || rho([y,y]) W v ||; the even
+        # element [y,y] is central on every pair the bound accepts, so it
+        # passes the remaining odd letters as one more derivative on f
+        pushed = 0.0
+        for k, c in pair.algebra.bracket_terms[y][y]:
+            pushed += abs(float(c)) * bound(rest, (k,) + even_word)
+        # a vanishing [y,y] forces rho(y) W v = 0 even where the tail overflows
+        return 0.0 if pushed == 0.0 else (0.5 * tail * pushed) ** 0.5
 
-
-def _peel(pair: Supergroup, odd_word: Word, even_word: Word, derived: dict,
-          bounds: dict) -> float:
-    """``_bound_term`` of one (odd word, even word), by peeling odd letters."""
-    algebra = pair.algebra
-    if not odd_word:
-        return l1_bound(_derive(pair, even_word, derived))
-    y, rest = odd_word[0], odd_word[1:]
-    tail = _bound_term(pair, rest, even_word, derived, bounds)
-    if tail == 0.0:
-        return 0.0
-    # || rho(y) W v ||^2 <= 1/2 ||W v|| * || rho([y,y]) W v ||, and the even
-    # element [y,y] is pushed through the remaining odd letters: each step
-    # leaves a bracket replacement plus one more derivative on f
-    pushed = 0.0
-    for k, c in algebra.bracket_terms[y][y]:
-        weight = abs(float(c))
-        for j in range(len(rest)):
-            for m, d in algebra.bracket_terms[k][rest[j]]:
-                replaced = rest[:j] + (m,) + rest[j + 1:]
-                pushed += weight * abs(float(d)) * _bound_term(
-                    pair, replaced, even_word, derived, bounds)
-        pushed += weight * _bound_term(pair, rest, (k,) + even_word, derived, bounds)
-    return (0.5 * tail * pushed) ** 0.5
+    yield bound
+    del bound, derived  # each calls itself: break the cycles, so the caches go on exit
 
 
 def prop33_bound(a: CrossedElement) -> float:
@@ -331,14 +317,14 @@ def prop33_bound(a: CrossedElement) -> float:
     algebra = pair.algebra
     total = 0.0
     for word, f in a.terms.items():
-        derived, bounds = {(): f}, {}
         # rewrite the monomial with all odd letters in front, as the
         # letter-peeling recursion requires
         reordered = normal_form(algebra, word, order=ODD_MAJOR_ORDER)
-        for w, c in reordered.terms.items():
-            split = sum(algebra.parity[i] for i in w)  # how many odd letters lead w
-            odd_word, even_word = w[:split], w[split:]
-            total += abs(c) * _bound_term(pair, odd_word, even_word, derived, bounds)
+        with _term_bound(pair, f) as bound:
+            for w, c in reordered.terms.items():
+                split = sum(algebra.parity[i] for i in w)  # how many odd letters lead w
+                odd_word, even_word = w[:split], w[split:]
+                total += abs(c) * bound(odd_word, even_word)
     return total
 
 

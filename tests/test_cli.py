@@ -21,7 +21,7 @@ from superrep.dsl import DslError, Workspace, parse, parse_file, print_workspace
 
 from test_crossed import random_line_element
 from test_dsl import MUTATION, mutated_source
-from test_reps import HC2LINE_SOURCE
+from test_reps import HC2LINE_SOURCE, OCLINE_SOURCE
 
 
 def run(capsys, *argv):
@@ -709,6 +709,46 @@ def test_bound_of_a_zero_element(capsys, tmp_path):
     assert (code, json.loads(out)) == (1, {"error": "shearline: line instances with a "
                                            "nontrivial adjoint action on the algebra are "
                                            "not supported"})
+
+
+_OCLINE = OCLINE_SOURCE + """
+(element big ocline (tensor (ue (1 x)) (linefunc (plus (gauss 1e-300 0 1e200)))))
+(element g ocline (tensor (ue (1)) (linefunc (plus (gauss 1 0 1)))))
+(rep oc-rep ocline (grading 1) (freq 1) (rho z ((1i))) (rho x ((0))))
+(family oc-fam oc-rep)
+"""
+
+
+@pytest.fixture
+def ocline_file(tmp_path):
+    src = tmp_path / "oc.sexp"
+    src.write_text(_OCLINE)
+    return str(src)
+
+
+def test_a_vanishing_odd_square_bounds_to_zero(capsys, ocline_file):
+    code, out = run(capsys, "--file", ocline_file, "bound", "--elem", "big")
+    assert (code, json.loads(out)) == (
+        0, {"elem": "big", "upper": 0.0, "terms": [{"word": ["x"], "bound": 0.0}]})
+
+
+def test_ccr_flags_of_a_nilpotent_algebra_not_generated_by_its_odd_part(capsys, ocline_file):
+    code, out = run(capsys, "--file", ocline_file, "ccr-report", "--family", "oc-fam",
+                    "--elem", "g")
+    assert code == 0
+    assert json.loads(out)["flags"] == {"nilpotent": True, "odd_generated": False}
+
+
+def test_taylor_fails_against_a_quarter_of_the_bound(capsys, monkeypatch):
+    """For a0 on hc-grid the family maximum is 0.368 of the bound at every
+    step; against a quarter of it, about 1.47, the check must fail."""
+    prop33_bound = reps.prop33_bound
+    monkeypatch.setattr(reps, "prop33_bound", lambda a: prop33_bound(a) / 4)
+    code, out = run(capsys, "--catalog", "hc", "taylor", "--pair", "hcline", "--elem", "a0",
+                    "--family", "hc-grid")
+    doc = json.loads(out)
+    assert (code, doc["ok"]) == (1, False)
+    assert all(1.4 < row["family_max"] / row["bound"] < 1.5 for row in doc["steps"])
 
 
 # -- one parser and one copy of each shipped catalog per process --------------

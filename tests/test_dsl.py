@@ -246,14 +246,25 @@ MUTATION = st.tuples(
     st.integers(0, 10**6),
     st.sampled_from(TOKEN_POOL),
 )
+# an atom replaced by an atom: the parentheses stay, so most draws get past
+# the reader and reach the builders
+ATOM_MUTATION = st.tuples(
+    st.just("atom"),
+    st.integers(0, 10**6),
+    st.sampled_from([tok for tok in TOKEN_POOL if tok not in ("(", ")", "()")]),
+)
 FREQ_ARGUMENT = CATALOG_TOKENS["hc"].index("freq") + 1
 
 
 def mutated_source(name: str, mutations) -> str:
     """The shipped catalog with each (op, position, token) mutation applied
-    in turn: a token dropped, replaced or inserted."""
+    in turn: a token dropped, replaced or inserted, or an atom replaced."""
     tokens = list(CATALOG_TOKENS[name])
     for op, pos, tok in mutations:
+        if op == "atom":
+            atoms = [k for k, t in enumerate(tokens) if t not in ("(", ")")]
+            tokens[atoms[pos % len(atoms)]] = tok
+            continue
         pos %= len(tokens) + (op == "insert")
         if op == "drop":
             del tokens[pos]
@@ -270,6 +281,17 @@ def mutated_source(name: str, mutations) -> str:
 def test_mutated_catalogs_parse_or_raise_superrep_error(name, mutations):
     """Dropping, replacing or inserting tokens in a shipped catalog either
     leaves a valid source or ends in a SuperrepError, never anything else."""
+    try:
+        parse(mutated_source(name, mutations))
+    except SuperrepError:
+        pass
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(CATALOG_NAMES), st.lists(ATOM_MUTATION, min_size=1, max_size=3))
+def test_atom_replaced_catalogs_parse_or_raise_superrep_error(name, mutations):
+    """Replacing atoms of a shipped catalog, which keeps its parentheses,
+    either leaves a valid source or ends in a SuperrepError."""
     try:
         parse(mutated_source(name, mutations))
     except SuperrepError:

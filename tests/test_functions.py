@@ -563,6 +563,14 @@ def _two_even_line_pair(ws):
                       ws.algebras["gl11"])
 
 
+def _l1_with_slack(slack):
+    """l1_bound of t exp(-t^2), whose L1 norm is 1, widened by ``slack``."""
+    return l1_bound(GaussianPoly.gaussian(1.0, 0.0, (0.0, 1.0)), center_slack=slack)
+
+
+SLACK_REFUSED = "center slack must be a finite number >= 0"
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda ws: FiniteFunction(ws.pairs["hcline"]),
      MismatchError, "FiniteFunction requires a finite group"),
@@ -573,6 +581,11 @@ def _two_even_line_pair(ws):
     (lambda ws: breve(1.0), MismatchError, "unsupported function class"),
     (lambda ws: left_translate(GroupPoint(0), 1.0), MismatchError, "unsupported function class"),
     (lambda ws: l1_bound(1.0), MismatchError, "unsupported function class"),
+    (lambda ws: _l1_with_slack(-1.0), StructureError, SLACK_REFUSED),
+    (lambda ws: _l1_with_slack(-0.5), StructureError, SLACK_REFUSED),
+    (lambda ws: _l1_with_slack(math.nan), StructureError, SLACK_REFUSED),
+    (lambda ws: _l1_with_slack(math.inf), StructureError, SLACK_REFUSED),
+    (lambda ws: _l1_with_slack("1"), StructureError, SLACK_REFUSED),
     (lambda ws: fourier_at(_finite(ws), 1.0),
      MismatchError, "fourier_at is a line-instance operation"),
     (lambda ws: right_derivative(ws.pairs["hcline"], 1, GaussianPoly.gaussian()),
@@ -583,6 +596,7 @@ def _two_even_line_pair(ws):
      StructureError, "the line instance has a single even generator"),
 ], ids=["finite-function-on-line-pair", "sum-of-two-pairs", "convolve-two-classes",
         "breve-non-function", "left-translate-non-function", "l1-bound-non-function",
+        "slack-minus-1", "slack-minus-half", "slack-nan", "slack-inf", "slack-not-a-number",
         "fourier-of-finite-function", "derivative-odd-element", "derivative-finite-function",
         "derivative-second-even-element"])
 def test_functions_refusals(workspace, call, error, message):

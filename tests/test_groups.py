@@ -362,11 +362,24 @@ def _pair(workspace, group, algebra="podd"):
      "pair q failed validation: ad_shape: one adjoint matrix per group element required"),
     (lambda ws: _pair(ws, GroupData(LINE, generator_name="w"), "hc"),
      StructureError, "pair q failed validation: generator: hc: unknown basis element 'w'"),
+    (lambda ws: _pair(ws, GroupData(FINITE)),
+     StructureError, "pair q failed validation: group_table: finite pair needs a finite group"),
+    (lambda ws: _pair(ws, GroupData(FINITE, finite=ws.pairs["z2odd"].group.finite,
+                                    ad_matrices=ws.pairs["z2odd"].group.ad_matrices,
+                                    generator_name="x")),
+     StructureError, "pair q failed validation: group_table: finite pair takes no generator"),
+    (lambda ws: _pair(ws, GroupData(LINE, generator_name="z",
+                                    finite=ws.pairs["z2odd"].group.finite), "hc"),
+     StructureError, "pair q failed validation: generator: line pair takes no finite group"),
+    (lambda ws: _pair(ws, GroupData(LINE, generator_name="z", ad_matrices=(((1,),),)), "hc"),
+     StructureError, "pair q failed validation: generator: line pair takes no adjoint matrices"),
     (lambda ws: _pair(ws, GroupData("torus")),
      StructureError, "pair q failed validation: kind: unknown group kind 'torus'"),
 ], ids=["table-shape", "not-closed", "no-identity", "not-associative", "no-inverse",
         "identity-of-table-without-one", "inverse-of-element-without-one",
-        "pair-with-bad-table", "generator-index-on-finite-pair", "ad-shape", "unknown-generator", "unknown-kind"])
+        "pair-with-bad-table", "generator-index-on-finite-pair", "ad-shape", "unknown-generator",
+        "finite-without-group", "finite-with-generator", "line-with-finite-group",
+        "line-with-ad-matrices", "unknown-kind"])
 def test_groups_refusals(workspace, call, error, message):
     with pytest.raises(error) as exc:
         call(workspace)

@@ -1,7 +1,9 @@
 """Matrix representations, the bridge, and certified norm bounds."""
 
 import cmath
+import contextlib
 import functools
+import gc
 import math
 import random
 from fractions import Fraction
@@ -341,23 +343,72 @@ def test_bound_peels_each_word_pair_once_bit_for_bit(n, monkeypatch):
     pair = deep_odd_line(n)
     f = GaussianPoly.gaussian(1.0) + GaussianPoly.gaussian(0.5, -0.75, (0.25, 1j, -2.0), "eps")
     a = CrossedElement(pair, {tuple(range(1, n + 1)): f})  # the monomial x1...xn
-    peeled, visited = [], []
-    peel, reference = reps._peel, reference_bound_term
+    bounds, visited = [], []
+    term_bound, reference = reps._term_bound, reference_bound_term
 
-    def counted_peel(pair, odd_word, even_word, derived, bounds):
-        peeled.append((odd_word, even_word))
-        return peel(pair, odd_word, even_word, derived, bounds)
+    @contextlib.contextmanager
+    def captured_term_bound(pair, f):
+        with term_bound(pair, f) as bound:
+            bounds.append(bound)
+            yield bound
 
     def counted_reference(pair, odd_word, even_word, f, seen):
         visited.append((odd_word, even_word))
         return reference(pair, odd_word, even_word, f, seen)
 
-    monkeypatch.setattr(reps, "_peel", counted_peel)
+    monkeypatch.setattr(reps, "_term_bound", captured_term_bound)
     monkeypatch.setitem(globals(), "reference_bound_term", counted_reference)
     assert prop33_bound(a).hex() == reference_prop33(a)[0].hex()
-    # each distinct (odd word, even word) once: 45 at n = 8, against 511 calls
-    assert len(peeled) == len(set(peeled)) == len(set(visited)) == (n + 1) * (n + 2) // 2
+    # one recursion for the one term, computing each distinct (odd word, even
+    # word) once: 45 at n = 8, against 511 calls
+    [bound] = bounds
+    info = bound.cache_info()
+    assert info.misses == info.currsize == len(set(visited)) == (n + 1) * (n + 2) // 2
     assert len(visited) == 2 ** (n + 1) - 1
+
+
+def test_bound_leaves_no_cyclic_garbage(workspace):
+    """Each term's recursion is freed when its term is summed, not left for
+    the cyclic collector: a loop of bounds that leaves garbage cycles makes
+    collections fire in whatever runs next."""
+    elements = list(catalog_line_elements(workspace).values())
+    gc.collect()
+    gc.disable()
+    try:
+        for a in elements:
+            prop33_bound(a)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# z even and x odd with [x, x] = 0, on (line z): rho(x) = 0 in every
+# representation
+OCLINE_SOURCE = """
+(superalgebra oc (basis (z even) (x odd)))
+(pair ocline oc (line z))
+"""
+
+
+def test_a_vanishing_odd_square_bounds_to_zero():
+    pair = parse(OCLINE_SOURCE).pairs["ocline"]
+    x = UEElement.generator(pair.algebra, 1)
+    # the L1 bound of f overflows, and 0.5 * inf * 0 would be NaN
+    f = GaussianPoly.gaussian(1e-300, 0.0, (1e200,))
+    assert l1_bound(f) == math.inf
+    for g in (f, GaussianPoly.gaussian()):
+        assert prop33_bound(CrossedElement.tensor(pair, x, g)).hex() == (0.0).hex()
+
+
+def test_a_zero_tail_ends_the_bound_on_a_finite_pair():
+    """Peeling x2 off x1 x2 (x) delta_e gives 0, as [x2, x2] = 0, so the
+    bound of x1 stops at its zero tail."""
+    ws = parse("""
+(superalgebra podd2 (basis (x1 odd) (x2 odd)))
+(pair z2two podd2 (finite (elements e s) (table (e s) (s e)) (ad s ((-1 0) (0 -1)))))
+(element x1x2 z2two (tensor (ue (1 x1 x2)) (finitefunc (delta e 1))))
+""")
+    assert prop33_bound(ws.elements["x1x2"]).hex() == (0.0).hex()
 
 
 # prop33_bound of the catalog line elements, pinned by float.hex
