@@ -657,8 +657,8 @@ _FORMS = {
 
 
 def format_float(x: float) -> str:
-    """Shortest round-trip decimal, capped at 15 significant digits."""
-    return repr(float(f"{float(x):.15g}"))
+    """The shortest decimal that reads back as the same float."""
+    return repr(float(x))
 
 
 def _print_scalar(v: GaussianRational) -> str:

@@ -95,6 +95,15 @@ def test_roundtrip_with_a_vanishing_probe_image_exits_2(capsys):
     assert json.loads(out) == {"error": "probe image vanishes on the test vector"}
 
 
+def test_roundtrip_takes_a_small_probe_image(capsys, tmp_path):
+    # an image of about 1e-8 is small, yet far above the vanishing rule's 1e-14
+    src = tmp_path / "tiny.sexp"
+    src.write_text("(element tiny hcline (tensor (ue (1)) (linefunc (plus (gauss 1 0 1e-8)))))")
+    code, out = run(capsys, "--catalog", "hc", "--file", str(src), "roundtrip",
+                    "--rep", "hc-rep-2", "--probe", "tiny")
+    assert (code, json.loads(out)["ok"]) == (0, True)
+
+
 def test_missing_file_exits_2(capsys):
     code, out = run(capsys, "--file", "/does/not/exist.sexp", "validate",
                     "--pair", "hcline")
@@ -732,11 +741,38 @@ def test_a_vanishing_odd_square_bounds_to_zero(capsys, ocline_file):
         0, {"elem": "big", "upper": 0.0, "terms": [{"word": ["x"], "bound": 0.0}]})
 
 
+def test_a_term_with_a_zero_rho_word_adds_nothing_where_pi_overflows(capsys, ocline_file):
+    # rho(x) = 0 in oc-rep, and pi(f) of big overflows: 0 * inf would be NaN
+    code, out = run(capsys, "--file", ocline_file, "hat", "--rep", "oc-rep", "--elem", "big")
+    assert (code, json.loads(out)["matrix"]) == (0, [[[0.0, 0.0]]])
+    code, out = run(capsys, "--file", ocline_file, "ccr-report", "--family", "oc-fam",
+                    "--elem", "big")
+    assert code == 0
+    assert json.loads(out)["representations"][0]["image_span_dim"] == 0
+
+
 def test_ccr_flags_of_a_nilpotent_algebra_not_generated_by_its_odd_part(capsys, ocline_file):
     code, out = run(capsys, "--file", ocline_file, "ccr-report", "--family", "oc-fam",
                     "--elem", "g")
     assert code == 0
     assert json.loads(out)["flags"] == {"nilpotent": True, "odd_generated": False}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--catalog", "hc", "gamma-check", "--pair", "hcline", "--f", "gauss1", "--h", "gauss2"),
+    ("--catalog", "podd", "gamma-check", "--pair", "z2odd", "--f", "dmix", "--h", "ds",
+     "--word", "x"),
+], ids=["line", "finite"])
+def test_gamma_check_fails_against_twice_the_integral(capsys, monkeypatch, argv):
+    # both integrals are nonzero, so twice either one breaks the identity
+    gamma_integral = cli.gamma_integral
+    monkeypatch.setattr(cli, "gamma_integral", lambda *args: gamma_integral(*args).scale(2))
+    code, out = run(capsys, *argv)
+    doc = json.loads(out)
+    assert (code, doc["ok"]) == (1, False)
+    assert doc["deviation"] > doc["tol"]
+    if "z2odd" in argv:
+        assert doc["deviation"] == 1.0
 
 
 def test_taylor_fails_against_a_quarter_of_the_bound(capsys, monkeypatch):

@@ -301,6 +301,13 @@ def test_gamma_identity_line_eps_component(hcline):
     assert element_sample_difference(lhs, rhs) <= 1e-10
 
 
+def test_sample_difference_reads_the_peak_at_zero(hcline):
+    # t = 0.0 is the 11th of the 21 sample points, where e^{-t^2} is 1.0
+    x = UEElement.generator(hcline.algebra, 1)
+    a = CrossedElement.tensor(hcline, x, GaussianPoly.gaussian())
+    assert element_sample_difference(a, CrossedElement.zero(hcline)) == 1.0
+
+
 # -- orbit derivative ---------------------------------------------------------
 
 

@@ -344,6 +344,22 @@ def test_print_workspace_round_trips_byte_for_byte(name, cut, sep, values):
     assert print_workspace(parse(once)) == once
 
 
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_SOURCES))
+def test_printing_gives_back_the_floats_read(name):
+    """Parsing the printout reproduces every float of the workspace, not
+    only the printed text."""
+    ws = parse(ROUND_TRIP_SOURCES[name])
+    again = parse(print_workspace(ws))
+
+    def floats(rep):
+        arrays = (rep.grading, *rep.rho, *(rep.pi_table or ()))
+        return [m.tobytes() for m in arrays] + [repr(rep.freq)]
+
+    assert {k: floats(r) for k, r in again.reps.items()} == {
+        k: floats(r) for k, r in ws.reps.items()}
+    assert again.elements == ws.elements
+
+
 # A line pair on lines 1-2 and a finite pair on lines 3-4; each malformed
 # form below sits on line 5.
 PRELUDE = (

@@ -1,7 +1,6 @@
 """Matrix representations, the bridge, and certified norm bounds."""
 
 import cmath
-import contextlib
 import functools
 import gc
 import math
@@ -343,34 +342,37 @@ def test_bound_peels_each_word_pair_once_bit_for_bit(n, monkeypatch):
     pair = deep_odd_line(n)
     f = GaussianPoly.gaussian(1.0) + GaussianPoly.gaussian(0.5, -0.75, (0.25, 1j, -2.0), "eps")
     a = CrossedElement(pair, {tuple(range(1, n + 1)): f})  # the monomial x1...xn
-    bounds, visited = [], []
-    term_bound, reference = reps._term_bound, reference_bound_term
+    calls, visited = {"right_derivative": 0, "l1_bound": 0, "_peel": 0}, []
+    reference = reference_bound_term
 
-    @contextlib.contextmanager
-    def captured_term_bound(pair, f):
-        with term_bound(pair, f) as bound:
-            bounds.append(bound)
-            yield bound
+    def counted(name):
+        real = getattr(reps, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
 
     def counted_reference(pair, odd_word, even_word, f, seen):
         visited.append((odd_word, even_word))
         return reference(pair, odd_word, even_word, f, seen)
 
-    monkeypatch.setattr(reps, "_term_bound", captured_term_bound)
+    for name in calls:
+        monkeypatch.setattr(reps, name, counted(name))
     monkeypatch.setitem(globals(), "reference_bound_term", counted_reference)
     assert prop33_bound(a).hex() == reference_prop33(a)[0].hex()
-    # one recursion for the one term, computing each distinct (odd word, even
-    # word) once: 45 at n = 8, against 511 calls
-    [bound] = bounds
-    info = bound.cache_info()
-    assert info.misses == info.currsize == len(set(visited)) == (n + 1) * (n + 2) // 2
+    # one leaf per derivative order and one peel per distinct (odd word, even
+    # word) above them: 45 nodes at n = 8, where the reference makes 511 calls
+    assert calls == {"right_derivative": n, "l1_bound": n + 1, "_peel": n * (n + 1) // 2}
+    assert len(set(visited)) == calls["l1_bound"] + calls["_peel"] == (n + 1) * (n + 2) // 2
     assert len(visited) == 2 ** (n + 1) - 1
 
 
 def test_bound_leaves_no_cyclic_garbage(workspace):
-    """Each term's recursion is freed when its term is summed, not left for
-    the cyclic collector: a loop of bounds that leaves garbage cycles makes
-    collections fire in whatever runs next."""
+    """The bound keeps each term's derivatives in a plain list and dict, so
+    nothing it makes is left for the cyclic collector: a loop of bounds that
+    leaves garbage cycles makes collections fire in whatever runs next."""
     elements = list(catalog_line_elements(workspace).values())
     gc.collect()
     gc.disable()
@@ -401,14 +403,20 @@ def test_a_vanishing_odd_square_bounds_to_zero():
 
 
 def test_a_zero_tail_ends_the_bound_on_a_finite_pair():
-    """Peeling x2 off x1 x2 (x) delta_e gives 0, as [x2, x2] = 0, so the
-    bound of x1 stops at its zero tail."""
+    """x1 x2 (x) delta_e bounds to 0, as [x1, x1] = [x2, x2] = 0 on a pair
+    with no even part."""
     ws = parse("""
 (superalgebra podd2 (basis (x1 odd) (x2 odd)))
 (pair z2two podd2 (finite (elements e s) (table (e s) (s e)) (ad s ((-1 0) (0 -1)))))
 (element x1x2 z2two (tensor (ue (1 x1 x2)) (finitefunc (delta e 1))))
 """)
     assert prop33_bound(ws.elements["x1x2"]).hex() == (0.0).hex()
+
+
+def test_a_zero_factor_ends_a_peel_where_the_other_overflows():
+    # 0.5 * 0.0 * inf would be NaN
+    assert reps._peel(0.0, math.inf).hex() == reps._peel(math.inf, 0.0).hex() == (0.0).hex()
+    assert reps._peel(2.0, 4.0) == 2.0
 
 
 # prop33_bound of the catalog line elements, pinned by float.hex
