@@ -254,8 +254,7 @@ def cmd_hat(args, rep, a) -> tuple[dict, bool]:
 def cmd_bound(args, a) -> tuple[dict, bool]:
     names = a.pair.algebra.basis_names
     a.pair.require_trivial_line_ad()  # refused even when a has no term
-    # on every pair the bound accepts, each PBW monomial is its own odd-major
-    # form, so prop33_bound(a) adds exactly these values in a.terms order
+    # prop33_bound(a) adds exactly these values, in a.terms order
     bounds = {w: prop33_bound(CrossedElement(a.pair, {w: f})) for w, f in a.terms.items()}
     terms = [{"word": [names[i] for i in w], "bound": bounds[w]} for w in sorted(bounds)]
     return {"elem": args.elem, "upper": sum(bounds.values(), 0.0), "terms": terms}, True

@@ -1,10 +1,10 @@
 """The crossed-product *-algebra of enveloping-algebra-valued test functions.
 
-Elements are finite sums D_k (x) f_k, canonicalized so that every stored
-term pairs a single PBW monomial with one function (scalar coefficients are
-folded into the functions).  Finite instances are exact; on line instances
-every twist needs the group to act trivially on the algebra (the epsilon flip
-is the only twist), which keeps the Gaussian-polynomial class closed.
+Elements are finite sums D_k (x) f_k; every stored term pairs one PBW monomial
+in declaration order with one function, scalars folded in, and a reader takes
+each word as it stands.  Finite instances are exact; on line instances every
+twist needs the group to act trivially on the algebra (the epsilon flip is
+the only twist), which keeps the Gaussian-polynomial class closed.
 ``Supergroup.twist_point`` refuses any other line pair, so an operation
 with nothing to twist, such as a right translation, runs on every pair.
 
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import linalg
-from .enveloping import UEElement, _accumulate, apply_auto, dagger, ue_multiply
+from .enveloping import (DECL_ORDER, UEElement, _accumulate, apply_auto, dagger, normal_form,
+                         ue_multiply)
 from .errors import MismatchError, UnsupportedInstanceError
 from .functions import (
     FiniteFunction, GaussianPoly, breve, convolve, l1_bound, left_translate, right_translate,
@@ -37,7 +38,7 @@ Word = tuple[int, ...]
 def _twist(pair: Supergroup, g: GroupPoint, D: UEElement) -> UEElement:
     """alpha_g(D), the automorphism induced by Ad(g).  The image of each
     monomial is memoized on the pair, keyed by (twist_point(g), word,
-    order), so points with one adjoint action share their entries."""
+    order): only line points share entries, as a finite point is its own."""
     algebra = pair.algebra
     memo = pair.twist_memo
     g = pair.twist_point(g)
@@ -67,7 +68,8 @@ def _check_function(pair: Supergroup, f):
 @dataclass(init=False, repr=False)
 class CrossedElement:
     """Finite sum of (PBW monomial) (x) (function) terms; equal by pair and
-    terms, unhashable."""
+    terms, unhashable.  The constructor straightens each word it is given
+    and refuses a basis index out of range (StructureError)."""
 
     __slots__ = ("pair", "terms")
     pair: Supergroup
@@ -78,8 +80,7 @@ class CrossedElement:
         self.terms = {}
         for w, f in (terms or {}).items():
             _check_function(pair, f)
-            if not f.is_zero():
-                self.terms[w] = f
+            self._add_ue(normal_form(pair.algebra, w), f)
 
     @staticmethod
     def zero(pair: Supergroup) -> "CrossedElement":
@@ -87,9 +88,11 @@ class CrossedElement:
 
     @staticmethod
     def tensor(pair: Supergroup, element: UEElement, f) -> "CrossedElement":
-        """D (x) f for a general enveloping element D."""
+        """D (x) f for an enveloping element D in declaration order."""
         if element.algebra != pair.algebra:
             raise MismatchError("enveloping element belongs to a different algebra")
+        if element.order != DECL_ORDER:
+            raise MismatchError("enveloping element is not in declaration order")
         _check_function(pair, f)
         out = CrossedElement(pair)
         out._add_ue(element, f)
@@ -105,7 +108,8 @@ class CrossedElement:
 
     def __add__(self, other: "CrossedElement") -> "CrossedElement":
         self._check(other)
-        out = CrossedElement(self.pair, self.terms)
+        out = CrossedElement(self.pair)
+        out.terms.update(self.terms)
         for w, f in other.terms.items():
             _accumulate(out.terms, w, f)
         return out
@@ -258,9 +262,11 @@ def gamma_integral(pair: Supergroup, f, D: UEElement, h) -> CrossedElement:
 
 
 def element_sample_difference(a: CrossedElement, b: CrossedElement) -> float:
-    """Max pointwise deviation between matching monomial terms (line case),
-    over both components at 21 points on [-3, 3]."""
+    """Max pointwise deviation between matching monomial terms, over both
+    components at 21 points on [-3, 3]; line instances only."""
     a._check(b)
+    if a.pair.group.kind != LINE:
+        raise UnsupportedInstanceError("sample difference requires a line instance")
     points = [(-3.0 + 0.3 * k) for k in range(21)]
     worst = 0.0
     for w in set(a.terms) | set(b.terms):

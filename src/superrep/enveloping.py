@@ -6,8 +6,8 @@ to half the self-bracket).  Elements are finite Gaussian-rational linear
 combinations of such monomials.
 
 Two total orders are used: ``decl`` (declaration order of the basis, the
-default normal form) and ``oddmajor`` (all odd generators before all even
-ones), which the norm-bound recursion needs.
+default normal form, which crossed-product terms hold) and ``oddmajor`` (all
+odd generators before all even ones).
 """
 
 from __future__ import annotations

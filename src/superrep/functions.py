@@ -314,9 +314,8 @@ class GaussianPoly:
 
     def __repr__(self):
         def side(terms):
-            return " + ".join(
-                f"poly{list(t.coeffs)}*exp(-{t.rate}(t-{t.center})^2)" for t in terms
-            ) or "0"
+            return " + ".join(f"poly{list(t.coeffs)}*exp(-{t.rate}(t-{t.center})^2)"
+                              for t in sorted(terms, key=lambda t: (t.rate, t.center))) or "0"
 
         return f"GaussianPoly(plus: {side(self.plus)}; eps: {side(self.eps)})"
 

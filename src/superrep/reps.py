@@ -12,9 +12,9 @@ The bridge ``rep_hat`` sends D (x) f to rho(D) pi(f), skipping a term whose
 rho(D) is the zero matrix; it is the one way into matrices, and it refuses an
 image with a NaN or an infinite entry (OverflowError).  Its operator norm over
 an explicit family gives the lower end of the seminorm interval.  The upper
-end, valid for every representation at once, is a certified fold over each
-monomial's odd letters: each is peeled by Cauchy-Schwarz, which turns its
-square, a multiple of the central z, into one more derivative of f.
+end, valid for every representation at once, is a certified fold over the
+odd letters of each stored word: each is peeled by Cauchy-Schwarz, which
+turns its square, a multiple of the central z, into one more derivative of f.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from functools import cached_property
 import numpy as np
 
 from .crossed import CrossedElement, mul_group, mul_lie
-from .enveloping import ODD_MAJOR_ORDER, normal_form
 from .errors import MismatchError, StructureError, UnsupportedInstanceError
 from .functions import fourier_at, l1_bound, right_derivative
 from .groups import FINITE, LINE, GroupPoint, Supergroup
@@ -287,38 +286,32 @@ def prop33_bound(a: CrossedElement) -> float:
     """Certified upper bound M with || rep_hat(R, a) || <= M for every
     validated representation R of the pair.
 
-    Each canonical monomial D (x) f is rewritten odd-major, as words
-    y_1 ... y_r z^m; on every pair the bound accepts, z is central and each
-    [y, y] is c_y z or 0.  A word's bound starts from the row L1(f^(m)), ...,
-    L1(f^(m+r)) of right z-derivatives of f and peels y_r, ..., y_1 off it:
-    peeling y sets row[k] to _peel(row[k], |c_y| row[k+1]) for each k but the
-    last.  Each derivative and each L1 bound is made once per term, when a
-    word first needs it."""
+    Each term D (x) f is read as it stands: the odd letters y_1 ... y_r of
+    its word in order, and m = len(word) - r letters z; this holds for any
+    such word, as on every pair the bound accepts z is central and each
+    [y, y] is c_y z or 0.  The row L1(f^(m)), ..., L1(f^(m+r)) of right
+    z-derivatives of f is peeled by y_r, ..., y_1: peeling y sets row[k] to
+    _peel(row[k], |c_y| row[k+1]) for each k but the last."""
     pair = a.pair
     pair.require_trivial_line_ad()
     algebra = pair.algebra
     total = 0.0
     for word, f in a.terms.items():
-        derived, l1 = [f], {}  # f^(n), and L1(f^(n)) keyed by n
-        for w, c in normal_form(algebra, word, order=ODD_MAJOR_ORDER).terms.items():
-            r = sum(algebra.parity[i] for i in w)  # how many odd letters lead w
-            squares = [algebra.bracket_terms[y][y] for y in w[:r]]
-            bound = 0.0  # a vanishing [y, y] forces rho(y) = 0 in every representation
-            if all(squares):
-                row = []
-                for n in range(len(w) - r, len(w) + 1):
-                    if n not in l1:
-                        while len(derived) <= n:
-                            derived.append(right_derivative(pair, pair.generator_index, derived[-1]))
-                        l1[n] = l1_bound(derived[n])
-                    row.append(l1[n])
-                for i in reversed(range(r)):
-                    [(_, cy)] = squares[i]
-                    weight = abs(float(cy))
-                    for k in range(i + 1):
-                        row[k] = _peel(row[k], weight * row[k + 1])
-                bound = row[0]
-            total += abs(c) * bound
+        squares = [algebra.bracket_terms[y][y] for y in word if algebra.parity[y]]
+        if not all(squares):
+            continue  # a vanishing [y, y] forces rho(y) = 0 in every representation
+        for _ in range(len(word) - len(squares)):
+            f = right_derivative(pair, pair.generator_index, f)
+        row = [l1_bound(f)]
+        for _ in squares:
+            f = right_derivative(pair, pair.generator_index, f)
+            row.append(l1_bound(f))
+        for i in reversed(range(len(squares))):
+            [(_, cy)] = squares[i]
+            weight = abs(float(cy))
+            for k in range(i + 1):
+                row[k] = _peel(row[k], weight * row[k + 1])
+        total += row[0]
     return total
 
 

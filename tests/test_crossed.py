@@ -20,7 +20,7 @@ from superrep.crossed import (
     xp_star,
 )
 from superrep.dsl import parse
-from superrep.enveloping import UEElement, normal_form
+from superrep.enveloping import ODD_MAJOR_ORDER, UEElement, normal_form
 from superrep.errors import MismatchError, StructureError, UnsupportedInstanceError
 from superrep.functions import FiniteFunction, GaussianPoly, fourier_at
 from superrep.groups import GroupPoint
@@ -308,6 +308,12 @@ def test_sample_difference_reads_the_peak_at_zero(hcline):
     assert element_sample_difference(a, CrossedElement.zero(hcline)) == 1.0
 
 
+def test_sample_difference_refuses_a_finite_pair(workspace):
+    bx = workspace.elements["bx"]
+    with pytest.raises(UnsupportedInstanceError, match="requires a line instance"):
+        element_sample_difference(bx, bx)
+
+
 # -- orbit derivative ---------------------------------------------------------
 
 
@@ -437,6 +443,41 @@ def test_line_elements_compare_exactly(workspace):
     fg = CrossedElement.tensor(hcline, one, f) + CrossedElement.tensor(hcline, one, g)
     gf = CrossedElement.tensor(hcline, one, g) + CrossedElement.tensor(hcline, one, f)
     assert fg == gf and fg != gf.scale(2)
+
+
+def test_a_raw_word_is_straightened_at_construction(hcline):
+    # hc: z (0) even and central, x (1) odd; every word is stored as its
+    # PBW normal form, with the coefficient folded into the function
+    hc, (z, x) = hcline.algebra, (0, 1)
+    f, g = GaussianPoly.gaussian(1.0), GaussianPoly.gaussian(2.0, 0.5, (3.0,))
+    assert CrossedElement(hcline, {(x, x): f}) == CrossedElement.tensor(
+        hcline, normal_form(hc, (x, x)), f)
+    a = CrossedElement(hcline, {(x, z): f, (z, x): g})
+    assert a == CrossedElement.tensor(hcline, normal_form(hc, (z, x)), f + g)
+    assert list(a.terms) == [(z, x)]
+    assert CrossedElement(hcline, {(x, z): f}) - CrossedElement(hcline, {(z, x): f}) == (
+        CrossedElement.zero(hcline))
+
+
+@pytest.mark.parametrize("word", [(7,), (-1,), (0, 2)])
+def test_a_basis_index_out_of_range_is_refused_at_construction(hcline, word):
+    with pytest.raises(StructureError, match="out of range"):
+        CrossedElement(hcline, {word: GaussianPoly.gaussian()})
+
+
+def test_tensor_refuses_an_element_in_odd_major_order(hcline):
+    mono = normal_form(hcline.algebra, (0, 1), order=ODD_MAJOR_ORDER)
+    with pytest.raises(MismatchError, match="not in declaration order"):
+        CrossedElement.tensor(hcline, mono, GaussianPoly.gaussian())
+
+
+def test_a_sum_keeps_the_functions_it_holds(hcline):
+    # copied as they are, not re-straightened: a product with 1+0j can turn
+    # a -0.0 part of a coefficient into +0.0
+    x = UEElement.generator(hcline.algebra, 1)
+    a = CrossedElement.tensor(hcline, x, GaussianPoly.gaussian())
+    total = a + CrossedElement.zero(hcline)
+    assert total.terms[(1,)] is a.terms[(1,)]
 
 
 FINITE_MESSAGE = "a finite pair takes FiniteFunctions of that pair"

@@ -276,6 +276,14 @@ def test_gaussian_poly_equality_compares_merged_terms():
     assert (g + h) - h == g and g - g == GaussianPoly()
 
 
+def test_gaussian_poly_repr_lists_terms_by_rate_and_center():
+    g, h = GaussianPoly.gaussian(1.0), GaussianPoly.gaussian(2.0, 0.5)
+    k = GaussianPoly.gaussian(1.0, -1.0, (2.0,), "eps")
+    assert repr(g + h + k) == repr(k + h + g) == (
+        "GaussianPoly(plus: poly[(1+0j)]*exp(-1.0(t-0.0)^2) + "
+        "poly[(1+0j)]*exp(-2.0(t-0.5)^2); eps: poly[(2+0j)]*exp(-1.0(t--1.0)^2))")
+
+
 # -- the term maps against the term-by-term reference ------------------------
 #
 # Local copies of the per-method loops, ``_poly_mul`` and the ordered merge

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+package module imports only modules of earlier layers."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,9 @@ import pytest
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "superrep"
 _MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
+# each module may import only modules before it
+LAYERS = ["errors", "validation", "linalg", "scalars", "superalgebra", "enveloping", "groups",
+          "functions", "crossed", "reps", "dsl", "catalog", "cli"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +38,35 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that ``source`` imports, relatively or as
+    ``superrep.NAME``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module] if node.module else (a.name for a in node.names))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("superrep"):
+            out.update([node.module.split(".")[1]] if "." in node.module
+                       else (a.name for a in node.names))
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names
+                       if a.name.startswith("superrep."))
+    return {name.split(".")[0] for name in out}
+
+
+def test_package_imports_are_found():
+    source = ("import numpy\nimport superrep.dsl\nfrom . import linalg\n"
+              "from .crossed import x\nfrom superrep import reps\nfrom superrep.cli import main\n")
+    assert package_imports(source) == {"dsl", "linalg", "crossed", "reps", "cli"}
+
+
+def test_every_module_has_a_layer():
+    assert sorted(p.stem for p in _MODULES) == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.stem)
+def test_a_module_imports_only_earlier_layers(path):
+    earlier = LAYERS[:LAYERS.index(path.stem)]
+    assert sorted(package_imports(path.read_text(encoding="utf-8")) - set(earlier)) == []

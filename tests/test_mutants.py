@@ -1,0 +1,131 @@
+"""Every verdict can fail: one table of mutants, each monkeypatched in process,
+with the check that must fail under it.
+
+A check returns True when the program passes it.  Each check of a row must
+pass on the program as it is and fail once the row's mutant is patched in.
+A CLI check runs ``superrep`` on fresh catalog snapshots: the twist memo of
+a warm snapshot would hide a twist mutant, and the memo entries a mutant
+fills would leak into later calls.  Convolution, dagger and breve have no
+CLI verdict that fails under a mutant (``gamma-check`` compares two sides
+that share the convolution), so their rows check *-algebra identities.
+Mutants that no check can catch are listed as equivalent, with the reason.
+"""
+
+import contextlib
+import io
+import itertools
+import json
+
+import numpy as np
+import pytest
+
+from superrep import cli, crossed, reps
+from superrep.catalog import load_catalog
+from superrep.crossed import xp_multiply, xp_star
+from superrep.functions import FiniteFunction, GaussianPoly
+from superrep.groups import LINE
+
+
+def cli_verdict(*argv):
+    """A check: ``superrep argv`` exits 0 with ok true, not 1 with ok false;
+    any other outcome fails the test."""
+    def check():
+        cli._snapshot.cache_clear()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = cli.main(list(argv))
+        finally:
+            cli._snapshot.cache_clear()
+        verdict = (code, json.loads(out.getvalue()).get("ok"))
+        assert verdict in {(0, True), (1, False)}, (argv, verdict)
+        return verdict == (0, True)
+
+    check.__name__ = " ".join(argv)
+    return check
+
+
+LINE_ROUNDTRIP = cli_verdict("--catalog", "hc", "--seed", "7", "roundtrip",
+                             "--rep", "hc-rep-2", "--probe", "a0")
+FINITE_ROUNDTRIP = cli_verdict("--catalog", "podd", "roundtrip", "--rep", "reg4", "--probe", "b0")
+TAYLOR = cli_verdict("--catalog", "hc", "taylor", "--pair", "hcline", "--elem", "a0",
+                     "--family", "hc-grid")
+
+
+def hat_is_multiplicative():
+    """rep_hat(ab) = rep_hat(a) rep_hat(b) on ax and axz, on hc-rep-2."""
+    ws = load_catalog("hc")
+    rep, elements = ws.reps["hc-rep-2"], [ws.elements["ax"], ws.elements["axz"]]
+    return all(
+        np.allclose(reps.rep_hat(rep, xp_multiply(a, b)),
+                    reps.rep_hat(rep, a) @ reps.rep_hat(rep, b), atol=1e-9)
+        for a, b in itertools.product(elements, repeat=2))
+
+
+def star_reverses_products():
+    """(ab)* = b* a* on bx and bmix, exactly."""
+    ws = load_catalog("podd")
+    elements = [ws.elements["bx"], ws.elements["bmix"]]
+    return all(xp_star(xp_multiply(a, b)) == xp_multiply(xp_star(b), xp_star(a))
+               for a, b in itertools.product(elements, repeat=2))
+
+
+def star_is_involutive():
+    """a** = a on every catalog element, exactly."""
+    return all(xp_star(xp_star(a)) == a for a in load_catalog().elements.values())
+
+
+def translation_skipped_on(kind):
+    """The mutant of left_translate that returns a function of ``kind``
+    unchanged."""
+    return lambda original: lambda g, f: f if isinstance(f, kind) else original(g, f)
+
+
+KILLED = [
+    pytest.param(crossed, "left_translate", translation_skipped_on(GaussianPoly),
+                 [LINE_ROUNDTRIP, TAYLOR], id="line-translation-skipped"),
+    pytest.param(crossed, "left_translate", translation_skipped_on(FiniteFunction),
+                 [FINITE_ROUNDTRIP], id="finite-translation-skipped"),
+    pytest.param(crossed, "apply_auto",
+                 lambda original: lambda algebra, phi, a: original(algebra, phi, a).scale(-1),
+                 [LINE_ROUNDTRIP, FINITE_ROUNDTRIP, TAYLOR], id="twist-sign"),
+    pytest.param(reps, "fourier_at",
+                 lambda original: lambda f, freq, component="plus": original(f, -freq, component),
+                 [LINE_ROUNDTRIP, TAYLOR], id="fourier-sign"),
+    pytest.param(crossed, "convolve", lambda original: lambda f, h: original(f, h).scale(2),
+                 [hat_is_multiplicative], id="convolution-doubled"),
+    pytest.param(crossed, "dagger", lambda original: lambda a: -original(a),
+                 [star_reverses_products], id="dagger-sign"),
+    pytest.param(crossed, "breve", lambda original: lambda f: f,
+                 [star_is_involutive], id="breve-skipped"),
+]
+
+
+@pytest.mark.parametrize("module, name, mutate, checks", KILLED)
+def test_each_check_fails_under_its_mutant(monkeypatch, module, name, mutate, checks):
+    assert [check() for check in checks] == [True] * len(checks)
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    assert [check() for check in checks] == [False] * len(checks)
+
+
+def catalog_bounds():
+    """float.hex of prop33_bound on every catalog element of a line pair,
+    and on its square."""
+    elements = [a for a in load_catalog().elements.values() if a.pair.group.kind == LINE]
+    return [float.hex(reps.prop33_bound(b)) for a in elements for b in (a, xp_multiply(a, a))]
+
+
+# (module, name, mutant, the reason no check can catch it, a result it leaves alone)
+EQUIVALENT = [
+    pytest.param(reps, "right_derivative",
+                 lambda original: lambda pair, index, f: original(pair, index, f).scale(-1),
+                 "prop33_bound reads only L1 norms, and those of f and -f agree",
+                 catalog_bounds, id="bound-derivative-sign"),
+]
+
+
+@pytest.mark.parametrize("module, name, mutate, reason, result", EQUIVALENT)
+def test_an_equivalent_mutant_changes_no_result(monkeypatch, module, name, mutate, reason,
+                                                result):
+    before = result()
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    assert result() == before, reason
