@@ -28,7 +28,7 @@ from .enveloping import UEElement, dagger as ue_dagger, normal_form
 from .errors import DslError, SuperrepError
 from .functions import FiniteFunction
 from .groups import FINITE, GroupPoint, validate_pair
-from .reps import (ccr_report, operator_norm, prop33_bound, reconstruct_pi, reconstruct_rho,
+from .reps import (_word_bounds, ccr_report, operator_norm, reconstruct_pi, reconstruct_rho,
                    rep_hat, seminorm_interval, taylor_norm_check, validate_rep)
 from .superalgebra import validate_superalgebra
 
@@ -253,11 +253,9 @@ def cmd_hat(args, rep, a) -> tuple[dict, bool]:
 
 def cmd_bound(args, a) -> tuple[dict, bool]:
     names = a.pair.algebra.basis_names
-    a.pair.require_trivial_line_ad()  # refused even when a has no term
-    # prop33_bound(a) adds exactly these values, in a.terms order
-    bounds = {w: prop33_bound(CrossedElement(a.pair, {w: f})) for w, f in a.terms.items()}
+    bounds, upper = _word_bounds(a)  # upper is prop33_bound(a)
     terms = [{"word": [names[i] for i in w], "bound": bounds[w]} for w in sorted(bounds)]
-    return {"elem": args.elem, "upper": sum(bounds.values(), 0.0), "terms": terms}, True
+    return {"elem": args.elem, "upper": upper, "terms": terms}, True
 
 
 def cmd_seminorm(args, a, family) -> tuple[dict, bool]:

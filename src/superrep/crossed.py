@@ -65,6 +65,14 @@ def _check_function(pair: Supergroup, f):
         raise MismatchError("a finite pair takes FiniteFunctions of that pair")
 
 
+def _check_ue(pair: Supergroup, element: UEElement):
+    """Refuse an enveloping element of another algebra or in another order."""
+    if element.algebra != pair.algebra:
+        raise MismatchError("enveloping element belongs to a different algebra")
+    if element.order != DECL_ORDER:
+        raise MismatchError("enveloping element is not in declaration order")
+
+
 @dataclass(init=False, repr=False)
 class CrossedElement:
     """Finite sum of (PBW monomial) (x) (function) terms; equal by pair and
@@ -89,10 +97,7 @@ class CrossedElement:
     @staticmethod
     def tensor(pair: Supergroup, element: UEElement, f) -> "CrossedElement":
         """D (x) f for an enveloping element D in declaration order."""
-        if element.algebra != pair.algebra:
-            raise MismatchError("enveloping element belongs to a different algebra")
-        if element.order != DECL_ORDER:
-            raise MismatchError("enveloping element is not in declaration order")
+        _check_ue(pair, element)
         _check_function(pair, f)
         out = CrossedElement(pair)
         out._add_ue(element, f)
@@ -186,6 +191,7 @@ class Multiplier:
 
 def mul_group(pair: Supergroup, g: GroupPoint) -> Multiplier:
     """Left/right translation multiplier attached to a group point."""
+    pair.require_point(g)
     algebra = pair.algebra
 
     def lam(a: CrossedElement) -> CrossedElement:
@@ -254,7 +260,10 @@ def mul_star(m: Multiplier) -> Multiplier:
 
 def gamma_integral(pair: Supergroup, f, D: UEElement, h) -> CrossedElement:
     """The integral over the group of g -> f(g) alpha_g(D) (x) L_g h, which
-    must equal (1 (x) f)(D (x) h)."""
+    must equal (1 (x) f)(D (x) h); D, f and h are checked as ``tensor`` does."""
+    _check_ue(pair, D)
+    _check_function(pair, f)
+    _check_function(pair, h)
     out = CrossedElement.zero(pair)
     for g, piece in f.twist_split():
         out._add_ue(_twist(pair, g, D), convolve(piece, h))

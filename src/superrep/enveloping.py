@@ -140,7 +140,9 @@ class UEElement:
 
     @staticmethod
     def from_vector(algebra, coords, order=DECL_ORDER) -> "UEElement":
-        """Degree-one element with the given basis coordinates."""
+        """Degree-one element with the given coordinates, one per basis element."""
+        if len(coords) != algebra.dim:
+            raise StructureError(f"expected {algebra.dim} coordinates, got {len(coords)}")
         out = UEElement.zero(algebra, order)
         for i, c in enumerate(coords):
             _accumulate(out.terms, (i,), GaussianRational.of(c))

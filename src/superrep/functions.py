@@ -39,6 +39,7 @@ class FiniteFunction:
         self.pair = pair
         self.values = {}
         for p, v in (values or {}).items():
+            pair.require_point(p)
             v = GaussianRational.of(v)
             if not v.is_zero():
                 self.values[p] = v
@@ -273,11 +274,8 @@ class GaussianPoly:
         # c + tau can round two centers together, so the result is merged
         return GaussianPoly(map(shift, self.plus), map(shift, self.eps))
 
-    def derivative(self, scalar=None) -> "GaussianPoly":
-        """d/dt on each component; with ``scalar``, times that scalar in the
-        same pass, each coefficient multiplied as ``scale`` does it."""
-        if scalar is not None:
-            scalar = complex(scalar)
+    def derivative(self) -> "GaussianPoly":
+        """d/dt on each component."""
 
         def d(term: GaussTerm) -> GaussTerm:
             p, a, mu = term.coeffs, term.rate, term.center
@@ -289,13 +287,10 @@ class GaussianPoly:
                 lin[k] += c * c0
                 lin[k + 1] += c * c1
             lin = _poly_trim(lin)
-            coeffs = _poly_trim([
+            return _term(_poly_trim([
                 (dp[k] if k < len(dp) else 0) + (lin[k] if k < len(lin) else 0)
                 for k in range(max(len(dp), len(lin)))
-            ])
-            if scalar is not None:
-                coeffs = _poly_trim([c * scalar for c in coeffs])
-            return _term(coeffs, a, mu)
+            ]), a, mu)
 
         return self._map(d)
 
@@ -475,21 +470,6 @@ def right_translate(g: GroupPoint, f):
     # the line is abelian, so R_g = L_{g^-1}; negating the float keeps the
     # sign of a zero shift
     return left_translate(GroupPoint(-float(g.base), g.eps), f)
-
-
-def right_derivative(pair: Supergroup, index: int, f):
-    """R_x f for an even basis element x; line groups only.  For the line
-    generator z this is -d/dt on each component."""
-    if pair.algebra.parity[index] != 0:
-        raise StructureError(
-            f"right derivative requires an even basis element, got "
-            f"{pair.algebra.basis_names[index]}"
-        )
-    if not isinstance(f, GaussianPoly):
-        raise StructureError("right derivative only exists on line instances")
-    if index != pair.generator_index:
-        raise StructureError("the line instance has a single even generator")
-    return f.derivative(-1.0)
 
 
 def l1_bound(f, center_slack: float = 0.0) -> float:

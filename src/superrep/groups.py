@@ -138,6 +138,13 @@ class Supergroup:
             return GroupPoint(self.group.finite.table[p.base][q.base], p.eps ^ q.eps)
         return GroupPoint(p.base + q.base, p.eps ^ q.eps)
 
+    def require_point(self, point):
+        """On a finite pair, refuse (StructureError) all but its own points."""
+        if self.group.kind == FINITE and not (
+                isinstance(point, GroupPoint) and type(point.base) is int
+                and 0 <= point.base < self.group.finite.size and type(point.eps) is bool):
+            raise StructureError(f"{self.name}: {point!r} is not a point of the finite pair")
+
     def inverse(self, p: GroupPoint) -> GroupPoint:
         if self.group.kind == FINITE:
             return GroupPoint(self.group.finite.inverse(p.base), p.eps)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .crossed import CrossedElement, mul_group, mul_lie
 from .errors import MismatchError, StructureError, UnsupportedInstanceError
-from .functions import fourier_at, l1_bound, right_derivative
+from .functions import fourier_at, l1_bound
 from .groups import FINITE, LINE, GroupPoint, Supergroup
 from .superalgebra import is_nilpotent, is_odd_generated
 from .validation import ValidationReport
@@ -282,37 +282,40 @@ def _peel(tail: float, pushed: float) -> float:
     return 0.0 if tail == 0.0 or pushed == 0.0 else (0.5 * tail * pushed) ** 0.5
 
 
-def prop33_bound(a: CrossedElement) -> float:
-    """Certified upper bound M with || rep_hat(R, a) || <= M for every
-    validated representation R of the pair.
-
-    Each term D (x) f is read as it stands: the odd letters y_1 ... y_r of
-    its word in order, and m = len(word) - r letters z; this holds for any
-    such word, as on every pair the bound accepts z is central and each
-    [y, y] is c_y z or 0.  The row L1(f^(m)), ..., L1(f^(m+r)) of right
-    z-derivatives of f is peeled by y_r, ..., y_1: peeling y sets row[k] to
+def _word_bounds(a: CrossedElement) -> tuple[dict[Word, float], float]:
+    """The bound of each term D (x) f of ``a`` by word, in ``a.terms`` order,
+    and their sum, ``prop33_bound(a)``.  Each word is read as it stands: its
+    odd letters y_1 ... y_r and m = len(word) - r letters z, as on every pair
+    the bound accepts z is central and each [y, y] is c_y z or 0.  The row
+    L1(f^(m)), ..., L1(f^(m+r)) of z-derivatives (an L1 norm drops the sign
+    of R_z f = -f') is peeled by y_r, ..., y_1: peeling y sets row[k] to
     _peel(row[k], |c_y| row[k+1]) for each k but the last."""
-    pair = a.pair
-    pair.require_trivial_line_ad()
-    algebra = pair.algebra
-    total = 0.0
+    a.pair.require_trivial_line_ad()
+    algebra = a.pair.algebra
+    bounds = {}
     for word, f in a.terms.items():
         squares = [algebra.bracket_terms[y][y] for y in word if algebra.parity[y]]
         if not all(squares):
-            continue  # a vanishing [y, y] forces rho(y) = 0 in every representation
+            bounds[word] = 0.0  # a vanishing [y, y] forces rho(y) = 0 in every representation
+            continue
         for _ in range(len(word) - len(squares)):
-            f = right_derivative(pair, pair.generator_index, f)
+            f = f.derivative()
         row = [l1_bound(f)]
         for _ in squares:
-            f = right_derivative(pair, pair.generator_index, f)
+            f = f.derivative()
             row.append(l1_bound(f))
         for i in reversed(range(len(squares))):
             [(_, cy)] = squares[i]
             weight = abs(float(cy))
             for k in range(i + 1):
                 row[k] = _peel(row[k], weight * row[k + 1])
-        total += row[0]
-    return total
+        bounds[word] = row[0]
+    return bounds, sum(bounds.values(), 0.0)
+
+
+def prop33_bound(a: CrossedElement) -> float:
+    """Certified M >= || rep_hat(R, a) || for every validated representation R."""
+    return _word_bounds(a)[1]
 
 
 # ---------------------------------------------------------------------------

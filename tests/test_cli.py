@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superrep import cli, dsl, reps
+from superrep import cli, crossed, dsl, reps
 from superrep.catalog import CATALOG_NAMES, catalog_source, load_catalog
 from superrep.cli import main
 from superrep.crossed import xp_multiply
 from superrep.dsl import DslError, Workspace, parse, parse_file, print_workspace
+from superrep.functions import GaussianPoly
 
 from test_crossed import random_line_element
 from test_dsl import MUTATION, mutated_source
@@ -670,17 +671,44 @@ def test_roundtrip_forms_one_bridge_matrix_per_reconstruction(
 
 
 def test_bound_runs_the_recursion_once_per_term(capsys, monkeypatch):
-    calls, prop33_bound = [], cli.prop33_bound
+    # one pass over the words, doing the work of one prop33_bound call
+    calls, word_bounds, l1_bound = {"pass": 0, "l1_bound": 0}, cli._word_bounds, reps.l1_bound
 
-    def counted(a):
-        calls.append(a)
-        return prop33_bound(a)
+    def counted_pass(a):
+        calls["pass"] += 1
+        return word_bounds(a)
 
-    monkeypatch.setattr(cli, "prop33_bound", counted)
+    def counted_l1(f):
+        calls["l1_bound"] += 1
+        return l1_bound(f)
+
+    monkeypatch.setattr(cli, "_word_bounds", counted_pass)
+    monkeypatch.setattr(reps, "l1_bound", counted_l1)
     code, out = run(capsys, "--catalog", "hc", "bound", "--elem", "axz")
-    assert code == 0
-    assert len(calls) == len(json.loads(out)["terms"]) == 2
-    assert all(len(a.terms) == 1 for a in calls)
+    assert code == 0 and len(json.loads(out)["terms"]) == 2
+    by_cli, calls["l1_bound"] = calls["l1_bound"], 0
+    reps.prop33_bound(cli._snapshot("hc").table("element")["axz"])
+    assert (calls["pass"], by_cli) == (1, calls["l1_bound"]) == (1, 4)
+
+
+def test_bound_reads_the_terms_as_they_are(capsys, monkeypatch):
+    # no term is rebuilt as a one-term element: no straightening, no scaling
+    run(capsys, "--catalog", "hc", "bound", "--elem", "axz")  # the snapshot, built once
+    calls = []
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(crossed, "normal_form")
+    counted(GaussianPoly, "scale")
+    code, out = run(capsys, "--catalog", "hc", "bound", "--elem", "axz")
+    assert (code, len(json.loads(out)["terms"]), calls) == (0, 2, [])
 
 
 def _upper(a) -> float:

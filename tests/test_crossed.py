@@ -421,6 +421,25 @@ def test_mul_lie_refuses_an_index_out_of_range(hcline):
             mul_lie(hcline, i)
 
 
+@pytest.mark.parametrize("coords", [[GR_ONE], [GR_ZERO, GR_ZERO, GR_ONE]], ids=["short", "long"])
+def test_mul_lie_refuses_a_vector_of_another_length(hcline, coords):
+    # a short vector was read as if padded with zeros, a long one failed
+    # with an IndexError only when used
+    with pytest.raises(StructureError, match="expected 2 coordinates"):
+        mul_lie(hcline, coords)
+
+
+@pytest.mark.parametrize("point", [GroupPoint(99), GroupPoint(-1), GroupPoint(1.0),
+                                   GroupPoint(True), GroupPoint(1, 1), (1, False)],
+                         ids=["base-99", "base-minus-1", "float-base", "bool-base", "int-eps",
+                              "plain-tuple"])
+def test_mul_group_refuses_a_point_not_of_the_finite_pair(z2odd, point):
+    # GroupPoint(5) on z2odd used to fail with an IndexError only when used
+    with pytest.raises(StructureError) as exc:
+        mul_group(z2odd, point)
+    assert str(exc.value) == f"z2odd: {point!r} is not a point of the finite pair"
+
+
 def test_mul_lie_index_acts_as_its_unit_vector(workspace):
     for name, a in workspace.elements.items():
         dim = a.pair.algebra.dim
@@ -510,6 +529,38 @@ def test_crossed_element_refuses_a_function_of_another_pair_or_class(
 def test_crossed_refusals(workspace, call, message):
     with pytest.raises(MismatchError) as exc:
         call(workspace)
+    assert str(exc.value) == message
+
+
+def _gamma_args(ws, f=None, D=None, h=None):
+    """(f, D, h) on hcline, with each one not given taken as a valid one."""
+    gauss = GaussianPoly.gaussian()
+    return (gauss if f is None else f, UEElement.unit(ws.algebras["hc"]) if D is None else D,
+            gauss if h is None else h)
+
+
+@pytest.mark.parametrize("pair_name, make, message", [
+    ("hcline", lambda ws: _gamma_args(ws, D=normal_form(ws.algebras["hc"], (0, 1),
+                                                         order=ODD_MAJOR_ORDER)),
+     "enveloping element is not in declaration order"),
+    ("hcline", lambda ws: _gamma_args(ws, D=UEElement.generator(ws.algebras["gl11"], 3)),
+     "enveloping element belongs to a different algebra"),
+    ("hcline", lambda ws: _gamma_args(ws, D=UEElement.generator(ws.algebras["oddcenter"], 1)),
+     "enveloping element belongs to a different algebra"),
+    ("hcline", lambda ws: _gamma_args(ws, f=ws.functions["d1"]),
+     "a line pair takes GaussianPoly functions"),
+    ("hcline", lambda ws: _gamma_args(ws, h=ws.functions["d1"]),
+     "a line pair takes GaussianPoly functions"),
+    ("z2odd", lambda ws: (ws.functions["d1"], UEElement.unit(ws.algebras["podd"]),
+                          FiniteFunction.delta(S3PERM, GroupPoint(5))), FINITE_MESSAGE),
+], ids=["odd-major-D", "D-of-gl11", "D-of-oddcenter", "finite-f-on-line-pair",
+        "finite-h-on-line-pair", "h-of-another-finite-pair"])
+def test_gamma_integral_refuses_what_tensor_refuses(workspace, pair_name, make, message):
+    # an odd-major D used to give the word (1, 0), out of declaration order;
+    # a D of gl11 an IndexError; a D of oddcenter a silent result
+    f, D, h = make(workspace)
+    with pytest.raises(MismatchError) as exc:
+        gamma_integral(workspace.pairs[pair_name], f, D, h)
     assert str(exc.value) == message
 
 

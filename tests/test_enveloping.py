@@ -291,8 +291,12 @@ def test_equality_compares_the_order(hc):
     (lambda ws: check_automorphism(ws.algebras["hc"], [[1, 0]]).raise_if_failed(),
      StructureError,
      "automorphism failed validation: shape: expected 2 image vectors of length 2"),
+    (lambda ws: UEElement.from_vector(ws.algebras["hc"], [1]),
+     StructureError, "expected 2 coordinates, got 1"),
+    (lambda ws: UEElement.from_vector(ws.algebras["hc"], [0, 0, 1]),
+     StructureError, "expected 2 coordinates, got 3"),
 ], ids=["unknown-order", "sum-of-two-algebras", "sum-of-two-orders", "index-out-of-range",
-        "automorphism-shape"])
+        "automorphism-shape", "short-vector", "long-vector"])
 def test_enveloping_refusals(workspace, call, error, message):
     with pytest.raises(error) as exc:
         call(workspace)

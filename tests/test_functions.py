@@ -26,10 +26,9 @@ from superrep.functions import (
     fourier_at,
     l1_bound,
     left_translate,
-    right_derivative,
     right_translate,
 )
-from superrep.groups import LINE, GroupData, GroupPoint, Supergroup
+from superrep.groups import GroupPoint
 from superrep.scalars import GR_ZERO, GaussianRational
 
 
@@ -156,18 +155,11 @@ def test_factorization_within_class():
         assert g.value(t) == pytest.approx(math.exp(-t * t), abs=1e-12)
 
 
-def test_right_derivative_is_negative_ddt(hcline):
-    f = GaussianPoly.gaussian(1.0, 0.3, (1.0, 0.5))
-    rd = right_derivative(hcline, hcline.generator_index, f)
-    df = f.derivative()
-    for t in (-1.0, 0.0, 1.2):
-        assert rd.value(t) == pytest.approx(-df.value(t), abs=1e-14)
-
-
-def test_richardson_derivative_trend(hcline):
-    # the translation quotient converges to the right derivative at first order
+def test_richardson_derivative_trend():
+    # the translation quotient converges to the right derivative R_z f = -f'
+    # at first order
     f = GaussianPoly.gaussian(1.0, 0.0, (1.0,))
-    rd = right_derivative(hcline, hcline.generator_index, f)
+    rd = f.derivative().scale(-1.0)
     errors = []
     for h in (0.1, 0.05, 0.025):
         shifted = left_translate(GroupPoint(h, False), f)
@@ -329,11 +321,7 @@ def _ref_merge(terms):
 
 
 def _ref_keyed(f, term_map):
-    return _ref_sides((f.plus, f.eps), term_map)
-
-
-def _ref_sides(sides, term_map):
-    return tuple(tuple(t for t in map(term_map, side) if t.coeffs) for side in sides)
+    return tuple(tuple(t for t in map(term_map, side) if t.coeffs) for side in (f.plus, f.eps))
 
 
 def _ref_derivative_term(term):
@@ -404,21 +392,6 @@ def test_term_maps_match_the_reference_bit_for_bit(plus, eps, scalar, tau):
     assert _hexed(sides(f.reflect())) == _hexed(_ref_keyed(f, lambda t: GaussTerm(
         _ref_trim(c * (-1) ** k for k, c in enumerate(t.coeffs)), t.rate, -t.center)))
     assert _hexed(sides(f.translate(tau))) == _hexed(_ref_translate(f, tau))
-
-
-HCLINE = load_catalog("hc").pairs["hcline"]
-
-
-@settings(max_examples=200)
-@given(_terms, _terms)
-def test_right_derivative_is_derivative_then_scale_bit_for_bit(plus, eps):
-    # the right derivative was f.derivative().scale(-1.0): two term maps
-    f = GaussianPoly(plus, eps)
-    scalar = complex(-1.0)
-    expected = _ref_sides(_ref_keyed(f, _ref_derivative_term), lambda t: GaussTerm(
-        _ref_trim(c * scalar for c in t.coeffs), t.rate, t.center))
-    got = right_derivative(HCLINE, HCLINE.generator_index, f)
-    assert _hexed((got.plus, got.eps)) == _hexed(expected)
 
 
 # the Fourier and L1 term kernels as they were before the moments were
@@ -565,12 +538,6 @@ def _finite(ws):
     return FiniteFunction.delta(ws.pairs["z2odd"], GroupPoint(1))
 
 
-def _two_even_line_pair(ws):
-    """An unvalidated line pair over gl(1|1), whose even part is 2-dimensional."""
-    return Supergroup("gl11line", GroupData(LINE, generator_name="N"),
-                      ws.algebras["gl11"])
-
-
 def _l1_with_slack(slack):
     """l1_bound of t exp(-t^2), whose L1 norm is 1, widened by ``slack``."""
     return l1_bound(GaussianPoly.gaussian(1.0, 0.0, (0.0, 1.0)), center_slack=slack)
@@ -596,17 +563,22 @@ SLACK_REFUSED = "center slack must be a finite number >= 0"
     (lambda ws: _l1_with_slack("1"), StructureError, SLACK_REFUSED),
     (lambda ws: fourier_at(_finite(ws), 1.0),
      MismatchError, "fourier_at is a line-instance operation"),
-    (lambda ws: right_derivative(ws.pairs["hcline"], 1, GaussianPoly.gaussian()),
-     StructureError, "right derivative requires an even basis element, got x"),
-    (lambda ws: right_derivative(ws.pairs["hcline"], 0, _finite(ws)),
-     StructureError, "right derivative only exists on line instances"),
-    (lambda ws: right_derivative(_two_even_line_pair(ws), 1, GaussianPoly.gaussian()),
-     StructureError, "the line instance has a single even generator"),
+    # each was accepted: convolve then raised an IndexError, the point -1
+    # acted as 1 but compared unequal to it, and the repr of a plain tuple
+    # key raised an AttributeError
+    (lambda ws: FiniteFunction(ws.pairs["z2odd"], {GroupPoint(99): 1}),
+     StructureError, "z2odd: (99) is not a point of the finite pair"),
+    (lambda ws: FiniteFunction(ws.pairs["z2odd"], {GroupPoint(-1): 1}),
+     StructureError, "z2odd: (-1) is not a point of the finite pair"),
+    (lambda ws: FiniteFunction(ws.pairs["z2odd"], {(1, False): 1}),
+     StructureError, "z2odd: (1, False) is not a point of the finite pair"),
+    (lambda ws: FiniteFunction.delta(ws.pairs["z2odd"], GroupPoint(1, 1)),
+     StructureError, "z2odd: (1, eps) is not a point of the finite pair"),
 ], ids=["finite-function-on-line-pair", "sum-of-two-pairs", "convolve-two-classes",
         "breve-non-function", "left-translate-non-function", "l1-bound-non-function",
         "slack-minus-1", "slack-minus-half", "slack-nan", "slack-inf", "slack-not-a-number",
-        "fourier-of-finite-function", "derivative-odd-element", "derivative-finite-function",
-        "derivative-second-even-element"])
+        "fourier-of-finite-function", "point-out-of-range", "negative-point", "plain-tuple-point",
+        "integer-eps"])
 def test_functions_refusals(workspace, call, error, message):
     with pytest.raises(error) as exc:
         call(workspace)

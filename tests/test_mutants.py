@@ -8,7 +8,6 @@ a warm snapshot would hide a twist mutant, and the memo entries a mutant
 fills would leak into later calls.  Convolution, dagger and breve have no
 CLI verdict that fails under a mutant (``gamma-check`` compares two sides
 that share the convolution), so their rows check *-algebra identities.
-Mutants that no check can catch are listed as equivalent, with the reason.
 """
 
 import contextlib
@@ -23,7 +22,6 @@ from superrep import cli, crossed, reps
 from superrep.catalog import load_catalog
 from superrep.crossed import xp_multiply, xp_star
 from superrep.functions import FiniteFunction, GaussianPoly
-from superrep.groups import LINE
 
 
 def cli_verdict(*argv):
@@ -105,27 +103,3 @@ def test_each_check_fails_under_its_mutant(monkeypatch, module, name, mutate, ch
     assert [check() for check in checks] == [True] * len(checks)
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     assert [check() for check in checks] == [False] * len(checks)
-
-
-def catalog_bounds():
-    """float.hex of prop33_bound on every catalog element of a line pair,
-    and on its square."""
-    elements = [a for a in load_catalog().elements.values() if a.pair.group.kind == LINE]
-    return [float.hex(reps.prop33_bound(b)) for a in elements for b in (a, xp_multiply(a, a))]
-
-
-# (module, name, mutant, the reason no check can catch it, a result it leaves alone)
-EQUIVALENT = [
-    pytest.param(reps, "right_derivative",
-                 lambda original: lambda pair, index, f: original(pair, index, f).scale(-1),
-                 "prop33_bound reads only L1 norms, and those of f and -f agree",
-                 catalog_bounds, id="bound-derivative-sign"),
-]
-
-
-@pytest.mark.parametrize("module, name, mutate, reason, result", EQUIVALENT)
-def test_an_equivalent_mutant_changes_no_result(monkeypatch, module, name, mutate, reason,
-                                                result):
-    before = result()
-    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
-    assert result() == before, reason

@@ -22,7 +22,6 @@ from superrep.functions import (
     GaussianPoly,
     fourier_at,
     l1_bound,
-    right_derivative,
 )
 from superrep.groups import GroupPoint
 from superrep.reps import (
@@ -247,8 +246,10 @@ def test_bound_soundness_300_pairs(hcline, z2odd, reg4, z2_chars):
 
 
 # the letter-peeling recursion as it was before each term kept its chain of
-# derivatives: every leaf derives f from scratch, right to left; ``seen``
-# collects each non-empty even word a leaf derives, with all its suffixes
+# derivatives: every leaf derives f from scratch, right to left, by the signed
+# right derivative R_z f = -f' (z is the only even letter of a line pair the
+# bound accepts); ``seen`` collects each non-empty even word a leaf derives,
+# with all its suffixes
 
 
 def reference_bound_term(pair, odd_word, even_word, f, seen):
@@ -256,7 +257,8 @@ def reference_bound_term(pair, odd_word, even_word, f, seen):
     if not odd_word:
         seen.update(even_word[k:] for k in range(len(even_word)))
         for i in reversed(even_word):
-            f = right_derivative(pair, i, f)
+            assert i == pair.generator_index
+            f = f.derivative().scale(-1.0)
         return l1_bound(f)
     y, rest = odd_word[0], odd_word[1:]
     tail = reference_bound_term(pair, rest, even_word, f, seen)
@@ -302,29 +304,36 @@ HC2LINE_SOURCE = """
 """
 
 
+def counted(owner, name, calls, monkeypatch):
+    """Patch ``owner.name`` to count its calls in ``calls[name]``."""
+    real = getattr(owner, name)
+
+    def call(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, call)
+
+
 def test_bound_matches_reference_recursion_bit_for_bit(hcline, monkeypatch):
     hc2line = parse(HC2LINE_SOURCE).pairs["hc2tline"]
     rng = random.Random(212)
-    calls = []
-    real = reps.right_derivative
-
-    def counted(pair, index, f):
-        calls.append(index)
-        return real(pair, index, f)
-
-    monkeypatch.setattr(reps, "right_derivative", counted)
+    calls = {"derivative": 0}
+    counted(GaussianPoly, "derivative", calls, monkeypatch)
     deepest = 0
     for pair in (hcline, hc2line):
         for _ in range(8):
             a = random_line_element(rng, pair, max_deg=4)
             b = random_line_element(rng, pair, max_deg=4)
             for elem in (a, b, xp_multiply(a, b)):
-                del calls[:]
+                calls["derivative"] = 0
                 bound = prop33_bound(elem)
+                # read before the reference, which derives through the same method
+                made = calls["derivative"]
                 reference, derived = reference_prop33(elem)
                 assert bound == reference
-                # one right_derivative per distinct (term, non-empty even word)
-                assert len(calls) == len(derived)
+                # one derivative per distinct (term, non-empty even word)
+                assert made == len(derived)
                 deepest = max([deepest] + [len(even) for _, even in derived])
     assert deepest == 6
 
@@ -342,30 +351,25 @@ def test_bound_peels_each_word_pair_once_bit_for_bit(n, monkeypatch):
     pair = deep_odd_line(n)
     f = GaussianPoly.gaussian(1.0) + GaussianPoly.gaussian(0.5, -0.75, (0.25, 1j, -2.0), "eps")
     a = CrossedElement(pair, {tuple(range(1, n + 1)): f})  # the monomial x1...xn
-    calls, visited = {"right_derivative": 0, "l1_bound": 0, "_peel": 0}, []
+    calls, visited = {"derivative": 0, "l1_bound": 0, "_peel": 0}, []
     reference = reference_bound_term
-
-    def counted(name):
-        real = getattr(reps, name)
-
-        def call(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return call
 
     def counted_reference(pair, odd_word, even_word, f, seen):
         visited.append((odd_word, even_word))
         return reference(pair, odd_word, even_word, f, seen)
 
-    for name in calls:
-        monkeypatch.setattr(reps, name, counted(name))
+    counted(GaussianPoly, "derivative", calls, monkeypatch)
+    counted(reps, "l1_bound", calls, monkeypatch)
+    counted(reps, "_peel", calls, monkeypatch)
     monkeypatch.setitem(globals(), "reference_bound_term", counted_reference)
-    assert prop33_bound(a).hex() == reference_prop33(a)[0].hex()
+    bound = prop33_bound(a)
+    # read before the reference, which derives through the same method
+    made = dict(calls)
+    assert bound.hex() == reference_prop33(a)[0].hex()
     # one leaf per derivative order and one peel per distinct (odd word, even
     # word) above them: 45 nodes at n = 8, where the reference makes 511 calls
-    assert calls == {"right_derivative": n, "l1_bound": n + 1, "_peel": n * (n + 1) // 2}
-    assert len(set(visited)) == calls["l1_bound"] + calls["_peel"] == (n + 1) * (n + 2) // 2
+    assert made == {"derivative": n, "l1_bound": n + 1, "_peel": n * (n + 1) // 2}
+    assert len(set(visited)) == made["l1_bound"] + made["_peel"] == (n + 1) * (n + 2) // 2
     assert len(visited) == 2 ** (n + 1) - 1
 
 
@@ -400,6 +404,14 @@ def test_a_vanishing_odd_square_bounds_to_zero():
     assert l1_bound(f) == math.inf
     for g in (f, GaussianPoly.gaussian()):
         assert prop33_bound(CrossedElement.tensor(pair, x, g)).hex() == (0.0).hex()
+
+
+def test_an_overflowing_derivative_bounds_to_inf(hcline):
+    # the L1 bound of f overflows; the old fused (-1+0j) product of the right
+    # derivative turned inf parts into NaN ones (inf * 0), so the bound was NaN
+    f = GaussianPoly.gaussian(1.0, 0.0, (complex(1e308, 1e308),))
+    x = UEElement.generator(hcline.algebra, 1)
+    assert prop33_bound(CrossedElement.tensor(hcline, x, f)) == math.inf
 
 
 def test_a_zero_tail_ends_the_bound_on_a_finite_pair():
