@@ -10,8 +10,9 @@ with nothing to twist, such as a right translation, runs on every pair.
 
 Every product, star and integral below is one twisted-convolution loop for
 both function classes: ``f.twist_split()`` cuts f into pieces on which the
-adjoint action is constant, and ``_twist`` applies that action alpha_g,
-memoized per monomial on the pair.
+adjoint action is constant, and ``_product`` forms NF(D_a alpha_g(D_b)) for
+two PBW words, memoized per (word, point, word) on the pair; ``_twist``
+applies alpha_g alone.  A product that vanishes takes no convolution.
 
 Group elements and Lie-algebra elements act as multipliers: pairs of
 left/right maps represented symbolically and evaluated on demand.
@@ -35,22 +36,36 @@ from .scalars import GR_ONE
 Word = tuple[int, ...]
 
 
-def _twist(pair: Supergroup, g: GroupPoint, D: UEElement) -> UEElement:
-    """alpha_g(D), the automorphism induced by Ad(g).  The image of each
-    monomial is memoized on the pair, keyed by (twist_point(g), word,
-    order): only line points share entries, as a finite point is its own."""
-    algebra = pair.algebra
+def _product(pair: Supergroup, left: Word, g: GroupPoint, right: Word) -> UEElement:
+    """NF(left alpha_g(right)) for two PBW words in declaration order,
+    memoized on the pair, keyed by (left, twist_point(g), right): only line
+    points share entries, as a finite point is its own.  The key holds no
+    order, since every crossed caller holds declaration order (``tensor``
+    and ``_check_ue`` refuse any other).  An entry with an empty ``left`` is
+    the image of one monomial, formed by ``apply_auto``, which checks the
+    adjoint map on every miss; any other entry is ``left`` times it."""
     memo = pair.twist_memo
     g = pair.twist_point(g)
-    out = UEElement.zero(algebra, D.order)
-    for w, c in D.terms.items():
-        probe = (g, w, D.order)
-        image = memo.get(probe)
-        if image is None:
+    probe = (left, g, right)
+    entry = memo.get(probe)
+    if entry is None:
+        algebra = pair.algebra
+        if left:
+            entry = ue_multiply(UEElement(algebra, {left: GR_ONE}),
+                                _product(pair, (), g, right))
+        else:
             phi = linalg.transpose(pair.ad_point(g))
-            mono = UEElement(algebra, {w: GR_ONE}, D.order)
-            image = memo[probe] = apply_auto(algebra, phi, mono)
-        for ww, cc in image.terms.items():
+            entry = apply_auto(algebra, phi, UEElement(algebra, {right: GR_ONE}))
+        memo[probe] = entry
+    return entry
+
+
+def _twist(pair: Supergroup, g: GroupPoint, D: UEElement) -> UEElement:
+    """alpha_g(D), the automorphism induced by Ad(g), for D in declaration
+    order: the sum of the memo entries with an empty left word."""
+    out = UEElement.zero(pair.algebra)
+    for w, c in D.terms.items():
+        for ww, cc in _product(pair, (), g, w).terms.items():
             _accumulate(out.terms, ww, c * cc)
     return out
 
@@ -142,19 +157,18 @@ class CrossedElement:
 
 def xp_multiply(a: CrossedElement, b: CrossedElement) -> CrossedElement:
     """Twisted convolution product: (D_a (x) f_a)(D_b (x) f_b) sums
-    D_a alpha_g(D_b) (x) (piece * f_b) over the twist pieces of f_a."""
+    D_a alpha_g(D_b) (x) (piece * f_b) over the twist pieces of f_a; a
+    product D_a alpha_g(D_b) that vanishes takes no convolution."""
     a._check(b)
     pair = a.pair
-    algebra = pair.algebra
     out = CrossedElement.zero(pair)
     for wa, fa in a.terms.items():
-        mono_a = UEElement(algebra, {wa: GR_ONE})
         split = fa.twist_split()
         for wb, fb in b.terms.items():
-            mono_b = UEElement(algebra, {wb: GR_ONE})
             for g, piece in split:
-                product = ue_multiply(mono_a, _twist(pair, g, mono_b))
-                out._add_ue(product, convolve(piece, fb))
+                product = _product(pair, wa, g, wb)
+                if product.terms:
+                    out._add_ue(product, convolve(piece, fb))
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import comb, exp, gamma, inf, pi, sqrt
+from math import comb, exp, gamma, inf, isnan, lgamma, log, nextafter, pi, sqrt
 from numbers import Real
 
 from .errors import MismatchError, StructureError
@@ -174,8 +174,20 @@ def _poly_shift(coeffs, shift: complex) -> tuple[complex, ...]:
 
 
 def _abs_moment(k: int, rate: float) -> float:
-    """integral of |t|^k exp(-rate t^2) dt over the line."""
-    return gamma((k + 1) / 2.0) / rate ** ((k + 1) / 2.0)
+    """integral of |t|^k exp(-rate t^2) dt over the line.  Where the direct
+    quotient cannot be formed (rate ** e or the gamma value out of range),
+    it is taken through logarithms: inf where it overflows, and otherwise
+    rounded up to a positive float no smaller than the true value."""
+    e = (k + 1) / 2.0
+    try:
+        return gamma(e) / rate ** e
+    except (OverflowError, ZeroDivisionError):
+        lg, lr = lgamma(e), e * log(rate)
+        try:
+            # the slack covers the rounding of lgamma, log and exp
+            return nextafter(exp(lg - lr + 1e-10 * (1.0 + abs(lg) + abs(lr))), inf)
+        except OverflowError:
+            return inf
 
 
 def _gauss_moment(k: int, rate: float) -> float:
@@ -480,9 +492,12 @@ def l1_bound(f, center_slack: float = 0.0) -> float:
     if isinstance(f, FiniteFunction):
         return float(sum(abs(v) for v in f.values.values()))
     if isinstance(f, GaussianPoly):
-        return sum((_term_l1_bound(t, center_slack) for t in f.plus), 0.0) + sum(
+        total = sum((_term_l1_bound(t, center_slack) for t in f.plus), 0.0) + sum(
             (_term_l1_bound(t, center_slack) for t in f.eps), 0.0
         )
+        # every stored coefficient starts finite, so a NaN comes from an
+        # overflow (inf - inf, or inf * 0 in a derivative), and inf bounds it
+        return inf if isnan(total) else total
     raise MismatchError("unsupported function class")
 
 

@@ -120,8 +120,9 @@ class Supergroup:
     name: str
     group: GroupData
     algebra: SuperAlgebra
-    # twisted monomials alpha_g(word) keyed by (twist_point(g), word, order),
-    # filled by crossed._twist; outside equality, hashing and repr
+    # twisted products NF(left alpha_g(right)) of declaration-order words,
+    # keyed by (left, twist_point(g), right), filled by crossed._product;
+    # outside equality, hashing and repr
     twist_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # -- group operations on points of the epsilon-extension ----------------

@@ -551,6 +551,8 @@ _OVERFLOWS = {
     "overflow-orbit": ("(gauss 1 1e300 1)", ("orbit-deriv", "--pair", "tinyline", "--elem", "a")),
     # coefficients near the float maximum multiply to inf - inf
     "nan-product": ("(gauss 1 0 1e308 1e308)", ("xp-mul", "--left", "a", "--right", "a")),
+    # rate ** 2.5 underflows to 0.0, and the degree-4 moment overflows
+    "inf-moment": ("(gauss 1e-300 0 0 0 0 0 1)", ("bound", "--elem", "a")),
 }
 
 
@@ -562,6 +564,16 @@ def test_non_finite_result_exits_1(capsys, tmp_path, gauss, argv):
     assert code == 1
     [error] = json.loads(out).values()
     assert error.startswith("non-finite result: ")
+
+
+def test_a_moment_too_small_to_form_bounds_above_zero(capsys, tmp_path):
+    # rate ** 2.5 overflows, while the degree-4 moment is about 1e-750
+    src = tmp_path / "steep.sexp"
+    src.write_text(TINY_LINE + "(element a tinyline "
+                   "(tensor (ue (1)) (linefunc (plus (gauss 1e300 0 0 0 0 0 1)))))\n")
+    code, out = run(capsys, "--file", str(src), "bound", "--elem", "a")
+    assert code == 0
+    assert 0.0 < json.loads(out)["upper"] < 1e-300
 
 
 # an element whose bridge matrix is infinite on hc-rep-4 and hc-rep-8 only
@@ -767,6 +779,16 @@ def test_a_vanishing_odd_square_bounds_to_zero(capsys, ocline_file):
     code, out = run(capsys, "--file", ocline_file, "bound", "--elem", "big")
     assert (code, json.loads(out)) == (
         0, {"elem": "big", "upper": 0.0, "terms": [{"word": ["x"], "bound": 0.0}]})
+
+
+def test_a_vanishing_product_forms_no_convolution(capsys, tmp_path):
+    # x x = 0 on ocline, so the product is 0 and no convolution runs; the
+    # convolution would have a rate that underflows to 0, which is refused
+    src = tmp_path / "tiny.sexp"
+    src.write_text(OCLINE_SOURCE + "(element tiny ocline "
+                   "(tensor (ue (1 x)) (linefunc (plus (gauss 1e-300 0 1)))))\n")
+    code, out = run(capsys, "--file", str(src), "xp-mul", "--left", "tiny", "--right", "tiny")
+    assert (code, json.loads(out)["product"]) == (0, {"terms": []})
 
 
 def test_a_term_with_a_zero_rho_word_adds_nothing_where_pi_overflows(capsys, ocline_file):

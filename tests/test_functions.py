@@ -5,8 +5,10 @@ import copy
 import math
 import pickle
 import random
+import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -427,6 +429,48 @@ def _ref_term_l1_bound(term, center_slack):
             continue
         total += abs(c) * sum([math.comb(k, j) * mu ** (k - j) * moments[j] for j in range(k + 1)])
     return total
+
+
+# rates at both ends of the float range: rate ** e underflows to 0.0 or
+# overflows from degree 2 on, and the gamma value overflows from degree 342 on
+_EXTREME_RATES = [5e-324, 1e-310, 1e-300, 1e-200, 1e-120, 1.0, 1e120, 1e200, 1e300,
+                  sys.float_info.max]
+
+
+def test_abs_moment_at_extreme_rates_keeps_the_quotient_or_bounds_it():
+    fallbacks = 0
+    for k in [*range(12), 341, 342, 400]:
+        for rate in _EXTREME_RATES:
+            got = functions._abs_moment(k, rate)
+            try:
+                expected = _ref_abs_moment(k, rate)
+            except (OverflowError, ZeroDivisionError):
+                fallbacks += 1
+                e = mpmath.mpf(k + 1) / 2
+                with mpmath.workprec(200):
+                    true = mpmath.gamma(e) / mpmath.mpf(rate) ** e
+                if true > sys.float_info.max:
+                    assert got == math.inf
+                else:
+                    # never 0.0, and never below the true moment
+                    assert 0.0 < got < math.inf and mpmath.mpf(got) >= true
+            else:
+                assert got.hex() == expected.hex()
+    assert fallbacks >= 20
+
+
+@pytest.mark.parametrize("rate", [1e-300, 1e300])
+def test_a_moment_out_of_range_leaves_a_finite_or_infinite_bound(rate):
+    # degree 4: rate ** 2.5 underflows to 0.0 (1e-300) or overflows (1e300)
+    f = GaussianPoly.gaussian(rate, 0.0, (0.0, 0.0, 0.0, 0.0, 1.0))
+    bound = l1_bound(f)
+    if rate < 1.0:
+        assert bound == math.inf
+    else:
+        # the true L1 norm is about 1e-750; the Fourier value reads the
+        # same moments
+        assert 0.0 < bound < 1e-300
+        assert cmath.isfinite(fourier_at(f, 1.0))
 
 
 # up to degree 7, where a power formed by repeated products would differ

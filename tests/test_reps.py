@@ -407,11 +407,15 @@ def test_a_vanishing_odd_square_bounds_to_zero():
 
 
 def test_an_overflowing_derivative_bounds_to_inf(hcline):
-    # the L1 bound of f overflows; the old fused (-1+0j) product of the right
-    # derivative turned inf parts into NaN ones (inf * 0), so the bound was NaN
+    # x (x) f: the L1 bound of f overflows; the old fused (-1+0j) product of
+    # the right derivative turned inf parts into NaN ones (inf * 0), so the
+    # bound was NaN.  z x (x) g: the derivatives of g hold inf - inf, a NaN
+    # coefficient, whose L1 bound reads inf
     f = GaussianPoly.gaussian(1.0, 0.0, (complex(1e308, 1e308),))
-    x = UEElement.generator(hcline.algebra, 1)
-    assert prop33_bound(CrossedElement.tensor(hcline, x, f)) == math.inf
+    g = GaussianPoly.gaussian(1.0, 0.0, (1e308,))
+    for word, h in (((1,), f), ((0, 1), g)):
+        element = CrossedElement.tensor(hcline, normal_form(hcline.algebra, word), h)
+        assert prop33_bound(element) == math.inf
 
 
 def test_a_zero_tail_ends_the_bound_on_a_finite_pair():

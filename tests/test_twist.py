@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from superrep import crossed
 from superrep.catalog import load_catalog
 from superrep.crossed import (
     CrossedElement,
@@ -251,5 +252,42 @@ def test_line_twist_memo_holds_one_entry_per_adjoint_action():
             twisted = reference_twist(pair, g, UEElement(pair.algebra, {w: GR_ONE}))
             ref = ref + CrossedElement.tensor(pair, twisted, left_translate(g, fw))
         assert out == ref
-    assert {w for _, w, _ in pair.twist_memo} == set(a.terms)
-    assert len(pair.twist_memo) <= 2 * len(a.terms)
+    # the twist entries are those with an empty left word
+    twists = [(g, w) for left, g, w in pair.twist_memo if left == ()]
+    assert {w for _, w in twists} == set(a.terms)
+    assert len(twists) <= 2 * len(a.terms)
+
+
+def test_memo_entries_are_twisted_products():
+    # every entry (left, g, right) is NF(left alpha_g(right)), with
+    # alpha_g formed straight from Ad(g)
+    pair = make_s3()
+    rng = random.Random(401)
+    for _ in range(8):
+        a, b, c = (random_element(rng, pair) for _ in range(3))
+        ab = xp_multiply(a, b)
+        xp_multiply(ab, c)
+        xp_multiply(a, xp_multiply(b, c))
+        xp_multiply(xp_star(b), xp_star(a))
+    assert any(left for left, _, _ in pair.twist_memo)
+    for (left, g, right), entry in pair.twist_memo.items():
+        mono = UEElement(pair.algebra, {right: GR_ONE})
+        ref = ue_multiply(UEElement(pair.algebra, {left: GR_ONE}), reference_twist(pair, g, mono))
+        assert entry == ref
+
+
+@pytest.mark.parametrize("name", ["z2odd", "s3"])
+def test_a_vanishing_product_takes_no_convolution(name, request, monkeypatch):
+    # y1 alpha_g(y1) = +-y1 y1 = 0 where Ad(g) maps y1 to +-y1, as
+    # [y1, y1] = 0 on both pairs; every point of z2odd does so, and on s3
+    # only the points that move y1 leave a product to convolve
+    pair = request.getfixturevalue(name)
+    rng = random.Random(407)
+    y1 = UEElement.generator(pair.algebra, 0)
+    f, h = (random_function(rng, pair, density=1.0) for _ in range(2))
+    moving = [g for g in f.support() if pair.ad_point(g)[0][0] == 0]
+    calls = []
+    convolve = crossed.convolve
+    monkeypatch.setattr(crossed, "convolve", lambda f, h: calls.append(1) or convolve(f, h))
+    xp_multiply(CrossedElement.tensor(pair, y1, f), CrossedElement.tensor(pair, y1, h))
+    assert len(calls) == len(moving) == (0 if name == "z2odd" else 8)
