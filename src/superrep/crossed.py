@@ -4,9 +4,10 @@ Elements are finite sums D_k (x) f_k; every stored term pairs one PBW monomial
 in declaration order with one function, scalars folded in, and a reader takes
 each word as it stands.  Finite instances are exact; on line instances every
 twist needs the group to act trivially on the algebra (the epsilon flip is
-the only twist), which keeps the Gaussian-polynomial class closed.
-``Supergroup.twist_point`` refuses any other line pair, so an operation
-with nothing to twist, such as a right translation, runs on every pair.
+the only twist), which keeps the Gaussian-polynomial class closed, and every
+line point twists as (0, eps).  ``_product`` refuses any other line pair
+when it forms a twist, so an operation with nothing to twist, such as a
+right translation, runs on every pair.
 
 Every product, star and integral below is one twisted-convolution loop for
 both function classes: ``f.twist_split()`` cuts f into pieces on which the
@@ -21,6 +22,7 @@ left/right maps represented symbolically and evaluated on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isnan
 from typing import Callable
 
 from . import linalg
@@ -38,14 +40,14 @@ Word = tuple[int, ...]
 
 def _product(pair: Supergroup, left: Word, g: GroupPoint, right: Word) -> UEElement:
     """NF(left alpha_g(right)) for two PBW words in declaration order,
-    memoized on the pair, keyed by (left, twist_point(g), right): only line
-    points share entries, as a finite point is its own.  The key holds no
+    memoized on the pair, keyed by (left, g, right) with g as ``twist_split``
+    gives it: a finite point, or (0, eps) on a line pair.  The key holds no
     order, since every crossed caller holds declaration order (``tensor``
     and ``_check_ue`` refuse any other).  An entry with an empty ``left`` is
     the image of one monomial, formed by ``apply_auto``, which checks the
-    adjoint map on every miss; any other entry is ``left`` times it."""
+    adjoint map on every miss, once a line pair with a nontrivial adjoint is
+    refused, so that it stores nothing; any other entry is ``left`` times it."""
     memo = pair.twist_memo
-    g = pair.twist_point(g)
     probe = (left, g, right)
     entry = memo.get(probe)
     if entry is None:
@@ -54,6 +56,7 @@ def _product(pair: Supergroup, left: Word, g: GroupPoint, right: Word) -> UEElem
             entry = ue_multiply(UEElement(algebra, {left: GR_ONE}),
                                 _product(pair, (), g, right))
         else:
+            pair.require_trivial_line_ad()
             phi = linalg.transpose(pair.ad_point(g))
             entry = apply_auto(algebra, phi, UEElement(algebra, {right: GR_ONE}))
         memo[probe] = entry
@@ -204,15 +207,15 @@ class Multiplier:
 
 
 def mul_group(pair: Supergroup, g: GroupPoint) -> Multiplier:
-    """Left/right translation multiplier attached to a group point."""
+    """Left/right translation multiplier attached to a group point; its
+    left map twists at g on a finite pair and at (0, g.eps) on a line pair."""
     pair.require_point(g)
-    algebra = pair.algebra
+    tg = GroupPoint(0, g.eps) if pair.group.kind == LINE else g
 
     def lam(a: CrossedElement) -> CrossedElement:
         out = CrossedElement.zero(pair)
         for w, f in a.terms.items():
-            mono = UEElement(algebra, {w: GR_ONE})
-            out._add_ue(_twist(pair, g, mono), left_translate(g, f))
+            out._add_ue(_product(pair, (), tg, w), left_translate(g, f))
         return out
 
     def rho(a: CrossedElement) -> CrossedElement:
@@ -286,7 +289,8 @@ def gamma_integral(pair: Supergroup, f, D: UEElement, h) -> CrossedElement:
 
 def element_sample_difference(a: CrossedElement, b: CrossedElement) -> float:
     """Max pointwise deviation between matching monomial terms, over both
-    components at 21 points on [-3, 3]; line instances only."""
+    components at 21 points on [-3, 3]; line instances only.  A NaN sample
+    makes the deviation NaN, whatever the other samples are."""
     a._check(b)
     if a.pair.group.kind != LINE:
         raise UnsupportedInstanceError("sample difference requires a line instance")
@@ -297,7 +301,10 @@ def element_sample_difference(a: CrossedElement, b: CrossedElement) -> float:
         fb = b.terms.get(w, GaussianPoly())
         for eps in (False, True):
             for t in points:
-                worst = max(worst, abs(fa.value(t, eps) - fb.value(t, eps)))
+                d = abs(fa.value(t, eps) - fb.value(t, eps))
+                if isnan(d):
+                    return d
+                worst = max(worst, d)
     return worst
 
 

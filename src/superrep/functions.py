@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from math import comb, exp, gamma, inf, isnan, lgamma, log, nextafter, pi, sqrt
 from numbers import Real
 
@@ -190,9 +191,29 @@ def _abs_moment(k: int, rate: float) -> float:
             return inf
 
 
+# 40 digits with no exponent limit, and pi to 46 digits
+_WIDE = Context(prec=40, Emin=MIN_EMIN, Emax=MAX_EMAX)
+_PI = Decimal("3.141592653589793238462643383279502884197169399")
+
+
 def _gauss_moment(k: int, rate: float) -> float:
-    """integral of t^k exp(-rate t^2) dt over the line (zero for odd k)."""
-    return 0.0 if k % 2 else _abs_moment(k, rate)
+    """integral of t^k exp(-rate t^2) dt over the line (zero for odd k).
+    Where the direct quotient cannot be formed, it is the nearest float to
+    the moment: 0.0 where it underflows and inf where it overflows."""
+    if k % 2:
+        return 0.0
+    e = (k + 1) / 2.0
+    try:
+        return gamma(e) / rate ** e
+    except (OverflowError, ZeroDivisionError):
+        # Gamma(n + 1/2) / rate^(n + 1/2) = sqrt(pi / rate) prod_{j < n} (j + 1/2) / rate,
+        # formed to 40 digits, so that rounding it to a float gives the nearest one
+        with localcontext(_WIDE):
+            r = Decimal(rate)
+            m = (_PI / r).sqrt()
+            for j in range(k // 2):
+                m = m * (j + Decimal("0.5")) / r
+        return float(m)
 
 
 class GaussianPoly:
@@ -262,10 +283,10 @@ class GaussianPoly:
     def twist_split(self):
         """Pairs (g, piece) whose pieces sum to f, every point of supp(piece)
         acting on the algebra as g does: the plus part with the identity,
-        then the eps part with epsilon.  Valid only because every caller
-        twists through ``Supergroup.twist_point``, which refuses a line pair
-        unless exp(t z) acts as the identity, so that (t, eps) acts as the
-        parity flip."""
+        then the eps part with epsilon.  Valid only because the crossed
+        layer forms a twist only where exp(t z) acts as the identity, so
+        that (t, eps) acts as the parity flip, and refuses any other line
+        pair."""
         out = []
         if self.plus:
             out.append((GroupPoint(0, False), GaussianPoly(self.plus, ())))
@@ -517,7 +538,7 @@ def fourier_at(f: GaussianPoly, freq: float, component: str = "plus") -> complex
     for term in terms:
         coeffs, a, mu = term.coeffs, term.rate, term.center
         if len(coeffs) == 1:
-            total = coeffs[0] * _abs_moment(0, a)
+            total = coeffs[0] * _gauss_moment(0, a)
         else:
             shifted = _poly_shift(coeffs, ifreq / (2.0 * a) + mu)
             total = sum([c * _gauss_moment(k, a) for k, c in enumerate(shifted)])

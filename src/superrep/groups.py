@@ -121,8 +121,8 @@ class Supergroup:
     group: GroupData
     algebra: SuperAlgebra
     # twisted products NF(left alpha_g(right)) of declaration-order words,
-    # keyed by (left, twist_point(g), right), filled by crossed._product;
-    # outside equality, hashing and repr
+    # keyed by (left, g, right), filled by crossed._product: g is a finite
+    # point, or (0, eps) on a line pair; outside equality, hashing and repr
     twist_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # -- group operations on points of the epsilon-extension ----------------
@@ -210,21 +210,8 @@ class Supergroup:
             mat = [[-v if par[j] else v for j, v in enumerate(row)] for row in mat]
         return mat
 
-    def twist_point(self, g: GroupPoint) -> GroupPoint:
-        """A point acting on the algebra as g does, shared by every such g:
-        g itself on a finite group.  On a line pair, exp(t z) must act as the
-        identity for every t, so that each point stands for (0, g.eps); a
-        nontrivial adjoint is refused here, for every twisting caller."""
-        if self.group.kind == FINITE:
-            return g
-        self.require_trivial_line_ad()
-        return GroupPoint(0, g.eps)
-
-    def line_ad_is_trivial(self) -> bool:
-        return self.line_ad_terms == ()
-
     def require_trivial_line_ad(self):
-        if self.group.kind == LINE and not self.line_ad_is_trivial():
+        if self.group.kind == LINE and self.line_ad_terms != ():
             raise UnsupportedInstanceError(
                 f"{self.name}: line instances with a nontrivial adjoint action "
                 "on the algebra are not supported"

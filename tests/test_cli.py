@@ -171,6 +171,17 @@ def test_gamma_check_refuses_a_function_of_another_pair(capsys):
     }
 
 
+def test_gamma_check_with_a_nan_sample_is_non_finite(capsys, tmp_path):
+    # both sides hold inf + nan j, so every sample of the plus part is NaN
+    src = tmp_path / "big.sexp"
+    src.write_text("(function big hcline (linefunc (plus (gauss 1 0 1.7e308))))\n"
+                   "(function one hcline (linefunc (plus (gauss 1 0 1))))\n")
+    code, out = run(capsys, "--catalog", "hc", "--file", str(src), "gamma-check",
+                    "--pair", "hcline", "--f", "big", "--h", "one")
+    assert (code, json.loads(out)) == (1, {
+        "error": "non-finite result: Out of range float values are not JSON compliant: nan"})
+
+
 def test_line_elements_print_line_functions(capsys):
     code, out = run(capsys, "--catalog", "hc", "xp-star", "--elem", "ax")
     assert code == 0
@@ -574,6 +585,24 @@ def test_a_moment_too_small_to_form_bounds_above_zero(capsys, tmp_path):
     code, out = run(capsys, "--file", str(src), "bound", "--elem", "a")
     assert code == 0
     assert 0.0 < json.loads(out)["upper"] < 1e-300
+
+
+def test_a_moment_too_small_to_form_reads_zero_in_fourier_values(capsys, tmp_path):
+    # the Fourier value takes the nearest moment, 0.0, while the bound
+    # keeps its upward rounding
+    src = tmp_path / "steep.sexp"
+    src.write_text("(element s hcline "
+                   "(tensor (ue (1)) (linefunc (plus (gauss 1e300 0 0 0 0 0 1)))))\n")
+    base = ("--catalog", "hc", "--file", str(src))
+    code, out = run(capsys, *base, "hat", "--rep", "hc-rep-2", "--elem", "s")
+    assert code == 0
+    hat = json.loads(out)
+    assert hat["matrix"] == [[[0.0, 0.0], [0.0, 0.0]]] * 2 and hat["operator_norm"] == 0.0
+    code, out = run(capsys, *base, "seminorm", "--elem", "s", "--family", "hc-grid")
+    assert code == 0
+    assert json.loads(out)["lower"] == 0.0 and json.loads(out)["upper"] == 5e-324
+    code, out = run(capsys, *base, "bound", "--elem", "s")
+    assert (code, json.loads(out)["upper"]) == (0, 5e-324)
 
 
 # an element whose bridge matrix is infinite on hc-rep-4 and hc-rep-8 only

@@ -308,6 +308,23 @@ def test_sample_difference_reads_the_peak_at_zero(hcline):
     assert element_sample_difference(a, CrossedElement.zero(hcline)) == 1.0
 
 
+def test_a_nan_sample_makes_the_deviation_nan(hcline):
+    # f * h overflows to inf + nan j on both sides of the identity; the eps
+    # component's samples, read after the NaN ones, are all 0.0
+    big = GaussianPoly.gaussian(1.0, 0.0, (1.7e308,))
+    one = GaussianPoly.gaussian()
+    unit = UEElement.unit(hcline.algebra)
+    lhs = gamma_integral(hcline, big, unit, one)
+    rhs = xp_multiply(CrossedElement.tensor(hcline, unit, big),
+                      CrossedElement.tensor(hcline, unit, one))
+    [coeff] = lhs.terms[()].plus[0].coeffs
+    assert math.isinf(coeff.real) and math.isnan(coeff.imag)
+    assert math.isnan(element_sample_difference(lhs, rhs))
+    # a finite deviation of 1.0 on another word leaves it NaN
+    x = UEElement.generator(hcline.algebra, 1)
+    assert math.isnan(element_sample_difference(lhs + CrossedElement.tensor(hcline, x, one), rhs))
+
+
 def test_sample_difference_refuses_a_finite_pair(workspace):
     bx = workspace.elements["bx"]
     with pytest.raises(UnsupportedInstanceError, match="requires a line instance"):
@@ -368,9 +385,13 @@ SHEAR_LINE = """
 def test_twisting_refuses_a_line_with_nontrivial_adjoint(operation):
     ws = parse(SHEAR_LINE)
     pair = ws.pairs["shearline"]
-    assert not pair.line_ad_is_trivial()
-    with pytest.raises(UnsupportedInstanceError, match="nontrivial adjoint action"):
+    assert pair.line_ad_terms != ()
+    with pytest.raises(UnsupportedInstanceError) as err:
         operation(pair, ws.elements["a"])
+    assert str(err.value) == ("shearline: line instances with a nontrivial adjoint "
+                              "action on the algebra are not supported")
+    # a refused twist stores nothing
+    assert not pair.twist_memo
 
 
 @pytest.mark.parametrize("operation", [
@@ -405,6 +426,7 @@ def test_right_translation_ignores_the_adjoint(g):
     want = mul_group(flat.pairs["flatline"], g).rho(flat.elements["b"])
     assert len(got.terms) == 4
     assert got.terms == want.terms
+    assert not shear.pairs["shearline"].twist_memo
 
 
 def test_line_checks_refuse_an_element_of_another_pair(workspace, hc_grid):

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -459,6 +460,42 @@ def test_abs_moment_at_extreme_rates_keeps_the_quotient_or_bounds_it():
     assert fallbacks >= 20
 
 
+def _nearest_float(x):
+    """The float nearest to the positive mpf x, inf past the largest one."""
+    man, exp = x.man_exp
+    try:
+        # an integer quotient is correctly rounded, subnormals included
+        return float(Fraction(man) * Fraction(2) ** exp)
+    except OverflowError:
+        return math.inf
+
+
+def test_gauss_moment_out_of_range_is_the_nearest_float():
+    # the Fourier and convolution values read this moment; only the L1
+    # bound keeps _abs_moment's upward rounding, whose slack at degree 400
+    # is about 2e-7 relative.  A rate of 1e3 leaves the gamma value of
+    # degree 342 on overflowing and the moment normal; a rate of 1e124 makes
+    # the degree-4 moment subnormal.
+    results = set()
+    for k in [*range(0, 12, 2), 340, 342, 400]:
+        for rate in [*_EXTREME_RATES, 1e3, 1e124]:
+            got = functions._gauss_moment(k, rate)
+            assert functions._gauss_moment(k + 1, rate) == 0.0
+            try:
+                expected = _ref_abs_moment(k, rate)
+            except (OverflowError, ZeroDivisionError):
+                e = mpmath.mpf(k + 1) / 2
+                with mpmath.workprec(300):
+                    true = mpmath.gamma(e) / mpmath.mpf(rate) ** e
+                expected = _nearest_float(true)
+                results.add("inf" if expected == math.inf else "0" if expected == 0.0
+                            else "normal" if expected >= sys.float_info.min else "subnormal")
+                if k == 400 and 0.0 < expected < math.inf:
+                    assert functions._abs_moment(k, rate) > expected * (1 + 1e-7)
+            assert got.hex() == expected.hex()
+    assert results == {"0", "subnormal", "normal", "inf"}
+
+
 @pytest.mark.parametrize("rate", [1e-300, 1e300])
 def test_a_moment_out_of_range_leaves_a_finite_or_infinite_bound(rate):
     # degree 4: rate ** 2.5 underflows to 0.0 (1e-300) or overflows (1e300)
@@ -468,9 +505,9 @@ def test_a_moment_out_of_range_leaves_a_finite_or_infinite_bound(rate):
         assert bound == math.inf
     else:
         # the true L1 norm is about 1e-750; the Fourier value reads the
-        # same moments
+        # nearest moment, which is 0.0
         assert 0.0 < bound < 1e-300
-        assert cmath.isfinite(fourier_at(f, 1.0))
+        assert fourier_at(f, 1.0) == 0
 
 
 # up to degree 7, where a power formed by repeated products would differ

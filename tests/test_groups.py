@@ -42,7 +42,7 @@ def test_eps_acts_as_parity_flip(z2odd):
 
 
 def test_line_ad_trivial_for_central_generator(hcline):
-    assert hcline.line_ad_is_trivial()
+    assert hcline.line_ad_terms == ()
     mat = hcline.ad_point(GroupPoint(Fraction(7, 3), False))
     n = hcline.algebra.dim
     assert mat == [
@@ -107,7 +107,7 @@ def heis3_line_pair():
 
 def test_line_one_parameter_exponential():
     pair = heis3_line_pair()
-    assert not pair.line_ad_is_trivial()
+    assert pair.line_ad_terms != ()
     m = pair.line_ad_matrix(Fraction(1, 2))
     # Ad(exp(t z)) x = x + t y exactly
     assert [row[1] for row in m] == [Fraction(0), Fraction(1), Fraction(1, 2)]
@@ -230,7 +230,7 @@ def shear_line_pair():
 
 def test_line_pair_reports():
     rotation = rotation_line_pair()
-    assert rotation.line_ad_terms is None and not rotation.line_ad_is_trivial()
+    assert rotation.line_ad_terms is None
     with pytest.raises(UnsupportedInstanceError, match="not nilpotent"):
         rotation.ad_point(GroupPoint(Fraction(1), False))
     assert report_rows(validate_pair(rotation)) == [

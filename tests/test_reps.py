@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superrep import reps
-from superrep.crossed import CrossedElement, mul_group, mul_lie, xp_multiply, xp_star
+from superrep.crossed import (
+    CrossedElement,
+    gamma_integral,
+    mul_group,
+    mul_lie,
+    xp_multiply,
+    xp_star,
+)
 from superrep.dsl import parse
 from superrep.enveloping import ODD_MAJOR_ORDER, UEElement, normal_form
 from superrep.errors import StructureError, UnsupportedInstanceError
@@ -373,16 +380,37 @@ def test_bound_peels_each_word_pair_once_bit_for_bit(n, monkeypatch):
     assert len(visited) == 2 ** (n + 1) - 1
 
 
-def test_bound_leaves_no_cyclic_garbage(workspace):
-    """The bound keeps each term's derivatives in a plain list and dict, so
-    nothing it makes is left for the cyclic collector: a loop of bounds that
-    leaves garbage cycles makes collections fire in whatever runs next."""
-    elements = list(catalog_line_elements(workspace).values())
+# each runs one path over the catalog's line elements, its finite elements
+# and the hc-grid family
+_GARBAGE_FREE = {
+    "prop33_bound": lambda line, finite, grid: [prop33_bound(a) for a in line],
+    "xp_multiply-finite": lambda line, finite, grid: [
+        xp_multiply(a, b) for a in finite for b in finite],
+    "xp_multiply-line": lambda line, finite, grid: [
+        xp_multiply(a, b) for a in line for b in line],
+    "xp_star": lambda line, finite, grid: [xp_star(a) for a in line],
+    "mul_group.lam": lambda line, finite, grid: [
+        mul_group(a.pair, GroupPoint(t, t < 0)).lam(a) for a in line for t in (-0.5, 0.0, 1.25)],
+    "gamma_integral": lambda line, finite, grid: [
+        gamma_integral(a.pair, f, normal_form(a.pair.algebra, (1,)), f)
+        for a in line for f in a.terms.values()],
+    "rep_hat": lambda line, finite, grid: [rep_hat(rep, a) for a in line for rep in grid],
+    "seminorm_interval": lambda line, finite, grid: [seminorm_interval(a, grid) for a in line],
+}
+
+
+@pytest.mark.parametrize("run", _GARBAGE_FREE.values(), ids=_GARBAGE_FREE)
+def test_leaves_no_cyclic_garbage(workspace, hc_grid, run):
+    """The bound, the twisted products and the bridge keep what they make in
+    plain lists and dicts, so nothing is left for the cyclic collector: a
+    loop that leaves garbage cycles makes collections fire in whatever runs
+    next."""
+    line = list(catalog_line_elements(workspace).values())
+    finite = [workspace.elements[n] for n in ("b0", "bs", "bx", "bmix")]
     gc.collect()
     gc.disable()
     try:
-        for a in elements:
-            prop33_bound(a)
+        run(line, finite, hc_grid)
         assert gc.collect() == 0
     finally:
         gc.enable()

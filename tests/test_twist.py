@@ -3,6 +3,7 @@ point-by-point reference sum, ``twist_split`` and the per-pair twist memo."""
 
 import gc
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -15,13 +16,14 @@ from superrep.crossed import (
     gamma_integral,
     mul_compose,
     mul_group,
+    mul_lie,
     xp_multiply,
     xp_star,
 )
 from superrep.dsl import parse
 from superrep.enveloping import UEElement, apply_auto, normal_form, ue_multiply
 from superrep.functions import FiniteFunction, GaussianPoly, left_translate
-from superrep.groups import GroupPoint
+from superrep.groups import GroupPoint, Supergroup
 from superrep.scalars import GR_ONE, GaussianRational
 
 # S3 permuting three odd generators y1, y2, y3 with vanishing brackets; the
@@ -291,3 +293,68 @@ def test_a_vanishing_product_takes_no_convolution(name, request, monkeypatch):
     monkeypatch.setattr(crossed, "convolve", lambda f, h: calls.append(1) or convolve(f, h))
     xp_multiply(CrossedElement.tensor(pair, y1, f), CrossedElement.tensor(pair, y1, h))
     assert len(calls) == len(moving) == (0 if name == "z2odd" else 8)
+
+
+def supergroup_calls(run):
+    """The Supergroup methods, properties and generated dunders that ``run()``
+    enters, by name."""
+    codes = {}
+    for name, member in vars(Supergroup).items():
+        for attr in ("fget", "func"):  # a property, a cached_property
+            member = getattr(member, attr, member)
+        if hasattr(member, "__code__"):
+            codes[member.__code__] = name
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(codes[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def hcline_elements():
+    """The hc catalog's elements and one with both components, over hcline."""
+    ws = load_catalog("hc")
+    pair = ws.pairs["hcline"]
+    bump = CrossedElement.tensor(pair, normal_form(pair.algebra, (0, 1)), ws.functions["bump"])
+    return pair, [*ws.elements.values(), bump]
+
+
+def test_a_warm_product_calls_no_supergroup_method(s3):
+    # a memo hit reads its key as given: the pair is not asked to map it
+    rng = random.Random(408)
+    pools = [hcline_elements()[1], [random_element(rng, s3) for _ in range(4)]]
+
+    def run():
+        for pool in pools:
+            for a in pool:
+                for b in pool:
+                    xp_multiply(a, b)
+
+    run()
+    assert supergroup_calls(run) == []
+
+
+def test_line_twist_keys_are_the_identity_and_epsilon():
+    # every twisting caller keys a line twist by (0, eps), whatever the point
+    pair, elements = hcline_elements()
+    f, h = elements[-1].terms[(0, 1)], elements[0].terms[()]
+    points = [GroupPoint(Fraction(k, 8), k % 2 == 1) for k in range(-12, 13)]
+    points += [GroupPoint(k / 3, k < 0) for k in range(-4, 5)]
+    for a in elements:
+        for b in elements:
+            xp_multiply(a, b)
+        xp_star(a)
+        mul_lie(pair, 1).rho(a)
+        for g in points:
+            mul_group(pair, g).lam(a)
+    for w in ((), (1,), (0, 1)):
+        gamma_integral(pair, f, normal_form(pair.algebra, w), h)
+    assert {g for _, g, _ in pair.twist_memo} == {(0, False), (0, True)}
+    assert {type(g.base) for _, g, _ in pair.twist_memo} == {int}
