@@ -25,7 +25,7 @@ from .crossed import (CrossedElement, element_sample_difference, gamma_integral,
                       orbit_derivative_check, xp_multiply, xp_star)
 from .dsl import Workspace, parse_file, read_word
 from .enveloping import UEElement, dagger as ue_dagger, normal_form
-from .errors import DslError, SuperrepError
+from .errors import DslError, MismatchError, SuperrepError
 from .functions import FiniteFunction
 from .groups import FINITE, GroupPoint, validate_pair
 from .reps import (_word_bounds, ccr_report, operator_norm, reconstruct_pi, reconstruct_rho,
@@ -401,7 +401,8 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise"):
             doc, ok = handler(args, *definitions)
         text, code = _json(doc), 0 if ok else 1
-    except (DslError, OSError) as exc:
+    except (DslError, MismatchError, OSError) as exc:
+        # a MismatchError here comes from a name given next to another pair
         text, code = _json({"error": str(exc)}), 2
     except SuperrepError as exc:
         text, code = _json({"error": str(exc)}), 1

@@ -13,7 +13,6 @@ odd generators before all even ones).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import MismatchError, StructureError
 from .scalars import GR_HALF, GR_MINUS_I, GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational
@@ -239,13 +238,7 @@ def check_automorphism(algebra: SuperAlgebra, phi) -> ValidationReport:
     if len(phi) != n or any(len(v) != n for v in phi):
         report.add("shape", False, f"expected {n} image vectors of length {n}")
         return report
-    # a rational map, such as every adjoint matrix, stays in Fractions, as
-    # bracket keeps them; anything else is brought to Gaussian rationals
-    if all(isinstance(c, (int, Fraction)) for v in phi for c in v):
-        zero = Fraction(0)
-    else:
-        phi = [[GaussianRational.of(c) for c in v] for v in phi]
-        zero = GR_ZERO
+    phi = [[GaussianRational.of(c) for c in v] for v in phi]
 
     parity_bad = [
         f"{algebra.basis_names[i]} -> {algebra.basis_names[k]}"
@@ -259,7 +252,7 @@ def check_automorphism(algebra: SuperAlgebra, phi) -> ValidationReport:
     for i in range(n):
         for j in range(n):
             lhs = algebra.bracket(phi[i], phi[j])
-            rhs = [zero] * n
+            rhs = [GR_ZERO] * n
             for k, c in algebra.bracket_terms[i][j]:
                 for m in range(n):
                     rhs[m] = rhs[m] + c * phi[k][m]

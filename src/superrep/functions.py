@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
-from math import comb, exp, gamma, inf, isnan, lgamma, log, nextafter, pi, sqrt
+from math import comb, exp, gamma, inf, isnan, nextafter, pi, sqrt
 from numbers import Real
 
 from .errors import MismatchError, StructureError
@@ -174,46 +174,37 @@ def _poly_shift(coeffs, shift: complex) -> tuple[complex, ...]:
     return _poly_trim(out)
 
 
-def _abs_moment(k: int, rate: float) -> float:
-    """integral of |t|^k exp(-rate t^2) dt over the line.  Where the direct
-    quotient cannot be formed (rate ** e or the gamma value out of range),
-    it is taken through logarithms: inf where it overflows, and otherwise
-    rounded up to a positive float no smaller than the true value."""
+# 40 digits with no exponent limit, and pi to 46 digits
+_WIDE = Context(prec=40, Emin=MIN_EMIN, Emax=MAX_EMAX)
+_PI = Decimal("3.141592653589793238462643383279502884197169399")
+
+
+def _abs_moment(k: int, rate: float, up: bool = True) -> float:
+    """integral of |t|^k exp(-rate t^2) dt over the line.  In range it is the
+    direct quotient, not yet rounded outward.  Where that quotient cannot be
+    formed (rate ** e or the gamma value out of range), it is the nearest
+    float to the moment, stepped up once with ``up``: then never 0.0 and no
+    smaller than the true moment.  Either way inf where it overflows."""
     e = (k + 1) / 2.0
     try:
         return gamma(e) / rate ** e
     except (OverflowError, ZeroDivisionError):
-        lg, lr = lgamma(e), e * log(rate)
-        try:
-            # the slack covers the rounding of lgamma, log and exp
-            return nextafter(exp(lg - lr + 1e-10 * (1.0 + abs(lg) + abs(lr))), inf)
-        except OverflowError:
-            return inf
-
-
-# 40 digits with no exponent limit, and pi to 46 digits
-_WIDE = Context(prec=40, Emin=MIN_EMIN, Emax=MAX_EMAX)
-_PI = Decimal("3.141592653589793238462643383279502884197169399")
+        # Gamma(n + 1/2) / rate^(n + 1/2) = sqrt(pi / rate) prod_{j < n} (j + 1/2) / rate
+        # for k = 2n, and Gamma(n + 1) / rate^(n + 1) = (1 / rate) prod_{j < n} (j + 1) / rate
+        # for k = 2n + 1, formed to 40 digits, so that rounding it gives the nearest float
+        with localcontext(_WIDE):
+            r = Decimal(rate)
+            m, half = (1 / r, 1) if k % 2 else ((_PI / r).sqrt(), Decimal("0.5"))
+            for j in range(k // 2):
+                m = m * (j + half) / r
+        return nextafter(float(m), inf) if up else float(m)
 
 
 def _gauss_moment(k: int, rate: float) -> float:
     """integral of t^k exp(-rate t^2) dt over the line (zero for odd k).
     Where the direct quotient cannot be formed, it is the nearest float to
     the moment: 0.0 where it underflows and inf where it overflows."""
-    if k % 2:
-        return 0.0
-    e = (k + 1) / 2.0
-    try:
-        return gamma(e) / rate ** e
-    except (OverflowError, ZeroDivisionError):
-        # Gamma(n + 1/2) / rate^(n + 1/2) = sqrt(pi / rate) prod_{j < n} (j + 1/2) / rate,
-        # formed to 40 digits, so that rounding it to a float gives the nearest one
-        with localcontext(_WIDE):
-            r = Decimal(rate)
-            m = (_PI / r).sqrt()
-            for j in range(k // 2):
-                m = m * (j + Decimal("0.5")) / r
-        return float(m)
+    return 0.0 if k % 2 else _abs_moment(k, rate, up=False)
 
 
 class GaussianPoly:

@@ -46,10 +46,11 @@ def test_failed_check_exits_1(capsys):
     assert json.loads(out)["ok"] is False
 
 
-def test_pair_mismatch_exits_1(capsys):
+def test_pair_mismatch_exits_2(capsys):
+    # a name of another pair is an input error, as in gamma-check
     code, out = run(capsys, "--catalog", "hc", "--catalog", "podd",
                     "hat", "--rep", "reg4", "--elem", "a0")
-    assert code == 1
+    assert code == 2
     assert "different pairs" in json.loads(out)["error"]
 
 
@@ -57,9 +58,9 @@ def test_pair_mismatch_exits_1(capsys):
     ("orbit-deriv", "--pair", "hcline", "--elem", "bs"),
     ("taylor", "--pair", "hcline", "--elem", "bs", "--family", "hc-grid"),
 ])
-def test_element_of_another_pair_exits_1(capsys, argv):
+def test_element_of_another_pair_exits_2(capsys, argv):
     code, out = run(capsys, "--catalog", "hc", "--catalog", "podd", *argv)
-    assert code == 1
+    assert code == 2
     error = json.loads(out)["error"]
     assert "different pairs" in error and "internal error" not in error
 

@@ -8,6 +8,8 @@ a warm snapshot would hide a twist mutant, and the memo entries a mutant
 fills would leak into later calls.  Convolution, dagger and breve have no
 CLI verdict that fails under a mutant (``gamma-check`` compares two sides
 that share the convolution), so their rows check *-algebra identities.
+The L1 bound's upward step past the float range of the gamma value is
+checked against an mpmath value of the norm.
 """
 
 import contextlib
@@ -15,13 +17,14 @@ import io
 import itertools
 import json
 
+import mpmath
 import numpy as np
 import pytest
 
-from superrep import cli, crossed, reps
+from superrep import cli, crossed, functions, reps
 from superrep.catalog import load_catalog
 from superrep.crossed import xp_multiply, xp_star
-from superrep.functions import FiniteFunction, GaussianPoly
+from superrep.functions import FiniteFunction, GaussianPoly, l1_bound
 
 
 def cli_verdict(*argv):
@@ -72,6 +75,17 @@ def star_is_involutive():
     return all(xp_star(xp_star(a)) == a for a in load_catalog().elements.values())
 
 
+def l1_bound_covers_the_moment():
+    """l1_bound of t^342 exp(-1000 t^2) is no smaller than its L1 norm,
+    Gamma(171.5) / 1000^171.5 (mpmath, 300 bits).  The gamma value is out
+    of the float range there, and the nearest float to the norm lies below
+    it."""
+    f = GaussianPoly.gaussian(1e3, 0.0, (0.0,) * 342 + (1.0,))
+    with mpmath.workprec(300):
+        e = mpmath.mpf(343) / 2
+        return mpmath.mpf(l1_bound(f)) >= mpmath.gamma(e) / mpmath.mpf(1000) ** e
+
+
 def translation_skipped_on(kind):
     """The mutant of left_translate that returns a function of ``kind``
     unchanged."""
@@ -95,6 +109,9 @@ KILLED = [
                  [star_reverses_products], id="dagger-sign"),
     pytest.param(crossed, "breve", lambda original: lambda f: f,
                  [star_is_involutive], id="breve-skipped"),
+    pytest.param(functions, "_abs_moment",
+                 lambda original: lambda k, rate, up=True: original(k, rate, up=False),
+                 [l1_bound_covers_the_moment], id="moment-fallback-not-rounded-up"),
 ]
 
 
