@@ -24,6 +24,7 @@ carries a line and column.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from fractions import Fraction
@@ -506,8 +507,17 @@ def _function_literal(pair: Supergroup, node):
                 center = _number(term.items[2])
                 coeffs = tuple(_complex_entry(c) for c in term.items[3:])
                 (plus if ck == "plus" else eps).append(GaussTerm(coeffs, rate, center))
-        return GaussianPoly(tuple(plus), tuple(eps))
+        return _finite_line(GaussianPoly(tuple(plus), tuple(eps)), node)
     raise DslError("expected finitefunc or linefunc", node.line, node.col)
+
+
+def _finite_line(f, node):
+    """f, refused at node if a line coefficient overflowed after parsing: a
+    merge of like terms or a scale by an enveloping coefficient."""
+    if isinstance(f, GaussianPoly) and not all(
+            cmath.isfinite(c) for t in f.plus + f.eps for c in t.coeffs):
+        raise DslError("Gaussian coefficient is not finite", node.line, node.col)
+    return f
 
 
 def _function_ref(ws: Workspace, pair: Supergroup, node):
@@ -547,7 +557,14 @@ def _build_element(ws: Workspace, form: SList, name: str, pair: Supergroup):
             raise DslError("expected (tensor UE FUNC)", term.line, term.col)
         ue = _ue_literal(pair, term.items[1])
         func = _function_ref(ws, pair, term.items[2])
-        total = total + CrossedElement.tensor(pair, ue, func)
+        try:
+            total = total + CrossedElement.tensor(pair, ue, func)
+        except OverflowError:
+            # an enveloping coefficient past the float range of a line function
+            raise DslError("coefficient is too large for a float",
+                           term.line, term.col) from None
+        for f in total.terms.values():
+            _finite_line(f, term)
     return total
 
 

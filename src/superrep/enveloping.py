@@ -268,7 +268,6 @@ def apply_auto(algebra: SuperAlgebra, phi, a: UEElement) -> UEElement:
     """Apply the algebra automorphism induced by the bracket- and
     parity-preserving linear map phi (image vectors per basis index)."""
     check_automorphism(algebra, phi).raise_if_failed()
-    phi = [[GaussianRational.of(c) for c in v] for v in phi]
     out = UEElement.zero(algebra, a.order)
     for w, c in a.terms.items():
         piece = UEElement(algebra, {(): c}, a.order)

@@ -331,7 +331,8 @@ class SeminormInterval:
 
     def __post_init__(self):
         if self.lower > self.upper:
-            raise StructureError("seminorm interval must satisfy lower <= upper")
+            raise StructureError("seminorm interval must satisfy lower <= upper, "
+                                 f"got {self.lower!r} > {self.upper!r}")
 
     @property
     def kernel_flag(self) -> bool:
@@ -349,16 +350,12 @@ class SeminormInterval:
 
 def seminorm_interval(a: CrossedElement, family: list[MatrixRep]) -> SeminormInterval:
     """Interval estimate of the universal seminorm: the family maximum from
-    below, the certified recursion from above."""
+    below, the certified recursion from above, both as computed; a family
+    maximum above the bound is refused (StructureError)."""
     upper = prop33_bound(a)
     if not family:
         return SeminormInterval(0.0, upper, empty_family=True)
-    lower = max(operator_norm(rep_hat(rep, a)) for rep in family)
-    if upper == 0.0:
-        # the certified bound already forces every representation to kill a
-        lower = 0.0
-    lower = min(lower, upper)
-    return SeminormInterval(lower, upper)
+    return SeminormInterval(max(operator_norm(rep_hat(rep, a)) for rep in family), upper)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +410,7 @@ def taylor_norm_check(
             (operator_norm(rep_hat(rep, defect)) for rep in family), default=0.0
         )
         bound = 0.5 * m_const * abs(t)
-        rows.append(
-            {"t": t, "family_max": family_max, "bound": bound, "ok": family_max <= bound + 1e-12}
-        )
+        rows.append({"t": t, "family_max": family_max, "bound": bound, "ok": family_max <= bound})
     ratios = [
         rows[i + 1]["family_max"] / rows[i]["family_max"]
         for i in range(len(rows) - 1)

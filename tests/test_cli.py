@@ -606,6 +606,36 @@ def test_a_moment_too_small_to_form_reads_zero_in_fourier_values(capsys, tmp_pat
     assert (code, json.loads(out)["upper"]) == (0, 5e-324)
 
 
+# a line coefficient that overflows after parsing, and the command that met it
+_LATE_OVERFLOWS = {
+    "scaled-by-ue": ("(element sc hcline (tensor (ue (2 x)) "
+                     "(linefunc (plus (gauss 1 0 1e308)))))\n",
+                     ("xp-star", "--elem", "sc"), "1:20: Gaussian coefficient is not finite"),
+    "merged-in-a-linefunc": ("(element sc hcline (tensor (ue (1 x)) "
+                             "(linefunc (plus (gauss 1 0 1e308) (gauss 1 0 1e308)))))\n",
+                             ("bound", "--elem", "sc"),
+                             "1:39: Gaussian coefficient is not finite"),
+    "merged-across-tensors": ("(element sc hcline"
+                              " (tensor (ue (1 x)) (linefunc (plus (gauss 1 0 1e308))))"
+                              " (tensor (ue (1 x)) (linefunc (plus (gauss 1 0 1e308)))))\n",
+                              ("bound", "--elem", "sc"),
+                              "1:76: Gaussian coefficient is not finite"),
+    "huge-ue-coefficient": (f"(element sc hcline (tensor (ue ({'9' * 400} x)) "
+                            "(linefunc (plus (gauss 1 0 1)))))\n",
+                            ("validate", "--pair", "hcline"),
+                            "1:20: coefficient is too large for a float"),
+}
+
+
+@pytest.mark.parametrize("source, argv, error", _LATE_OVERFLOWS.values(), ids=_LATE_OVERFLOWS)
+def test_a_coefficient_that_overflows_after_parsing_exits_2(capsys, tmp_path,
+                                                             source, argv, error):
+    src = tmp_path / "late.sexp"
+    src.write_text(source)
+    code, out = run(capsys, "--catalog", "hc", "--file", str(src), *argv)
+    assert (code, json.loads(out)) == (2, {"error": error})
+
+
 # an element whose bridge matrix is infinite on hc-rep-4 and hc-rep-8 only
 _HUGE = "(element e hcline (tensor (ue (1 x)) (linefunc (plus (gauss 1 0 1e308 1e308)))))\n"
 # a finite probe image whose pi and rho multiples overflow in roundtrip's own
@@ -865,6 +895,76 @@ def test_taylor_fails_against_a_quarter_of_the_bound(capsys, monkeypatch):
     doc = json.loads(out)
     assert (code, doc["ok"]) == (1, False)
     assert all(1.4 < row["family_max"] / row["bound"] < 1.5 for row in doc["steps"])
+
+
+def test_taylor_compares_with_no_slack(capsys, monkeypatch):
+    """A bound 1e-13 below the family maximum fails its step.  At t = 1e-3
+    the ratio family_max / t is the largest of the three steps, so the
+    other two keep their ok."""
+    ws = load_catalog("hc")
+    family = [ws.reps[name] for name in ws.families["hc-grid"]]
+    last = reps.taylor_norm_check(ws.pairs["hcline"], ws.elements["a0"], family)["steps"][-1]
+    m_const = 2 * (last["family_max"] - 1e-13) / last["t"]
+    monkeypatch.setattr(reps, "prop33_bound", lambda a: m_const)
+    code, out = run(capsys, "--catalog", "hc", "taylor", "--pair", "hcline", "--elem", "a0",
+                    "--family", "hc-grid")
+    doc = json.loads(out)
+    assert (code, doc["ok"]) == (1, False)
+    assert [row["ok"] for row in doc["steps"]] == [True, True, False]
+    assert 0.9e-13 < doc["steps"][-1]["family_max"] - doc["steps"][-1]["bound"] < 1.1e-13
+
+
+# -- a family maximum above the certified bound is refused --------------------
+
+# Each representation passes rep-check, since validate_rep admits numpy's
+# default rtol=1e-5, and its image of the element beats the Prop. 3.3 bound.
+# name: (catalog, file source, element, family, representation,
+#        bound, operator norm of the image, seminorm error)
+BEATEN_BOUNDS = {
+    "finite": ("podd",
+               "(rep chi-loose z2odd (grading 1) (pi s ((1.000004))))\n"
+               "(family loose-chars chi-loose)\n",
+               "bs", "loose-chars", "chi-loose", 1.0, 1.000004, "1.000004 > 1.0"),
+    # the bound is 0.0, and the representation does not kill the element
+    "zero-bound": ("podd",
+                   "(rep tiny z2odd (grading 1 -1) (rho x ((0 (c 7.0710678118654755e-06 "
+                   "7.0710678118654755e-06)) ((c 7.0710678118654755e-06 "
+                   "7.0710678118654755e-06) 0))) (pi s ((1 0) (0 -1))))\n"
+                   "(family tinyfam tiny)\n",
+                   "bx", "tinyfam", "tiny", 0.0, 1e-05, "1e-05 > 0.0"),
+    "line": ("hc",
+             "(rep loose hcline (grading 1.000004 -1) (freq 0.0))\n"
+             "(family loose-fam loose)\n"
+             "(element e0 hcline (tensor (ue (1)) (linefunc (eps (gauss 1 0 1)))))\n",
+             "e0", "loose-fam", "loose", 1.77245385090552, 1.77246094072092,
+             "1.7724609407209193 > 1.7724538509055159"),
+}
+
+
+@pytest.fixture(params=BEATEN_BOUNDS.values(), ids=BEATEN_BOUNDS)
+def beaten(request, tmp_path):
+    """The CLI prefix that loads one BEATEN_BOUNDS input, and its fields."""
+    catalog, source, *fields = request.param
+    src = tmp_path / "beaten.sexp"
+    src.write_text(source)
+    return ("--catalog", catalog, "--file", str(src)), fields
+
+
+def test_seminorm_refuses_a_family_maximum_above_the_bound(capsys, beaten):
+    base, (elem, family, _, _, _, numbers) = beaten
+    code, out = run(capsys, *base, "seminorm", "--elem", elem, "--family", family)
+    assert (code, json.loads(out)) == (
+        1, {"error": f"seminorm interval must satisfy lower <= upper, got {numbers}"})
+
+
+def test_bound_hat_and_rep_check_accept_what_seminorm_refuses(capsys, beaten):
+    base, (elem, _, rep, bound, norm, _) = beaten
+    code, out = run(capsys, *base, "bound", "--elem", elem)
+    assert (code, json.loads(out)["upper"]) == (0, bound)
+    code, out = run(capsys, *base, "hat", "--rep", rep, "--elem", elem)
+    assert (code, json.loads(out)["operator_norm"]) == (0, norm)
+    code, out = run(capsys, *base, "rep-check", "--rep", rep)
+    assert (code, json.loads(out)["ok"]) == (0, True)
 
 
 # -- one parser and one copy of each shipped catalog per process --------------

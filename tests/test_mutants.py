@@ -9,13 +9,17 @@ fills would leak into later calls.  Convolution, dagger and breve have no
 CLI verdict that fails under a mutant (``gamma-check`` compares two sides
 that share the convolution), so their rows check *-algebra identities.
 The L1 bound's upward step past the float range of the gamma value is
-checked against an mpmath value of the norm.
+checked against an mpmath value of the norm.  A seminorm interval that clamps
+its lower end to the bound is caught by ``seminorm`` on representations whose
+image beats the bound, which must exit 1 with both numbers.
 """
 
 import contextlib
 import io
 import itertools
 import json
+import os
+import tempfile
 
 import mpmath
 import numpy as np
@@ -26,23 +30,60 @@ from superrep.catalog import load_catalog
 from superrep.crossed import xp_multiply, xp_star
 from superrep.functions import FiniteFunction, GaussianPoly, l1_bound
 
+from test_cli import BEATEN_BOUNDS
+
+
+def cli_run(*argv) -> tuple[int, dict]:
+    """Exit code and JSON document of ``superrep argv`` on fresh snapshots."""
+    cli._snapshot.cache_clear()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(list(argv))
+    finally:
+        cli._snapshot.cache_clear()
+    return code, json.loads(out.getvalue())
+
 
 def cli_verdict(*argv):
     """A check: ``superrep argv`` exits 0 with ok true, not 1 with ok false;
     any other outcome fails the test."""
     def check():
-        cli._snapshot.cache_clear()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()) as out:
-                code = cli.main(list(argv))
-        finally:
-            cli._snapshot.cache_clear()
-        verdict = (code, json.loads(out.getvalue()).get("ok"))
+        code, doc = cli_run(*argv)
+        verdict = (code, doc.get("ok"))
         assert verdict in {(0, True), (1, False)}, (argv, verdict)
         return verdict == (0, True)
 
     check.__name__ = " ".join(argv)
     return check
+
+
+def seminorm_refused(name):
+    """A check: ``seminorm`` on the BEATEN_BOUNDS input ``name`` exits 1 and
+    names both numbers, not 0 with an interval; any other outcome fails the
+    test."""
+    catalog, source, elem, family, *_, numbers = BEATEN_BOUNDS[name]
+
+    def check():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "beaten.sexp")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(source)
+            code, doc = cli_run("--catalog", catalog, "--file", path,
+                                "seminorm", "--elem", elem, "--family", family)
+        if code == 0:
+            return False
+        assert (code, doc) == (1, {"error": "seminorm interval must satisfy lower <= upper, "
+                                            f"got {numbers}"}), name
+        return True
+
+    check.__name__ = f"seminorm on {name}"
+    return check
+
+
+def interval_clamped(clamp):
+    """The mutant of SeminormInterval whose lower end is ``clamp(lower, upper)``."""
+    return lambda original: lambda lower, upper, empty_family=False: original(
+        clamp(lower, upper), upper, empty_family)
 
 
 LINE_ROUNDTRIP = cli_verdict("--catalog", "hc", "--seed", "7", "roundtrip",
@@ -112,6 +153,12 @@ KILLED = [
     pytest.param(functions, "_abs_moment",
                  lambda original: lambda k, rate, up=True: original(k, rate, up=False),
                  [l1_bound_covers_the_moment], id="moment-fallback-not-rounded-up"),
+    pytest.param(reps, "SeminormInterval", interval_clamped(min),
+                 [seminorm_refused("finite"), seminorm_refused("zero-bound")],
+                 id="interval-clamped-to-bound"),
+    pytest.param(reps, "SeminormInterval",
+                 interval_clamped(lambda lower, upper: 0.0 if upper == 0.0 else lower),
+                 [seminorm_refused("zero-bound")], id="interval-zeroed-at-zero-bound"),
 ]
 
 

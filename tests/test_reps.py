@@ -745,7 +745,7 @@ def test_a_non_finite_image_is_refused_by_the_bridge(workspace, call):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda ws: reps.SeminormInterval(1.0, 0.5),
-     StructureError, "seminorm interval must satisfy lower <= upper"),
+     StructureError, "seminorm interval must satisfy lower <= upper, got 1.0 > 0.5"),
     (lambda ws: taylor_norm_check(ws.pairs["z2odd"], ws.elements["bx"], []),
      UnsupportedInstanceError, "Taylor check requires a line instance"),
 ], ids=["interval-order", "taylor-on-finite-pair"])
