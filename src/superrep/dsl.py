@@ -17,9 +17,14 @@ for finite pairs and `(linefunc (plus (gauss RATE CENTER COEF...)) (eps ...))`
 for line pairs; inside an element, `<function>` may be a literal or the name
 of a previously defined function on the same pair.
 
-Scalars are exact: `3`, `-1/2`, `2i`, `-1/3i`, or `(c RE IM)`.  Matrix and
-Gaussian entries additionally accept decimal floats.  Every diagnostic
-carries a line and column.
+A group point is `g` or `(g eps)`, with `g` an element name.  Scalars are
+exact: `3`, `-1/2`, `2i`, `-1/3i`, or `(c RE IM)`.  Matrix and Gaussian
+entries additionally accept decimal floats.  A number with more digits than
+the interpreter converts to an int is refused at its token.
+
+One shape rule, `_shaped`, checks every top-level form and every clause with
+a fixed head or item count: a form where one is expected, then its head,
+then its item count.  Every diagnostic carries a line and column.
 """
 
 from __future__ import annotations
@@ -79,15 +84,15 @@ def _classify(text: str, line: int, col: int) -> Atom:
         return Atom("symbol", text, line, col)
     m = _RATIONAL.match(text)
     if m:
-        body = text[:-1] if m.group(2) else text
-        if "/" in body:
-            num, den = body.split("/")
-            if int(den) == 0:
-                raise DslError("zero denominator in rational literal", line, col)
-            value = Fraction(int(num), int(den))
-        else:
-            value = Fraction(int(body))
-        return Atom("imag-rational" if m.group(2) else "rational", value, line, col)
+        num, _, den = (text[:-1] if m.group(2) else text).partition("/")
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:  # past the interpreter's limit on int conversion
+            raise DslError("number has too many digits to read", line, col) from None
+        if den == 0:
+            raise DslError("zero denominator in rational literal", line, col)
+        return Atom("imag-rational" if m.group(2) else "rational", Fraction(num, den),
+                    line, col)
     m = _FLOAT.match(text)
     if m and any(ch in text for ch in ".eE"):
         body = text[:-1] if m.group(3) else text
@@ -138,9 +143,14 @@ def read_forms(source: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _expect_list(node, what: str) -> SList:
+def _shaped(node, what: str, usage: str = "", fewest=0, most=math.inf, head=None) -> SList:
+    """``node`` as a form of ``fewest`` to ``most`` items headed by the symbol
+    ``head`` (any head if None).  A node that is not a form is refused as
+    ``what``; a wrong head, then a wrong item count, with ``usage``."""
     if not isinstance(node, SList):
         raise DslError(f"expected {what} (a parenthesized form)", node.line, node.col)
+    if (head is not None and _head(node) != head) or not fewest <= len(node.items) <= most:
+        raise DslError(usage, node.line, node.col)
     return node
 
 
@@ -231,8 +241,8 @@ def _complex_entry(node) -> complex:
 
 def _rows(node, entry) -> list[list]:
     """A matrix form ``((a b ...) ...)``, each entry read by ``entry``."""
-    return [[entry(cell) for cell in _expect_list(row, "matrix row").items]
-            for row in _expect_list(node, "matrix").items]
+    return [[entry(cell) for cell in _shaped(row, "matrix row").items]
+            for row in _shaped(node, "matrix").items]
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +327,7 @@ def parse(source: str, workspace: Workspace | None = None) -> Workspace:
             raise DslError(f"unknown form {head!r}; expected one of "
                            f"{', '.join(sorted(_FORMS))}", form.line, form.col)
         category, fewest, most, usage, owner_category, build = _FORMS[head]
-        if not fewest <= len(form.items) <= most:
-            raise DslError(usage, form.line, form.col)
+        _shaped(form, "form", usage, fewest, most)
         name = _expect_symbol(form.items[1], f"{category} name")
         owner = owner_name = None
         if owner_category:
@@ -357,14 +366,10 @@ def read_word(algebra, text: str) -> tuple[int, ...]:
 
 
 def _build_superalgebra(ws: Workspace, form: SList, name: str, owner: None):
-    basis_form = _expect_list(form.items[2], "(basis ...)")
-    if _head(basis_form) != "basis":
-        raise DslError("expected (basis ...)", basis_form.line, basis_form.col)
+    basis_form = _shaped(form.items[2], "(basis ...)", "expected (basis ...)", head="basis")
     sites, parity = {}, []
     for entry in basis_form.items[1:]:
-        entry = _expect_list(entry, "(name even|odd)")
-        if len(entry.items) != 2:
-            raise DslError("basis entry is (name even|odd)", entry.line, entry.col)
+        entry = _shaped(entry, "(name even|odd)", "basis entry is (name even|odd)", 2, 2)
         _declare(sites, entry.items[0], "basis name", "basis element")
         par = _expect_symbol(entry.items[1], "parity")
         if par not in ("even", "odd"):
@@ -377,17 +382,14 @@ def _build_superalgebra(ws: Workspace, form: SList, name: str, owner: None):
     given: dict[tuple[int, int], SList] = {}  # explicit brackets and their sites
 
     for entry in form.items[3:]:
-        entry = _expect_list(entry, "(bracket ...)")
-        if _head(entry) != "bracket" or len(entry.items) < 3:
-            raise DslError("expected (bracket X Y (coef Z) ...)", entry.line, entry.col)
+        entry = _shaped(entry, "(bracket ...)", "expected (bracket X Y (coef Z) ...)", 3,
+                        head="bracket")
         i, j = (_index(node, names, "basis name", "basis element")
                 for node in entry.items[1:3])
         _once(given, (i, j), entry, f"bracket [{names[i]},{names[j]}]")
         vec = [Fraction(0)] * n
         for piece in entry.items[3:]:
-            piece = _expect_list(piece, "(coef basis)")
-            if len(piece.items) != 2:
-                raise DslError("bracket term is (coef basis)", piece.line, piece.col)
+            piece = _shaped(piece, "(coef basis)", "bracket term is (coef basis)", 2, 2)
             coef = _rational(piece.items[0], "bracket coefficients are exact rationals")
             vec[_index(piece.items[1], names, "basis name", "basis element")] += coef
         constants[i][j] = vec
@@ -404,18 +406,17 @@ def _build_superalgebra(ws: Workspace, form: SList, name: str, owner: None):
 
 
 def _build_pair(ws: Workspace, form: SList, name: str, algebra):
-    gform = _expect_list(form.items[3], "group form")
+    gform = _shaped(form.items[3], "group form")
     kind = _head(gform)
     if kind == "line":
-        if len(gform.items) != 2:
-            raise DslError("line group is (line GENERATOR)", gform.line, gform.col)
+        _shaped(gform, "group form", "line group is (line GENERATOR)", 2, 2)
         group = GroupData(LINE, generator_name=_expect_symbol(gform.items[1], "generator"))
     elif kind == "finite":
         elements = table = None
         clauses, ad_sites = {}, {}  # sites of the set-once clauses and ad names
         ad: dict[str, list[list[Fraction]]] = {}
         for sub in gform.items[1:]:
-            sub = _expect_list(sub, "finite group clause")
+            sub = _shaped(sub, "finite group clause")
             sk = _head(sub)
             if sk == "elements":
                 _declare(clauses, sub.items[0], "clause", "clause")
@@ -426,8 +427,7 @@ def _build_pair(ws: Workspace, form: SList, name: str, algebra):
                 _declare(clauses, sub.items[0], "clause", "clause")
                 table = sub
             elif sk == "ad":
-                if len(sub.items) != 3:
-                    raise DslError("expected (ad ELEMENT ((row) ...))", sub.line, sub.col)
+                _shaped(sub, "finite group clause", "expected (ad ELEMENT ((row) ...))", 3, 3)
                 gname = _declare(ad_sites, sub.items[1], "element name", "ad of group element")
                 ad[gname] = _rows(sub.items[2], lambda cell: _rational(
                     cell, "adjoint entries are exact rationals"))
@@ -438,7 +438,7 @@ def _build_pair(ws: Workspace, form: SList, name: str, algebra):
                            gform.line, gform.col)
         rows = [
             tuple(_index(cell, elements, "element name", "group element")
-                  for cell in _expect_list(row, "table row").items)
+                  for cell in _shaped(row, "table row").items)
             for row in table.items[1:]
         ]
         # an (ad ...) clause may come before (elements ...)
@@ -458,28 +458,27 @@ def _build_pair(ws: Workspace, form: SList, name: str, algebra):
 
 
 def _point(pair: Supergroup, node) -> GroupPoint:
-    """A finite group point: `g` or `(g eps)`."""
-    if isinstance(node, Atom):
-        names = pair.group.finite.element_names
-        return GroupPoint(_index(node, names, "group element", "group element"), False)
-    node = _expect_list(node, "(g eps)")
-    if len(node.items) != 2 or _expect_symbol(node.items[1], "'eps'") != "eps":
-        raise DslError("expected (ELEMENT eps)", node.line, node.col)
-    base = _point(pair, node.items[0])
-    return GroupPoint(base.base, True)
+    """A finite group point: `g` or `(g eps)`, with `g` an element name."""
+    eps = isinstance(node, SList)
+    if eps:
+        node = _shaped(node, "(g eps)", "expected (ELEMENT eps)", 2, 2)
+        if _expect_symbol(node.items[1], "'eps'") != "eps":
+            raise DslError("expected (ELEMENT eps)", node.line, node.col)
+        node = node.items[0]
+    names = pair.group.finite.element_names
+    return GroupPoint(_index(node, names, "group element", "group element"), eps)
 
 
 def _function_literal(pair: Supergroup, node):
-    node = _expect_list(node, "function literal")
+    node = _shaped(node, "function literal")
     head = _head(node)
     if head == "finitefunc":
         if pair.group.kind != FINITE:
             raise DslError("finitefunc literal on a line pair", node.line, node.col)
         values: dict[GroupPoint, GaussianRational] = {}
         for entry in node.items[1:]:
-            entry = _expect_list(entry, "(delta POINT COEF)")
-            if _head(entry) != "delta" or len(entry.items) != 3:
-                raise DslError("expected (delta POINT COEF)", entry.line, entry.col)
+            entry = _shaped(entry, "(delta POINT COEF)", "expected (delta POINT COEF)", 3, 3,
+                            head="delta")
             point = _point(pair, entry.items[1])
             coef = _scalar(entry.items[2])
             values[point] = values.get(point, GR_ZERO) + coef
@@ -490,16 +489,14 @@ def _function_literal(pair: Supergroup, node):
         plus: list[GaussTerm] = []
         eps: list[GaussTerm] = []
         for comp in node.items[1:]:
-            comp = _expect_list(comp, "(plus|eps (gauss ...) ...)")
+            comp = _shaped(comp, "(plus|eps (gauss ...) ...)")
             ck = _head(comp)
             if ck not in ("plus", "eps"):
                 raise DslError("component tag must be 'plus' or 'eps'",
                                comp.line, comp.col)
             for term in comp.items[1:]:
-                term = _expect_list(term, "(gauss RATE CENTER COEF...)")
-                if _head(term) != "gauss" or len(term.items) < 4:
-                    raise DslError("expected (gauss RATE CENTER COEF...)",
-                                   term.line, term.col)
+                term = _shaped(term, "(gauss RATE CENTER COEF...)",
+                               "expected (gauss RATE CENTER COEF...)", 4, head="gauss")
                 rate = _number(term.items[1])
                 if rate <= 0:
                     raise DslError("Gaussian rate must be positive",
@@ -533,15 +530,11 @@ def _build_function(ws: Workspace, form: SList, name: str, pair: Supergroup):
 
 
 def _ue_literal(pair: Supergroup, node) -> UEElement:
-    node = _expect_list(node, "(ue (COEF names...) ...)")
-    if _head(node) != "ue":
-        raise DslError("expected (ue ...)", node.line, node.col)
+    node = _shaped(node, "(ue (COEF names...) ...)", "expected (ue ...)", head="ue")
     algebra = pair.algebra
     out = UEElement.zero(algebra)
     for term in node.items[1:]:
-        term = _expect_list(term, "(COEF basis names...)")
-        if not term.items:
-            raise DslError("empty enveloping term", term.line, term.col)
+        term = _shaped(term, "(COEF basis names...)", "empty enveloping term", 1)
         coef = _scalar(term.items[0])
         word = tuple(_index(sym, algebra.basis_names, "basis name", "basis element")
                      for sym in term.items[1:])
@@ -552,9 +545,8 @@ def _ue_literal(pair: Supergroup, node) -> UEElement:
 def _build_element(ws: Workspace, form: SList, name: str, pair: Supergroup):
     total = CrossedElement.zero(pair)
     for term in form.items[3:]:
-        term = _expect_list(term, "(tensor UE FUNC)")
-        if _head(term) != "tensor" or len(term.items) != 3:
-            raise DslError("expected (tensor UE FUNC)", term.line, term.col)
+        term = _shaped(term, "(tensor UE FUNC)", "expected (tensor UE FUNC)", 3, 3,
+                       head="tensor")
         ue = _ue_literal(pair, term.items[1])
         func = _function_ref(ws, pair, term.items[2])
         try:
@@ -584,14 +576,13 @@ def _build_rep(ws: Workspace, form: SList, name: str, pair: Supergroup):
     matrix_nodes = []  # every rho/pi matrix, checked against the grading size
     clauses, rho_sites, pi_sites = {}, {}, {}  # sites of the set-once clauses
     for clause in form.items[3:]:
-        clause = _expect_list(clause, "rep clause")
+        clause = _shaped(clause, "rep clause")
         ck = _head(clause)
         if ck == "grading":
             _declare(clauses, clause.items[0], "clause", "clause")
             grading = np.diag([_number(c) for c in clause.items[1:]]).astype(complex)
         elif ck == "rho":
-            if len(clause.items) != 3:
-                raise DslError("expected (rho BASIS MATRIX)", clause.line, clause.col)
+            _shaped(clause, "rep clause", "expected (rho BASIS MATRIX)", 3, 3)
             idx = _index(clause.items[1], algebra.basis_names, "basis name",
                          "basis element")
             _declare(rho_sites, clause.items[1], "basis name", "rho of basis element")
@@ -601,8 +592,7 @@ def _build_rep(ws: Workspace, form: SList, name: str, pair: Supergroup):
             if pair.group.kind != FINITE:
                 raise DslError("(pi ...) clauses only apply to finite pairs",
                                clause.line, clause.col)
-            if len(clause.items) != 3:
-                raise DslError("expected (pi ELEMENT MATRIX)", clause.line, clause.col)
+            _shaped(clause, "rep clause", "expected (pi ELEMENT MATRIX)", 3, 3)
             g = _index(clause.items[1], pair.group.finite.element_names,
                        "group element", "group element")
             _declare(pi_sites, clause.items[1], "group element", "pi of group element")
@@ -612,8 +602,7 @@ def _build_rep(ws: Workspace, form: SList, name: str, pair: Supergroup):
             if pair.group.kind != LINE:
                 raise DslError("(freq ...) only applies to line pairs",
                                clause.line, clause.col)
-            if len(clause.items) != 2:
-                raise DslError("expected (freq NUMBER)", clause.line, clause.col)
+            _shaped(clause, "rep clause", "expected (freq NUMBER)", 2, 2)
             _declare(clauses, clause.items[0], "clause", "clause")
             freq = _number(clause.items[1])
         else:

@@ -239,7 +239,11 @@ class GaussianPoly:
         if not all(map(cmath.isfinite, coeffs)):
             raise StructureError("Gaussian coefficients must be finite")
         term = GaussTerm(coeffs, float(rate), float(center))
-        return GaussianPoly(plus=(term,)) if component == "plus" else GaussianPoly(eps=(term,))
+        if component == "plus":
+            return GaussianPoly(plus=(term,))
+        if component == "eps":
+            return GaussianPoly(eps=(term,))
+        raise StructureError(f"component must be 'plus' or 'eps', not {component!r}")
 
     def __call__(self, point: GroupPoint) -> complex:
         terms = self.eps if point.eps else self.plus
@@ -522,7 +526,12 @@ def fourier_at(f: GaussianPoly, freq: float, component: str = "plus") -> complex
     the sign of a zero part, which the sum from 0j drops."""
     if not isinstance(f, GaussianPoly):
         raise MismatchError("fourier_at is a line-instance operation")
-    terms = f.plus if component == "plus" else f.eps
+    if component == "plus":
+        terms = f.plus
+    elif component == "eps":
+        terms = f.eps
+    else:
+        raise StructureError(f"component must be 'plus' or 'eps', not {component!r}")
     freq = float(freq)
     ifreq, neg_freq2 = 1j * freq, -freq * freq
     values = []

@@ -265,6 +265,34 @@ def test_non_finite_rate_exits_2(capsys, tmp_path):
     assert json.loads(out) == {"error": "3:63: number '1e999' is not finite"}
 
 
+TINY_FINITE = (
+    "(superalgebra p (basis (x odd)))\n"
+    "(pair z2 p (finite (elements e s) (table (e s) (s e)) (ad s ((-1)))))\n"
+)
+
+
+@pytest.mark.parametrize("depth", [2, 1200])
+def test_a_nested_group_point_exits_2(capsys, tmp_path, depth):
+    src = tmp_path / "nested.sexp"
+    point = "(" * depth + "s" + " eps)" * depth
+    src.write_text(TINY_FINITE + f"(function f z2 (finitefunc (delta {point} 1)))\n"
+                   "(element w z2 (tensor (ue (1 x)) f))\n")
+    code, out = run(capsys, "--file", str(src), "xp-star", "--elem", "w")
+    assert code == 2
+    assert json.loads(out) == {"error": "3:36: expected group element"}
+
+
+@pytest.mark.parametrize("literal", ["9" * 5000, "1/" + "9" * 5000],
+                         ids=["integer", "denominator"])
+def test_a_literal_past_the_int_digit_limit_exits_2(capsys, tmp_path, literal):
+    src = tmp_path / "long.sexp"
+    src.write_text(TINY_LINE + f"(superalgebra big (basis (z even)) (bracket z z ({literal} z)))\n")
+    code, out = run(capsys, "--file", str(src), "validate", "--algebra", "big")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error.startswith("3:50: ") and "99999" not in error
+
+
 def test_rep_matrix_larger_than_grading_exits_2(capsys, tmp_path):
     src = tmp_path / "shape.sexp"
     src.write_text(TINY_LINE + "(rep r tinyline (grading -1)\n"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from superrep.catalog import CATALOG_NAMES, catalog_source, load_catalog
 from superrep.dsl import DslError, Workspace, parse, parse_file, print_workspace, read_forms
-from superrep.errors import SuperrepError
 from superrep.reps import validate_rep
 
 HC_SOURCE = """
@@ -240,6 +239,8 @@ CATALOG_TOKENS = {name: _tokens(catalog_source(name)) for name in CATALOG_NAMES}
 TOKEN_POOL = sorted(
     {tok for toks in CATALOG_TOKENS.values() for tok in toks}
     | {"0", "-1", "1/0", "1e999", "2i", "eps", "c", "()"}
+    # past Python's 4,300-digit limit on int conversion
+    | {"9" * 4400, "1/" + "7" * 4400}
 )
 MUTATION = st.tuples(
     st.sampled_from(("drop", "replace", "insert")),
@@ -275,27 +276,29 @@ def mutated_source(name: str, mutations) -> str:
     return " ".join(tokens)
 
 
+def parses_or_is_located(source: str):
+    """Parse ``source``; a refusal must be a DslError with a line and column."""
+    try:
+        parse(source)
+    except DslError as exc:
+        assert exc.line is not None and exc.col is not None, str(exc)
+
+
 @settings(max_examples=150)
 @example("hc", [("drop", FREQ_ARGUMENT, "")])
 @given(st.sampled_from(CATALOG_NAMES), st.lists(MUTATION, min_size=1, max_size=3))
 def test_mutated_catalogs_parse_or_raise_superrep_error(name, mutations):
     """Dropping, replacing or inserting tokens in a shipped catalog either
-    leaves a valid source or ends in a SuperrepError, never anything else."""
-    try:
-        parse(mutated_source(name, mutations))
-    except SuperrepError:
-        pass
+    leaves a valid source or ends in a located DslError, never anything else."""
+    parses_or_is_located(mutated_source(name, mutations))
 
 
 @settings(max_examples=150)
 @given(st.sampled_from(CATALOG_NAMES), st.lists(ATOM_MUTATION, min_size=1, max_size=3))
 def test_atom_replaced_catalogs_parse_or_raise_superrep_error(name, mutations):
     """Replacing atoms of a shipped catalog, which keeps its parentheses,
-    either leaves a valid source or ends in a SuperrepError."""
-    try:
-        parse(mutated_source(name, mutations))
-    except SuperrepError:
-        pass
+    either leaves a valid source or ends in a located DslError."""
+    parses_or_is_located(mutated_source(name, mutations))
 
 
 def _top_level_forms(tokens: list[str]) -> list[list[str]]:
@@ -555,3 +558,97 @@ def test_dsl_refusals(body, message, col):
         parse(PRELUDE + body)
     assert str(exc.value) == f"5:{col}: {message}"
     assert (exc.value.line, exc.value.col) == (5, col)
+
+
+# Each clause whose head and item count are checked by one shape rule, refused
+# once as an atom where a form belongs and once with the wrong shape, on line 5
+# after the prelude; and every other "(a parenthesized form)" text.
+SHAPES = [
+    # (id, source after the prelude, message, column on line 5)
+    ("basis-atom", "(superalgebra a x)", "expected (basis ...) (a parenthesized form)", 17),
+    ("basis-head", "(superalgebra a (bracket x x))", "expected (basis ...)", 17),
+    ("basis-empty", "(superalgebra a ())", "empty form", 17),
+    ("entry-atom", "(superalgebra a (basis x))",
+     "expected (name even|odd) (a parenthesized form)", 24),
+    ("entry-short", "(superalgebra a (basis (x)))", "basis entry is (name even|odd)", 24),
+    ("entry-long", "(superalgebra a (basis (x odd even)))",
+     "basis entry is (name even|odd)", 24),
+    ("bracket-atom", "(superalgebra a (basis (x odd)) x)",
+     "expected (bracket ...) (a parenthesized form)", 33),
+    ("bracket-head", "(superalgebra a (basis (x odd)) (brackets x x))",
+     "expected (bracket X Y (coef Z) ...)", 33),
+    ("bracket-term-atom", "(superalgebra a (basis (x odd)) (bracket x x 1))",
+     "expected (coef basis) (a parenthesized form)", 46),
+    ("bracket-term-short", "(superalgebra a (basis (x odd)) (bracket x x (1)))",
+     "bracket term is (coef basis)", 46),
+    ("group-atom", "(pair q tiny z)", "expected group form (a parenthesized form)", 14),
+    ("line-long", "(pair q tiny (line z z))", "line group is (line GENERATOR)", 14),
+    ("finite-clause-atom", FINITE_HEAD + " s))",
+     "expected finite group clause (a parenthesized form)", 54),
+    ("ad-long", FINITE_HEAD + " (ad s ((-1)) ((1)))))", "expected (ad ELEMENT ((row) ...))", 54),
+    ("table-row-atom", "(pair q p (finite (elements e s) (table e)))",
+     "expected table row (a parenthesized form)", 41),
+    ("literal-atom", "(function f tl 3)", "expected function literal (a parenthesized form)", 16),
+    ("delta-atom", "(function f fz (finitefunc s))",
+     "expected (delta POINT COEF) (a parenthesized form)", 28),
+    ("delta-short", "(function f fz (finitefunc (delta s)))", "expected (delta POINT COEF)", 28),
+    ("delta-head", "(function f fz (finitefunc (delt s 1)))", "expected (delta POINT COEF)", 28),
+    ("point-short", "(function f fz (finitefunc (delta (s) 1)))", "expected (ELEMENT eps)", 35),
+    ("component-atom", "(function f tl (linefunc plus))",
+     "expected (plus|eps (gauss ...) ...) (a parenthesized form)", 26),
+    ("gauss-atom", "(function f tl (linefunc (plus 1)))",
+     "expected (gauss RATE CENTER COEF...) (a parenthesized form)", 32),
+    ("gauss-head", "(function f tl (linefunc (plus (gaus 1 0 1))))",
+     "expected (gauss RATE CENTER COEF...)", 32),
+    ("ue-atom", "(element a tl (tensor x (linefunc)))",
+     "expected (ue (COEF names...) ...) (a parenthesized form)", 23),
+    ("ue-head", "(element a tl (tensor (tensor) (linefunc)))", "expected (ue ...)", 23),
+    ("ue-term-atom", "(element a tl (tensor (ue x) (linefunc)))",
+     "expected (COEF basis names...) (a parenthesized form)", 27),
+    ("ue-term-empty", "(element a tl (tensor (ue (1 x) ()) (linefunc)))",
+     "empty enveloping term", 33),
+    ("tensor-atom", "(element a tl x)", "expected (tensor UE FUNC) (a parenthesized form)", 15),
+    ("tensor-short", "(element a tl (tensor (ue (1 x))))", "expected (tensor UE FUNC)", 15),
+    ("tensor-head", "(element a tl (tens (ue (1 x)) (linefunc)))",
+     "expected (tensor UE FUNC)", 15),
+    ("element-literal-atom", "(element a tl (tensor (ue (1 x)) 3))",
+     "expected function literal (a parenthesized form)", 34),
+    ("rep-clause-atom", "(rep r tl (grading 1) x)", "expected rep clause (a parenthesized form)", 23),
+    ("rho-long", "(rep r tl (grading 1) (rho x ((0)) ((0))) (freq 1))",
+     "expected (rho BASIS MATRIX)", 23),
+    ("matrix-atom", "(rep r tl (grading 1) (rho x 1) (freq 1))",
+     "expected matrix (a parenthesized form)", 30),
+    ("matrix-row-atom", "(rep r tl (grading 1) (rho x (1)) (freq 1))",
+     "expected matrix row (a parenthesized form)", 31),
+    ("pi-long", "(rep r fz (grading 1) (pi e ((1)) ((1))))", "expected (pi ELEMENT MATRIX)", 23),
+    ("freq-short", "(rep r tl (grading 1) (freq))", "expected (freq NUMBER)", 23),
+    ("freq-long", "(rep r tl (grading 1) (freq 1 2))", "expected (freq NUMBER)", 23),
+]
+
+
+@pytest.mark.parametrize("body, message, col", [row[1:] for row in SHAPES],
+                         ids=[row[0] for row in SHAPES])
+def test_each_clause_shape_refusal_is_pinned(body, message, col):
+    with pytest.raises(DslError) as exc:
+        parse(PRELUDE + body)
+    assert str(exc.value) == f"5:{col}: {message}"
+    assert (exc.value.line, exc.value.col) == (5, col)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 1200])
+def test_a_group_point_is_an_element_or_an_element_with_eps(depth):
+    # ((s eps) eps) once read as (s, eps); 1,200 levels exhausted the stack
+    point = "(" * depth + "s" + " eps)" * depth
+    with pytest.raises(DslError) as exc:
+        parse(PRELUDE + f"(function f fz (finitefunc (delta {point} 1)))")
+    assert str(exc.value) == "5:36: expected group element"
+
+
+@pytest.mark.parametrize("literal", ["9" * 5000, "-9" + "0" * 5000 + "i",
+                                     "1/" + "7" * 5000, "9" * 5000 + "/7"],
+                         ids=["integer", "imaginary", "denominator", "numerator"])
+def test_a_literal_past_the_int_digit_limit_is_refused_at_its_token(literal):
+    with pytest.raises(DslError) as exc:
+        parse(PRELUDE + f"(superalgebra a (basis (x odd)) (bracket x x ({literal} x)))")
+    assert (exc.value.line, exc.value.col) == (5, 47)
+    assert not re.search(r"\d{20}", str(exc.value))  # the literal is not echoed

@@ -83,6 +83,17 @@ def test_convolution_epsilon_components(rng):
     assert g.value(0.7) == pytest.approx(oracle, abs=1e-9)
 
 
+@pytest.mark.parametrize("component", ["Plus", "bogus", ""])
+def test_an_unknown_component_is_refused(component):
+    f = GaussianPoly.gaussian(1.0, 0.0, (1.0,))
+    with pytest.raises(StructureError, match="component"):
+        fourier_at(f, 1.0, component)
+    with pytest.raises(StructureError, match="component"):
+        GaussianPoly.gaussian(1.0, 0.0, (1.0,), component)
+    assert fourier_at(f, 1.0, "eps") == 0j
+    assert GaussianPoly.gaussian(1.0, 0.0, (1.0,), "eps").plus == ()
+
+
 def test_fourier_against_quadrature(rng):
     for _ in range(10):
         f = random_gauss(rng)
