@@ -9,8 +9,13 @@ A source file is a sequence of top-level forms:
                                (ad s ((-1)))))
     (function NAME PAIR <function literal>)
     (element NAME PAIR (tensor (ue (COEF x x) ...) <function>) ...)
-    (rep NAME PAIR (grading 1 -1) (rho x ((...) ...)) (freq 2)  ; or (pi g M)
+    (rep NAME PAIR (grading 1 -1) (rho x ((...) ...)) (pi g M) ...)  ; finite pair
+    (rep NAME PAIR (grading 1 -1) (rho x ((...) ...)) (freq 2))       ; line pair
     (family NAME REP ...)
+
+On a line pair, `(freq NU)` states rho(z) = i NU times the identity for the
+generator z: it fills a missing `(rho z ...)`, and a given one must equal it
+entry for entry.
 
 Function literals are `(finitefunc (delta g COEF) (delta (g eps) COEF) ...)`
 for finite pairs and `(linefunc (plus (gauss RATE CENTER COEF...)) (eps ...))`
@@ -392,7 +397,7 @@ def _build_superalgebra(ws: Workspace, form: SList, name: str, owner: None):
             piece = _shaped(piece, "(coef basis)", "bracket term is (coef basis)", 2, 2)
             coef = _rational(piece.items[0], "bracket coefficients are exact rationals")
             vec[_index(piece.items[1], names, "basis name", "basis element")] += coef
-        constants[i][j] = vec
+        constants[i][j] = _printable(vec, entry)
     # fill the super-skew partner unless it was given explicitly; a given
     # partner is left for the super_skew_symmetry check
     for i, j in given:
@@ -482,7 +487,7 @@ def _function_literal(pair: Supergroup, node):
             point = _point(pair, entry.items[1])
             coef = _scalar(entry.items[2])
             values[point] = values.get(point, GR_ZERO) + coef
-        return FiniteFunction(pair, values)
+        return _printable(FiniteFunction(pair, values), node)
     if head == "linefunc":
         if pair.group.kind != LINE:
             raise DslError("linefunc literal on a finite pair", node.line, node.col)
@@ -504,16 +509,26 @@ def _function_literal(pair: Supergroup, node):
                 center = _number(term.items[2])
                 coeffs = tuple(_complex_entry(c) for c in term.items[3:])
                 (plus if ck == "plus" else eps).append(GaussTerm(coeffs, rate, center))
-        return _finite_line(GaussianPoly(tuple(plus), tuple(eps)), node)
+        return _printable(GaussianPoly(tuple(plus), tuple(eps)), node)
     raise DslError("expected finitefunc or linefunc", node.line, node.col)
 
 
-def _finite_line(f, node):
-    """f, refused at node if a line coefficient overflowed after parsing: a
-    merge of like terms or a scale by an enveloping coefficient."""
-    if isinstance(f, GaussianPoly) and not all(
-            cmath.isfinite(c) for t in f.plus + f.eps for c in t.coeffs):
-        raise DslError("Gaussian coefficient is not finite", node.line, node.col)
+def _printable(f, node):
+    """f, refused at node if a value made after parsing cannot be printed: a
+    line coefficient that is not finite, or a rational with more digits than
+    the interpreter converts to a string.  f is a function or a bracket's
+    coefficients, and its values may come from a merge of like terms, a sum of
+    bracket coefficients or a scale by an enveloping coefficient."""
+    if isinstance(f, GaussianPoly):
+        if not all(cmath.isfinite(c) for t in f.plus + f.eps for c in t.coeffs):
+            raise DslError("Gaussian coefficient is not finite", node.line, node.col)
+        return f
+    rationals = f if isinstance(f, list) else [q for v in f.values.values() for q in (v.re, v.im)]
+    try:
+        for q in rationals:
+            str(q)  # as the printer writes it
+    except ValueError:  # past the interpreter's limit on int conversion
+        raise DslError("number has too many digits to print", node.line, node.col) from None
     return f
 
 
@@ -556,7 +571,7 @@ def _build_element(ws: Workspace, form: SList, name: str, pair: Supergroup):
             raise DslError("coefficient is too large for a float",
                            term.line, term.col) from None
         for f in total.terms.values():
-            _finite_line(f, term)
+            _printable(f, term)
     return total
 
 
@@ -604,7 +619,7 @@ def _build_rep(ws: Workspace, form: SList, name: str, pair: Supergroup):
                                clause.line, clause.col)
             _shaped(clause, "rep clause", "expected (freq NUMBER)", 2, 2)
             _declare(clauses, clause.items[0], "clause", "clause")
-            freq = _number(clause.items[1])
+            freq = clause, _number(clause.items[1])
         else:
             raise DslError(f"unknown rep clause {ck!r}", clause.line, clause.col)
     if grading is None:
@@ -615,16 +630,17 @@ def _build_rep(ws: Workspace, form: SList, name: str, pair: Supergroup):
         if size != dim:
             raise DslError(f"{size}x{size} matrix does not match the {dim}-entry grading",
                            node.line, node.col)
+    if freq:  # (freq NU) states rho(z) = i NU identity on a line pair
+        clause, nu = freq
+        z, stated = pair.generator_index, np.diag(np.full(dim, complex(0.0, nu)))
+        if not np.array_equal(rho.setdefault(z, stated), stated):
+            raise DslError(f"(freq ...) disagrees with (rho {pair.group.generator_name} ...)",
+                           clause.line, clause.col)
     rho_list = tuple(rho.get(i, np.zeros((dim, dim), dtype=complex))
                      for i in range(algebra.dim))
-    if pair.group.kind == FINITE:
-        size = pair.group.finite.size
-        table = tuple(pi_table.get(g, np.eye(dim, dtype=complex)) for g in range(size))
-        rep = MatrixRep(name, pair, grading, rho_list, pi_table=table)
-    else:
-        if freq is None:
-            raise DslError("line rep needs a (freq ...) clause", form.line, form.col)
-        rep = MatrixRep(name, pair, grading, rho_list, freq=freq)
+    table = pair.group.finite and tuple(pi_table.get(g, np.eye(dim, dtype=complex))
+                                        for g in range(pair.group.finite.size))
+    rep = MatrixRep(name, pair, grading, rho_list, pi_table=table)
     report = validate_rep(rep)
     if not report.ok:
         raise DslError(f"representation {name!r} fails validation ({report.summary()})",
@@ -779,8 +795,6 @@ def print_workspace(ws: Workspace) -> str:
                 if not np.array_equal(mat, np.eye(rep.dim, dtype=complex)):
                     name_g = rep.pair.group.finite.element_names[g]
                     lines.append(f"  (pi {name_g} {_print_matrix(mat)})")
-        else:
-            lines.append(f"  (freq {format_float(rep.freq)})")
         out.append("\n".join(lines) + ")")
     for name, members in ws.families.items():
         out.append(f"(family {name} {' '.join(members)})")

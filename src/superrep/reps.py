@@ -2,11 +2,11 @@
 
 A representation consists of a diagonal +-1 grading matrix (the image of the
 epsilon element), a group layer (a unitary matrix per element for finite
-groups, or the scalar phase t -> e^{i freq t} for the line), and one complex
-matrix per algebra basis element.  The axioms of a unitary representation
-are checked with explicit witness matrices: each check is
-``np.allclose(lhs, rhs, atol=TOL, rtol=1e-5)`` per matrix, and all of them
-are evaluated in one fused comparison.
+groups; for the line, pi(t) = exp(t rho(z)) with rho(z) = i diag(nu_j) the
+line generator's matrix), and one complex matrix per algebra basis element.
+The axioms of a unitary representation are checked with explicit witness
+matrices: each check is ``np.allclose(lhs, rhs, atol=TOL, rtol=1e-5)`` per
+matrix, and all of them are evaluated in one fused comparison.
 
 The bridge ``rep_hat`` sends D (x) f to rho(D) pi(f), skipping a term whose
 rho(D) is the zero matrix; it is the one way into matrices, and it refuses an
@@ -20,7 +20,7 @@ turns its square, a multiple of the central z, into one more derivative of f.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class MatrixRep:
     grading: np.ndarray  # diagonal +-1 matrix, the image of epsilon
     rho: tuple[np.ndarray, ...]  # one matrix per algebra basis element
     pi_table: tuple[np.ndarray, ...] | None = None  # finite: per group element
-    freq: float | None = None  # line: pi(t) = exp(i freq t) * identity
     validated: bool = field(default=False, init=False, compare=False)
     # rho(word) per word taken, filled by rho_word; outside equality and repr
     words: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -68,18 +67,25 @@ class MatrixRep:
         return self.grading.shape[0]
 
     @cached_property
-    def identity(self) -> np.ndarray:
-        """The real dim x dim identity, made once per representation; read-only."""
-        out = np.eye(self.dim)
-        out.flags.writeable = False
-        return out
+    def _pieces(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
+        """A line rep's (nu, P, P grading) per distinct nu_j of rho(z) = i diag(nu_j), in
+        order, P the real diagonal projection onto nu_j = nu (one empty piece if d = 0)."""
+        nus = np.diag(self.rho[self.pair.generator_index]).imag
+        out = []
+        for nu in dict.fromkeys(nus.tolist()) or [0.0]:
+            mask = nus == nu
+            proj, part = np.diag(mask.astype(float)), np.where(mask[:, None], self.grading, 0)
+            proj.flags.writeable = part.flags.writeable = False
+            out.append((nu, proj, part))
+        return tuple(out)
 
     def pi(self, point: GroupPoint) -> np.ndarray:
-        """The group layer on the epsilon-extension."""
+        """The group layer on the epsilon-extension (on the line, sum e^{i nu t} P)."""
         if self.pair.group.kind == FINITE:
             base = self.pi_table[point.base]
         else:
-            base = np.exp(1j * self.freq * float(point.base)) * self.identity
+            base = reduce(np.add, (np.exp(1j * nu * float(point.base)) * proj
+                                   for nu, proj, _ in self._pieces))
         return base @ self.grading if point.eps else base
 
     def rho_word(self, word: Word) -> np.ndarray:
@@ -104,9 +110,8 @@ class MatrixRep:
             for point, v in f.values.items():
                 out += complex(v) * self.pi(point)
             return out
-        plus = fourier_at(f, self.freq, "plus")
-        eps = fourier_at(f, self.freq, "eps")
-        return plus * self.identity + eps * self.grading
+        return reduce(np.add, (fourier_at(f, nu, "plus") * proj + fourier_at(f, nu, "eps") * part
+                               for nu, proj, part in self._pieces))
 
 
 def _rho_of(coords: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -180,10 +185,6 @@ def validate_rep(rep: MatrixRep) -> ValidationReport:
         if finite and (rep.pi_table is None or len(rep.pi_table) != size
                        or any(m.shape != (n, n) for m in rep.pi_table)):
             stop = ("pi_table", False, "one unitary matrix per group element required")
-        elif finite and rep.freq is not None:
-            stop = ("pi_table", False, "finite representation takes no frequency")
-        elif not finite and rep.freq is None:
-            stop = ("frequency", False, "line representation needs a frequency")
         elif not finite and rep.pi_table is not None:
             stop = ("frequency", False, "line representation takes no pi_table")
     if stop is None:
@@ -205,9 +206,9 @@ def validate_rep(rep: MatrixRep) -> ValidationReport:
         else:
             checks += [
                 ("frequency", "", [], no_witness, no_witness),
-                # axiom (iii): the derived representation of the line generator
-                ("derived_generator", "rho(z) must be i*freq*identity for the line generator",
-                 [0], rho[pair.generator_index][None], (1j * rep.freq * eye)[None]),
+                # axiom (iii): rho(z) = i diag(nu), so that pi(t) = exp(t rho(z))
+                ("derived_generator", "rho(z) must be i*diag(nu) with nu real",
+                 [0], rho[[pair.generator_index]], 1j * rho[[pair.generator_index]].imag * eye),
             ]
             points = [GroupPoint(1.0, False), GroupPoint(0.5, True), GroupPoint(0.0, True)]
         pg = np.array([rep.pi(p) for p in points])

@@ -75,7 +75,7 @@ def make_hc_rep(pair, lam: float) -> MatrixRep:
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     rho_x = np.exp(1j * math.pi / 4) * math.sqrt(lam / 2.0) * sx
     rho_z = 1j * lam * np.eye(2)
-    rep = MatrixRep(f"hc-lam-{lam}", pair, grading, (rho_z, rho_x), freq=lam)
+    rep = MatrixRep(f"hc-lam-{lam}", pair, grading, (rho_z, rho_x))
     validate_rep(rep).raise_if_failed()
     return rep
 

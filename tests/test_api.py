@@ -22,7 +22,7 @@ SIGNATURES = {
     "GaussianRational": ("re=", "im="),
     "GroupData": ("kind", "*", "finite=", "ad_matrices=", "generator_name="),
     "GroupPoint": ("base", "eps="),
-    "MatrixRep": ("name", "pair", "grading", "rho", "pi_table=", "freq="),
+    "MatrixRep": ("name", "pair", "grading", "rho", "pi_table="),
     "MismatchError": None,
     "Multiplier": ("name", "lam", "rho"),
     "SeminormInterval": ("lower", "upper", "empty_family="),
@@ -90,6 +90,8 @@ def test_public_signatures_are_pinned():
 @pytest.mark.parametrize("call", [
     # no argument marks a representation validated; only validate_rep does
     lambda ws: superrep.MatrixRep("r", ws.pairs["hcline"], None, (), validated=True),
+    # the line's frequency is read off rho(z)
+    lambda ws: superrep.MatrixRep("r", ws.pairs["hcline"], None, (), freq=1.0),
     lambda ws: apply_auto(ws.algebras["hc"], [[1, 0], [0, 1]],
                           superrep.UEElement.unit(ws.algebras["hc"]), checked=True),
     # the second positional field was a group name
@@ -98,8 +100,8 @@ def test_public_signatures_are_pinned():
     lambda ws: superrep.GaussianRational("1/2"),
     # the kernel flag is read off the upper bound
     lambda ws: superrep.SeminormInterval(0.0, 1.0, kernel_flag=True),
-], ids=["rep-validated", "apply-auto-checked", "group-data-name", "load-catalog-workspace",
-        "gaussian-rational-string", "seminorm-kernel-flag"])
+], ids=["rep-validated", "rep-freq", "apply-auto-checked", "group-data-name",
+        "load-catalog-workspace", "gaussian-rational-string", "seminorm-kernel-flag"])
 def test_removed_settable_values_are_refused(workspace, call):
     with pytest.raises(TypeError):
         call(workspace)

@@ -344,6 +344,17 @@ def test_freq_without_number_exits_2(capsys, tmp_path):
     assert json.loads(out)["error"].startswith("3:30: expected (freq NUMBER)")
 
 
+def test_freq_that_disagrees_with_rho_z_exits_2(capsys, tmp_path):
+    src = tmp_path / "f.sexp"
+    src.write_text(
+        "(superalgebra hc (basis (z even) (x odd)) (bracket x x (1 z)))\n"
+        "(pair hcline hc (line z))\n"
+        "(rep r hcline (grading 1 -1) (rho z ((1i 0) (0 2i))) (freq 1))\n"
+    )
+    code, out = run(capsys, "--file", str(src), "validate", "--pair", "hcline")
+    assert (code, json.loads(out)) == (2, {"error": "3:54: (freq ...) disagrees with (rho z ...)"})
+
+
 def test_repeated_basis_name_exits_2_at_the_repeat(capsys, tmp_path):
     # x.x = [x,x]/2 = z/2, so a normal form of 0 would be wrong
     src = tmp_path / "twice.sexp"

@@ -1,15 +1,17 @@
 """Definition-file syntax: parsing, diagnostics and the canonical printer."""
 
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superrep.catalog import CATALOG_NAMES, catalog_source, load_catalog
 from superrep.dsl import DslError, Workspace, parse, parse_file, print_workspace, read_forms
-from superrep.reps import validate_rep
+from superrep.reps import rep_hat, validate_rep
 
 HC_SOURCE = """
 (superalgebra tiny
@@ -356,7 +358,7 @@ def test_printing_gives_back_the_floats_read(name):
 
     def floats(rep):
         arrays = (rep.grading, *rep.rho, *(rep.pi_table or ()))
-        return [m.tobytes() for m in arrays] + [repr(rep.freq)]
+        return [m.tobytes() for m in arrays]
 
     assert {k: floats(r) for k, r in again.reps.items()} == {
         k: floats(r) for k, r in ws.reps.items()}
@@ -416,7 +418,8 @@ DIAGNOSTICS = [
     ("(rep r fz (grading 1) (pi t ((1))))", "unknown group element 't'", 27),
     ("(rep r fz (grading 1) (freq 1))", r"\(freq ...\) only applies to line pairs", 23),
     ("(rep r tl (freq 1))", r"rep needs a \(grading ...\) clause", 1),
-    ("(rep r tl (grading 1 -1))", r"line rep needs a \(freq ...\) clause", 1),
+    ("(rep r tl (grading 1 -1) (rho z ((1i 0) (0 1i))) (freq 2))",
+     r"\(freq ...\) disagrees with \(rho z ...\)", 50),
     ("(family f)", r"family is \(family NAME REP ...\)", 1),
     ("(element a tl (tensor (ue ((c 1 0.5) x)) (linefunc)))",
      "expected rational component", 33),
@@ -652,3 +655,59 @@ def test_a_literal_past_the_int_digit_limit_is_refused_at_its_token(literal):
         parse(PRELUDE + f"(superalgebra a (basis (x odd)) (bracket x x ({literal} x)))")
     assert (exc.value.line, exc.value.col) == (5, 47)
     assert not re.search(r"\d{20}", str(exc.value))  # the literal is not echoed
+
+
+# the longest integer literal the interpreter converts to a string by default
+LONGEST = "9" * 4300
+
+
+@pytest.mark.parametrize("body, col", [
+    (f"(superalgebra a (basis (z even) (x odd)) (bracket x x ({LONGEST} z) ({LONGEST} z)))", 42),
+    (f"(function f fz (finitefunc (delta s {LONGEST}) (delta s {LONGEST})))", 16),
+    (f"(element a fz (tensor (ue ({LONGEST})) (finitefunc (delta e {LONGEST}))))", 15),
+], ids=["bracket-sum", "function-sum", "tensor-product"])
+def test_a_value_past_the_digit_limit_made_by_parsing_is_refused_where_made(body, col):
+    """Each literal reads and prints; their sum or product has more digits than
+    the printer converts, so parsing refuses it at the form that made it."""
+    with pytest.raises(DslError) as exc:
+        parse(PRELUDE + body)
+    assert str(exc.value) == f"5:{col}: number has too many digits to print"
+    assert (exc.value.line, exc.value.col) == (5, col)
+    # with -1 for one literal the value stays within the limit and prints
+    once = print_workspace(parse(PRELUDE + body.replace(LONGEST, "-1", 1)))
+    assert print_workspace(parse(once)) == once
+
+
+# rho(x) = exp(i pi/4) sqrt(nu/2) sigma_x at nu = 2, on the prelude's line pair
+RHO_X_AT_2 = "(rho x ((0.0 (c 0.7071067811865476 0.7071067811865476)) " \
+             "((c 0.7071067811865476 0.7071067811865476) 0.0)))"
+
+
+def test_freq_rho_z_and_both_give_the_same_representation():
+    """(freq NU) states rho(z) = i NU identity: alone it fills rho(z), and with
+    (rho z ...) the two must agree; either way the representation is the same."""
+    element = ("(element a tl (tensor (ue (1 x) (1 z x)) "
+               "(linefunc (plus (gauss 1 0.5 1 2)) (eps (gauss 2 0 1)))))\n")
+    spellings = ["(freq 2.0)", "(rho z ((2.0i 0.0) (0.0 2.0i)))",
+                 "(rho z ((2i 0) (0 2i))) (freq 2)"]
+    ws = [parse(PRELUDE + element + f"(rep r tl (grading 1 -1) {clauses} {RHO_X_AT_2})")
+          for clauses in spellings]
+    reps = [w.reps["r"] for w in ws]
+    assert len({b"".join(m.tobytes() for m in rep.rho) for rep in reps}) == 1
+    assert len({rep_hat(rep, w.elements["a"]).tobytes() for rep, w in zip(reps, ws)}) == 1
+    with pytest.raises(DslError) as exc:
+        parse(PRELUDE + "(rep r tl (grading 1 -1)\n"
+              f"  (rho z ((2i 0) (0 2i))) (freq 1) {RHO_X_AT_2})")
+    assert str(exc.value) == "6:27: (freq ...) disagrees with (rho z ...)"
+    assert (exc.value.line, exc.value.col) == (6, 27)
+
+
+@pytest.mark.parametrize("grading", ["1 -1", ""], ids=["2-dim", "0-dim"])
+def test_a_line_rep_without_freq_or_rho_z_has_rho_z_zero(grading):
+    ws = parse(PRELUDE + f"(rep r tl (grading {grading}))\n"
+               "(element a tl (tensor (ue (1)) (linefunc (plus (gauss 1 0 1)))))")
+    rep = ws.reps["r"]
+    assert validate_rep(rep).ok
+    assert not rep.rho[0].any()
+    # the frequency-0 character pi(f) = integral of f on each diagonal entry
+    assert np.allclose(rep_hat(rep, ws.elements["a"]), math.sqrt(math.pi) * np.eye(rep.dim))

@@ -11,7 +11,10 @@ that share the convolution), so their rows check *-algebra identities.
 The L1 bound's upward step past the float range of the gamma value is
 checked against an mpmath value of the norm.  A seminorm interval that clamps
 its lower end to the bound is caught by ``seminorm`` on representations whose
-image beats the bound, which must exit 1 with both numbers.
+image beats the bound, which must exit 1 with both numbers.  A line
+representation's group layer taken at its first frequency only is caught by
+``taylor`` on a family that holds the reducible hc-rep-1 (+) hc-rep-2, read
+with ``--file``: the shipped line representations have one frequency each.
 """
 
 import contextlib
@@ -31,6 +34,7 @@ from superrep.crossed import xp_multiply, xp_star
 from superrep.functions import FiniteFunction, GaussianPoly, l1_bound
 
 from test_cli import BEATEN_BOUNDS
+from test_reps import SUM12
 
 
 def cli_run(*argv) -> tuple[int, dict]:
@@ -54,6 +58,20 @@ def cli_verdict(*argv):
         return verdict == (0, True)
 
     check.__name__ = " ".join(argv)
+    return check
+
+
+def file_verdict(source, *argv):
+    """cli_verdict of ``superrep --catalog hc --file F argv``, with ``source``
+    written to F."""
+    def check():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "extra.sexp")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(source)
+            return cli_verdict("--catalog", "hc", "--file", path, *argv)()
+
+    check.__name__ = " ".join(("--file", *argv))
     return check
 
 
@@ -91,6 +109,8 @@ LINE_ROUNDTRIP = cli_verdict("--catalog", "hc", "--seed", "7", "roundtrip",
 FINITE_ROUNDTRIP = cli_verdict("--catalog", "podd", "roundtrip", "--rep", "reg4", "--probe", "b0")
 TAYLOR = cli_verdict("--catalog", "hc", "taylor", "--pair", "hcline", "--elem", "a0",
                      "--family", "hc-grid")
+SUM12_TAYLOR = file_verdict(SUM12 + "(family sum12-only sum12)\n", "taylor", "--pair", "hcline",
+                            "--elem", "a0", "--family", "sum12-only")
 
 
 def hat_is_multiplicative():
@@ -127,6 +147,12 @@ def l1_bound_covers_the_moment():
         return mpmath.mpf(l1_bound(f)) >= mpmath.gamma(e) / mpmath.mpf(1000) ** e
 
 
+def pieces_at_first_frequency(original):
+    """The mutant of MatrixRep._pieces that evaluates every block at the first
+    frequency: one piece (nu_1, 1, grading)."""
+    return property(lambda rep: ((original.func(rep)[0][0], np.eye(rep.dim), rep.grading),))
+
+
 def translation_skipped_on(kind):
     """The mutant of left_translate that returns a function of ``kind``
     unchanged."""
@@ -144,6 +170,8 @@ KILLED = [
     pytest.param(reps, "fourier_at",
                  lambda original: lambda f, freq, component="plus": original(f, -freq, component),
                  [LINE_ROUNDTRIP, TAYLOR], id="fourier-sign"),
+    pytest.param(reps.MatrixRep, "_pieces", pieces_at_first_frequency, [SUM12_TAYLOR],
+                 id="pieces-at-first-frequency"),
     pytest.param(crossed, "convolve", lambda original: lambda f, h: original(f, h).scale(2),
                  [hat_is_multiplicative], id="convolution-doubled"),
     pytest.param(crossed, "dagger", lambda original: lambda a: -original(a),

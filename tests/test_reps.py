@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superrep import reps
+from superrep.catalog import load_catalog
 from superrep.crossed import (
     CrossedElement,
     gamma_integral,
@@ -94,14 +95,15 @@ def test_nonzero_rho_fails_purely_odd(z2odd):
 
 def test_wrong_grading_parity_fails(hcline):
     rep = make_hc_rep(hcline, 1.0)
-    bad = MatrixRep("bad", hcline, np.eye(2, dtype=complex), rep.rho, freq=1.0)
+    bad = MatrixRep("bad", hcline, np.eye(2, dtype=complex), rep.rho)
     report = validate_rep(bad)
     assert any(c.name == "covariance" for c in report.failures())
 
 
 def test_wrong_frequency_fails(hcline):
     rep = make_hc_rep(hcline, 1.0)
-    bad = MatrixRep("bad", hcline, rep.grading, rep.rho, freq=2.0)
+    # a frequency that is not real: rho(z) = i (1 - 0.5i) identity
+    bad = MatrixRep("bad", hcline, rep.grading, ((0.5 + 1j) * np.eye(2), rep.rho[1]))
     report = validate_rep(bad)
     assert any(c.name == "derived_generator" for c in report.failures())
 
@@ -126,6 +128,34 @@ def test_hat_closed_form_hc(hcline):
     assert np.allclose(rep_hat(rep, a), expected, atol=1e-14)
 
 
+# hc-rep-1 (+) hc-rep-2 on hcline: rho(z) = i diag(1, 1, 2, 2), and rho(x) the
+# block sum of theirs
+SUM12 = """
+(rep sum12 hcline
+  (grading 1 -1 1 -1)
+  (rho z ((1.0i 0 0 0) (0 1.0i 0 0) (0 0 2.0i 0) (0 0 0 2.0i)))
+  (rho x ((0 (c 0.5 0.5) 0 0) ((c 0.5 0.5) 0 0 0)
+          (0 0 0 (c 0.7071067811865476 0.7071067811865476))
+          (0 0 (c 0.7071067811865476 0.7071067811865476) 0))))
+"""
+
+
+def test_a_reducible_line_rep_is_the_block_sum_of_its_parts():
+    ws = parse(SUM12, load_catalog("hc"))
+    rep, parts = ws.reps["sum12"], [ws.reps["hc-rep-1"], ws.reps["hc-rep-2"]]
+    assert validate_rep(rep).ok
+    for name in ("a0", "ax", "az", "axz"):
+        a = ws.elements[name]
+        blocks = [rep_hat(part, a) for part in parts]
+        expected = np.zeros((4, 4), dtype=complex)
+        expected[:2, :2], expected[2:, 2:] = blocks
+        image = rep_hat(rep, a)
+        assert np.array_equal(image, expected), name
+        norm = operator_norm(image)
+        assert norm == pytest.approx(max(operator_norm(block) for block in blocks), rel=1e-12)
+        assert norm <= prop33_bound(a)
+
+
 def test_pi_from_group_side_equals_hat_of_unit_tensor(hcline, z2odd, reg4):
     # finite case: pi(f) is the sum of f(p) pi(p) over the support
     rng = random.Random(201)
@@ -141,8 +171,9 @@ def test_pi_from_group_side_equals_hat_of_unit_tensor(hcline, z2odd, reg4):
         (), GaussianPoly.gaussian(2.0, 0.0, (0.5,)).plus
     )
     a = CrossedElement.tensor(hcline, UEElement.unit(hcline.algebra), f)
-    group_side = (fourier_at(f, rep.freq, "plus") * np.eye(rep.dim)
-                  + fourier_at(f, rep.freq, "eps") * rep.grading)
+    nu = rep.rho[hcline.generator_index][0, 0].imag
+    group_side = (fourier_at(f, nu, "plus") * np.eye(rep.dim)
+                  + fourier_at(f, nu, "eps") * rep.grading)
     assert np.allclose(group_side, rep_hat(rep, a), atol=1e-12)
 
 
@@ -484,7 +515,7 @@ def catalog_line_elements(workspace):
 def reference_rep_hat(rep, a):
     """rep_hat with every rho-word and identity formed afresh per term, and
     each Fourier value from the test-local term kernel."""
-    freq = float(rep.freq)
+    freq = float(rep.rho[rep.pair.generator_index][0, 0].imag)
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
     for word, f in a.terms.items():
         rho = np.eye(rep.dim, dtype=complex)
@@ -509,7 +540,7 @@ def test_catalog_line_bounds_and_hats_bit_for_bit(workspace, hc_grid):
 
 def test_rho_word_is_the_explicit_product_and_read_only(hcline, hc_grid, reg4):
     fresh = make_hc_rep(hcline, 3.0)
-    assert not fresh.identity.flags.writeable
+    assert not any(m.flags.writeable for _, *mats in fresh._pieces for m in mats)
     for rep in [fresh, reg4] + hc_grid:
         d = len(rep.rho)
         words = [()] + [(i,) for i in range(d)] + [
@@ -780,7 +811,7 @@ def jordan_wigner_rep(n, lam):
     # a complex root, so that lam < 0 still satisfies the bracket relations
     scale = cmath.exp(1j * math.pi / 4) * cmath.sqrt(lam / 2)
     rho = (1j * lam * np.eye(2 ** m),) + tuple(scale * g for g in gammas[:n])
-    return MatrixRep(f"jw-{n}-{lam}", DEEP_LINES[n], _pauli_word("Z" * m), rho, freq=lam)
+    return MatrixRep(f"jw-{n}-{lam}", DEEP_LINES[n], _pauli_word("Z" * m), rho)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -70,9 +70,6 @@ def allclose_validate_rep(rep: MatrixRep, tol: float = 1e-9) -> ValidationReport
         if rep.pi_table is None or len(rep.pi_table) != size:
             report.add("pi_table", False, "one unitary matrix per group element required")
             return report
-        if rep.freq is not None:
-            report.add("pi_table", False, "finite representation takes no frequency")
-            return report
         names = pair.group.finite.element_names
         unitary_bad = [
             _label(names[g], pi @ pi.conj().T, eye)
@@ -96,19 +93,16 @@ def allclose_validate_rep(rep: MatrixRep, tol: float = 1e-9) -> ValidationReport
         ]
         report.add("grading_commutes_with_group", not comm_bad, ", ".join(comm_bad))
     else:
-        if rep.freq is None:
-            report.add("frequency", False, "line representation needs a frequency")
-            return report
         if rep.pi_table is not None:
             report.add("frequency", False, "line representation takes no pi_table")
             return report
         report.add("frequency", True)
-        z = pair.generator_index
-        iii_ok = np.allclose(rep.rho[z], 1j * rep.freq * eye, atol=tol)
+        rho_z = rep.rho[pair.generator_index]
+        iii_ok = np.allclose(rho_z, 1j * np.diag(np.diag(rho_z).imag), atol=tol)
         report.add(
             "derived_generator",
             bool(iii_ok),
-            "" if iii_ok else "rho(z) must be i*freq*identity for the line generator",
+            "" if iii_ok else "rho(z) must be i*diag(nu) with nu real",
         )
 
     bracket_bad = []
@@ -170,21 +164,26 @@ def _perturbed(rep: MatrixRep, part: str, scale: float, seed: int) -> MatrixRep:
     """Noise of the given scale on about half the entries of one part."""
     rng = np.random.default_rng(seed)
 
-    def noisy(m):
+    def noisy(m, real_diagonal=False):
         mask = rng.random(m.shape) < 0.5
         noise = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+        if real_diagonal:
+            np.fill_diagonal(noise, noise.diagonal().real)
         return m + np.where(mask, scale * noise, 0)
 
     touch = {part} if part != "all" else set(PARTS)
     grading = noisy(rep.grading) if "grading" in touch else rep.grading
     rho = tuple(noisy(m) for m in rep.rho) if "rho" in touch else rep.rho
-    pi_table, freq = rep.pi_table, rep.freq
+    pi_table = rep.pi_table
     if "group" in touch:
         if pi_table is not None:
             pi_table = tuple(noisy(m) for m in pi_table)
         else:
-            freq = freq + scale * float(rng.standard_normal())
-    return MatrixRep(f"{rep.name}~", rep.pair, grading, rho, pi_table=pi_table, freq=freq)
+            # the line's group layer is exp(t rho(z)): noise off the diagonal
+            # of rho(z) and on the real part of its diagonal
+            z = rep.pair.generator_index
+            rho = rho[:z] + (noisy(rho[z], real_diagonal=True),) + rho[z + 1:]
+    return MatrixRep(f"{rep.name}~", rep.pair, grading, rho, pi_table=pi_table)
 
 
 def test_shipped_reps_cover_finite_and_line():
@@ -234,15 +233,14 @@ def test_validation_failure_text_is_pinned():
     src = ("(superalgebra tiny (basis (z even) (x odd)) (bracket x x (1 z)))\n"
            "(pair tinyline tiny (line z))\n"
            "(rep bad tinyline (grading 1 1)\n"
-           "  (rho z ((1.0i 0.0) (0.0 1.0i)))\n"
-           "  (rho x ((0.0 (c 0.5 0.5)) ((c 0.5 0.5) 1.0)))\n"
-           "  (freq 2.0))")
+           "  (rho z ((1.0i 0.5) (-0.5 1.0i)))\n"
+           "  (rho x ((0.0 (c 0.5 0.5)) ((c 0.5 0.5) 1.0))))")
     with pytest.raises(DslError) as exc:
         parse(src)
     assert str(exc.value) == (
         "3:1: representation 'bad' fails validation ("
-        "derived_generator: rho(z) must be i*freq*identity for the line generator; "
-        "bracket_morphism: [x,x]; odd_symmetry: x; "
+        "derived_generator: rho(z) must be i*diag(nu) with nu real; "
+        "bracket_morphism: [z,x], [x,z], [x,x]; odd_symmetry: x; "
         "covariance: Ad(0.5, eps) on x, Ad(0.0, eps) on x)"
     )
 
@@ -272,12 +270,11 @@ def test_wrongly_shaped_pi_fails_pi_table():
 
 
 @pytest.mark.parametrize("name, field, last", [
-    ("chi-pp", "pi_table", "pi_table"), ("hc-rep-1", "freq", "frequency"),
+    ("chi-pp", "pi_table", "pi_table"),
 ])
 def test_group_shape_failure_follows_a_passing_rho_shape(name, field, last):
     rep = next(r for r in SHIPPED if r.name == name)
-    bad = MatrixRep("bad", rep.pair, rep.grading, rep.rho,
-                    pi_table=rep.pi_table, freq=rep.freq)
+    bad = MatrixRep("bad", rep.pair, rep.grading, rep.rho, pi_table=rep.pi_table)
     setattr(bad, field, None)
     assert [(c.name, c.ok) for c in validate_rep(bad).checks] == [
         ("grading_diagonal_sign", True), ("grading_involutive", True),
@@ -290,7 +287,7 @@ def test_group_shape_failure_follows_a_passing_rho_shape(name, field, last):
 ], ids=["2x3", "vector", "scalar", "3d"])
 def test_grading_that_is_not_square_is_the_only_failing_row(grading):
     shipped = next(r for r in SHIPPED if r.name == "hc-rep-2")
-    rep = MatrixRep("bad", shipped.pair, grading, shipped.rho, freq=shipped.freq)
+    rep = MatrixRep("bad", shipped.pair, grading, shipped.rho)
     rep.validated = True
     assert _check_names(validate_rep(rep)) == [
         ("grading_shape", False, "grading must be a square matrix"),
@@ -299,15 +296,12 @@ def test_grading_that_is_not_square_is_the_only_failing_row(grading):
 
 
 @pytest.mark.parametrize("name, field, value, row", [
-    ("reg4", "freq", 3.0,
-     ("pi_table", False, "finite representation takes no frequency")),
     ("hc-rep-2", "pi_table", (np.eye(2, dtype=complex),),
      ("frequency", False, "line representation takes no pi_table")),
-], ids=["finite-with-freq", "line-with-pi-table"])
+], ids=["line-with-pi-table"])
 def test_a_group_field_of_the_other_kind_is_refused(name, field, value, row):
     shipped = next(r for r in SHIPPED if r.name == name)
-    rep = MatrixRep(name, shipped.pair, shipped.grading, shipped.rho,
-                    pi_table=shipped.pi_table, freq=shipped.freq)
+    rep = MatrixRep(name, shipped.pair, shipped.grading, shipped.rho, pi_table=shipped.pi_table)
     setattr(rep, field, value)
     report = validate_rep(rep)
     assert _check_names(report) == [
@@ -317,18 +311,9 @@ def test_a_group_field_of_the_other_kind_is_refused(name, field, value, row):
     assert report.to_dict() == allclose_validate_rep(rep).to_dict()
 
 
-def test_line_rep_without_frequency_stops_at_frequency():
-    rep = next(r for r in SHIPPED if r.name == "hc-rep-1")
-    bad = MatrixRep("bad", rep.pair, rep.grading, rep.rho)
-    assert _check_names(validate_rep(bad))[-1] == (
-        "frequency", False, "line representation needs a frequency"
-    )
-
-
 @pytest.mark.parametrize("name, field, value", [
     ("hc-rep-2", "rho", "first"),
     ("hc-rep-2", "rho", "wide"),
-    ("hc-rep-2", "freq", None),
     ("reg4", "pi_table", None),
     ("reg4", "rho", "wide"),
 ])
@@ -336,8 +321,7 @@ def test_failing_revalidation_clears_validated(name, field, value):
     """A representation that validated once and is then broken in shape is
     no longer marked validated, so that rep_hat validates it again."""
     shipped = next(r for r in SHIPPED if r.name == name)
-    rep = MatrixRep(name, shipped.pair, shipped.grading, shipped.rho,
-                    pi_table=shipped.pi_table, freq=shipped.freq)
+    rep = MatrixRep(name, shipped.pair, shipped.grading, shipped.rho, pi_table=shipped.pi_table)
     assert validate_rep(rep).ok and rep.validated
     if value == "first":
         value = rep.rho[:1]
@@ -358,7 +342,7 @@ def test_an_unvalidated_rep_gets_no_norm_and_no_interval():
     bound."""
     shipped = next(r for r in SHIPPED if r.name == "hc-rep-2")
     rep = MatrixRep("scaled", shipped.pair, shipped.grading,
-                    tuple(50 * m for m in shipped.rho), freq=shipped.freq)
+                    tuple(50 * m for m in shipped.rho))
     ax = load_catalog("hc").elements["ax"]
     for call in (lambda: rep_hat(rep, ax), lambda: seminorm_interval(ax, [rep])):
         with pytest.raises(StructureError, match="representation scaled failed validation"):
@@ -386,7 +370,7 @@ def test_nonfinite_entries_match_allclose():
     for value in (math.inf, -math.inf, math.nan, complex(math.inf, 1.0)):
         rho_x = rep.rho[1].copy()
         rho_x[0, 1] = value
-        bad = MatrixRep("bad", rep.pair, rep.grading, (rep.rho[0], rho_x), freq=rep.freq)
+        bad = MatrixRep("bad", rep.pair, rep.grading, (rep.rho[0], rho_x))
         # validate_rep forms its witnesses without a warning of its own
         report = validate_rep(bad).to_dict()
         with np.errstate(all="ignore"):
