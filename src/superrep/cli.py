@@ -25,12 +25,11 @@ from .crossed import (CrossedElement, element_sample_difference, gamma_integral,
                       orbit_derivative_check, xp_multiply, xp_star)
 from .dsl import Workspace, parse_file, read_word
 from .enveloping import UEElement, dagger as ue_dagger, normal_form
-from .errors import DslError, MismatchError, SuperrepError
+from .errors import DslError, SuperrepError
 from .functions import FiniteFunction
-from .groups import FINITE, GroupPoint, validate_pair
+from .groups import FINITE, GroupPoint
 from .reps import (_word_bounds, ccr_report, operator_norm, reconstruct_pi, reconstruct_rho,
-                   rep_hat, seminorm_interval, taylor_norm_check, validate_rep)
-from .superalgebra import validate_superalgebra
+                   rep_hat, seminorm_interval, taylor_norm_check)
 
 
 # ---------------------------------------------------------------------------
@@ -153,21 +152,23 @@ _COMMANDS = {
 def _resolve(ws: Workspace, args) -> list:
     """The definitions the name flags of ``args.command`` give, looked up in
     table order: a family gives its list of reps, a repeated flag a list of
-    definitions.  An absent flag (one side of validate) gives none."""
-    definitions = []
+    definitions.  An absent flag (one side of validate) gives none.  Once
+    every name is found, each must live on the pair of the first one that
+    lives on a pair, or a DslError names both pairs."""
+    definitions, looked_up = [], []  # looked_up: (category, name), in order
     for flag, kind, *_ in _COMMANDS[args.command][1:]:
         name = getattr(args, flag[2:])
         if isinstance(kind, dict) or name is None:  # a plain option, or absent
             continue
-        if isinstance(name, list):
-            definitions.append([ws.lookup(kind, n) for n in name])
-        elif kind == "family":
-            definitions.append([ws.lookup("rep", r) for r in ws.lookup("family", name)])
-        else:
-            definitions.append(ws.lookup(kind, name))
-    if args.command == "gamma-check":
-        ws.require_function_pair(args.f, args.pair, None)
-        ws.require_function_pair(args.h, args.pair, None)
+        if kind == "family":
+            kind, name = "rep", ws.lookup("family", name)
+        names = name if isinstance(name, list) else [name]
+        found = [ws.lookup(kind, n) for n in names]
+        definitions.append(found if isinstance(name, list) else found[0])
+        looked_up += [(kind, n) for n in names]
+    pair = next(filter(None, (ws.pair_of(*key) for key in looked_up)), None)
+    for category, name in looked_up:
+        ws.require_pair(category, name, pair)
     return definitions
 
 
@@ -177,17 +178,16 @@ def _resolve(ws: Workspace, args) -> list:
 
 
 def cmd_validate(args, subject) -> tuple[dict, bool]:
+    """The reports the pair and its algebra, or the algebra, were built with."""
     if args.pair is not None:
-        report = validate_pair(subject)
-        alg_report = validate_superalgebra(subject.algebra)
+        report, alg_report = subject.report, subject.algebra.report
         ok = report.ok and alg_report.ok
         return {
             "subject": args.pair,
             "ok": ok,
             "checks": report.to_dict()["checks"] + alg_report.to_dict()["checks"],
         }, ok
-    report = validate_superalgebra(subject)
-    return report.to_dict(), report.ok
+    return subject.report.to_dict(), subject.report.ok
 
 
 def cmd_nf(args, algebra) -> tuple[dict, bool]:
@@ -237,8 +237,7 @@ def cmd_gamma_check(args, pair, f, h) -> tuple[dict, bool]:
 
 
 def cmd_rep_check(args, rep) -> tuple[dict, bool]:
-    report = validate_rep(rep)
-    return report.to_dict(), report.ok
+    return rep.report.to_dict(), rep.report.ok
 
 
 def cmd_hat(args, rep, a) -> tuple[dict, bool]:
@@ -401,8 +400,7 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise"):
             doc, ok = handler(args, *definitions)
         text, code = _json(doc), 0 if ok else 1
-    except (DslError, MismatchError, OSError) as exc:
-        # a MismatchError here comes from a name given next to another pair
+    except (DslError, OSError) as exc:
         text, code = _json({"error": str(exc)}), 2
     except SuperrepError as exc:
         text, code = _json({"error": str(exc)}), 1

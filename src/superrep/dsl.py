@@ -303,13 +303,18 @@ class Workspace:
         for (category, name), site in other._sites.items():
             self._define(category, name, site, other.table(category)[name])
 
-    def require_function_pair(self, name: str, pair_name: str, node):
-        """Refuse the defined function ``name`` unless it lives on the pair
-        ``pair_name``; the error is located at ``node`` unless that is None."""
-        defined_on = self._sites["function", name][2]
+    def pair_of(self, category: str, name: str) -> str | None:
+        """The pair the defined ``name`` of ``category`` lives on: a pair is on
+        itself, a function, element or rep on its owner, anything else on none."""
+        return name if category == "pair" else self._sites[category, name][2]
+
+    def require_pair(self, category: str, name: str, pair_name: str | None, node=None):
+        """Refuse the defined ``name`` of ``category`` unless it lives on the
+        pair ``pair_name``; the error is located at ``node`` unless that is None."""
+        defined_on = self.pair_of(category, name)
         if defined_on != pair_name:
             raise DslError(
-                f"function {name!r} is defined on pair {defined_on!r}, not {pair_name!r}",
+                f"{category} {name!r} is defined on pair {defined_on!r}, not {pair_name!r}",
                 getattr(node, "line", None),
                 getattr(node, "col", None),
             )
@@ -535,7 +540,7 @@ def _printable(f, node):
 def _function_ref(ws: Workspace, pair: Supergroup, node):
     if isinstance(node, Atom) and node.kind == "symbol":
         func = ws.lookup("function", node.value, node)
-        ws.require_function_pair(node.value, pair.name, node)
+        ws.require_pair("function", node.value, pair.name, node)
         return func
     return _function_literal(pair, node)
 
@@ -691,10 +696,16 @@ def _print_scalar(v: GaussianRational) -> str:
     return f"(c {v.re} {v.im})"
 
 
+def _plus_zero(x: float) -> bool:
+    return x == 0 and math.copysign(1.0, x) > 0
+
+
 def _print_entry(z: complex) -> str:
-    if z.imag == 0:
+    """``z`` in the shortest form that reads back as its bits: a part left
+    out of the form reads back as +0.0, so only a +0.0 part is left out."""
+    if _plus_zero(z.imag):
         return format_float(z.real)
-    if z.real == 0:
+    if _plus_zero(z.real):
         return f"{format_float(z.imag)}i"
     return f"(c {format_float(z.real)} {format_float(z.imag)})"
 
@@ -771,7 +782,7 @@ def print_workspace(ws: Workspace) -> str:
                 f"(table {table}){''.join(ads)}))"
             )
     for name, func in ws.functions.items():
-        pname = ws._sites["function", name][2]
+        pname = ws.pair_of("function", name)
         out.append(f"(function {name} {pname} {_print_function(ws.pairs[pname], func)})")
     for name, elem in ws.elements.items():
         terms = []
@@ -785,14 +796,18 @@ def print_workspace(ws: Workspace) -> str:
         lines = [f"(rep {name} {rep.pair.name}"]
         diag = " ".join(format_float(v.real) for v in np.diag(rep.grading))
         lines.append(f"  (grading {diag})")
+        # a matrix is left out only when its bytes are the default the rep
+        # builder fills in, so that signed zeros are printed
+        zeros = np.zeros((rep.dim, rep.dim), dtype=complex).tobytes()
         for i, mat in enumerate(rep.rho):
-            if np.any(mat):
+            if mat.tobytes() != zeros:
                 lines.append(
                     f"  (rho {rep.pair.algebra.basis_names[i]} {_print_matrix(mat)})"
                 )
         if rep.pair.group.kind == FINITE:
+            eye = np.eye(rep.dim, dtype=complex).tobytes()
             for g, mat in enumerate(rep.pi_table):
-                if not np.array_equal(mat, np.eye(rep.dim, dtype=complex)):
+                if mat.tobytes() != eye:
                     name_g = rep.pair.group.finite.element_names[g]
                     lines.append(f"  (pi {name_g} {_print_matrix(mat)})")
         out.append("\n".join(lines) + ")")

@@ -184,6 +184,13 @@ class Supergroup:
             terms.append(tuple(tuple(v / factorial(k) for v in row) for row in power))
         return None
 
+    @cached_property
+    def report(self) -> ValidationReport:
+        """``validate_pair(self)``, computed once per pair and cached outside
+        equality, hashing and repr; ``build_pair`` raises from it, and the
+        CLI's ``validate`` prints it."""
+        return validate_pair(self)
+
     def line_ad_matrix(self, t: Fraction):
         """Ad(exp(t z)), the exponential series of t * ad z, which ends
         because ad z is nilpotent."""
@@ -220,7 +227,7 @@ class Supergroup:
 
 def validate_pair(pair: Supergroup) -> ValidationReport:
     """Check the compatibility axioms between the group realization and the
-    superalgebra."""
+    superalgebra afresh; ``Supergroup.report`` keeps the first result."""
     report = ValidationReport(f"pair {pair.name}")
     algebra = pair.algebra
     group = pair.group
@@ -307,5 +314,5 @@ def validate_pair(pair: Supergroup) -> ValidationReport:
 
 def build_pair(name: str, group: GroupData, algebra: SuperAlgebra) -> Supergroup:
     pair = Supergroup(name, group, algebra)
-    validate_pair(pair).raise_if_failed()
+    pair.report.raise_if_failed()
     return pair

@@ -45,8 +45,10 @@ def _finite(mat: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(mat: np.ndarray) -> float:
-    """Spectral norm; a non-finite matrix is refused (OverflowError)."""
-    return float(np.linalg.norm(_finite(mat), 2)) if mat.size else 0.0
+    """Spectral norm, the largest singular value from one SVD (the LAPACK call
+    ``np.linalg.norm(mat, 2)`` makes, so the same float); 0.0 for an empty
+    matrix, and a non-finite matrix is refused (OverflowError)."""
+    return float(np.linalg.svd(_finite(mat), compute_uv=False)[0]) if mat.size else 0.0
 
 
 @dataclass
@@ -58,7 +60,9 @@ class MatrixRep:
     grading: np.ndarray  # diagonal +-1 matrix, the image of epsilon
     rho: tuple[np.ndarray, ...]  # one matrix per algebra basis element
     pi_table: tuple[np.ndarray, ...] | None = None  # finite: per group element
-    validated: bool = field(default=False, init=False, compare=False)
+    # the report of the last validate_rep, which alone sets it; rep_hat
+    # validates again unless it passed
+    report: ValidationReport | None = field(default=None, init=False, compare=False, repr=False)
     # rho(word) per word taken, filled by rho_word; outside equality and repr
     words: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -138,7 +142,8 @@ def _complex_matrices(matrices, d: int) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def validate_rep(rep: MatrixRep) -> ValidationReport:
-    """Check the unitary-representation axioms with explicit witnesses.
+    """Check the unitary-representation axioms with explicit witnesses,
+    afresh, and keep the report as ``rep.report``.
 
     Each witnessed check is ``np.allclose(lhs, rhs, atol=TOL)`` (so rtol
     1e-5) on one matrix per label, and its detail joins the labels whose
@@ -153,7 +158,7 @@ def validate_rep(rep: MatrixRep) -> ValidationReport:
     shape = np.shape(rep.grading)
     if len(shape) != 2 or shape[0] != shape[1]:  # the only row of its report
         report.add("grading_shape", False, "grading must be a square matrix")
-        rep.validated = False
+        rep.report = report
         return report
     pair = rep.pair
     algebra = pair.algebra
@@ -247,7 +252,7 @@ def validate_rep(rep: MatrixRep) -> ValidationReport:
         report.add(name, not bad, fmt.format(", ".join(bad)))
     if stop:
         report.add(*stop)
-    rep.validated = report.ok
+    rep.report = report
     return report
 
 
@@ -259,7 +264,7 @@ def rep_hat(rep: MatrixRep, a: CrossedElement) -> np.ndarray:
     numpy's overflow and invalid-value warnings off; a term whose rho(D) is
     the zero matrix adds nothing, even where pi(f) overflows.  An image with
     a NaN or an infinite entry is refused (OverflowError)."""
-    if not rep.validated:
+    if rep.report is None or not rep.report.ok:
         validate_rep(rep).raise_if_failed()
     if a.pair != rep.pair:
         raise MismatchError("element and representation live over different pairs")

@@ -72,6 +72,13 @@ class SuperAlgebra:
         return tuple(tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
                      for row in self.constants)
 
+    @cached_property
+    def report(self) -> ValidationReport:
+        """``validate_superalgebra(self)``, computed once per algebra and
+        cached outside equality, hash and repr; ``build_superalgebra`` raises
+        from it, and the CLI's ``validate`` prints it."""
+        return validate_superalgebra(self)
+
     def bracket(self, u, v):
         """Bilinear extension of the structure constants to coordinate
         vectors.  The result keeps the scalar type of the inputs: Fraction
@@ -102,6 +109,7 @@ def _sign(p: int, q: int) -> int:
 
 
 def validate_superalgebra(algebra: SuperAlgebra) -> ValidationReport:
+    """Check the axioms afresh; ``SuperAlgebra.report`` keeps the first result."""
     report = ValidationReport(f"superalgebra {algebra.name}")
     n = algebra.dim
     names = algebra.basis_names
@@ -147,7 +155,7 @@ def build_superalgebra(name, basis_names, parity, constants) -> SuperAlgebra:
         tuple(tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in vec)
                     for vec in row) for row in constants),
     )
-    validate_superalgebra(algebra).raise_if_failed()
+    algebra.report.raise_if_failed()
     return algebra
 
 

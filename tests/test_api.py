@@ -90,6 +90,8 @@ def test_public_signatures_are_pinned():
 @pytest.mark.parametrize("call", [
     # no argument marks a representation validated; only validate_rep does
     lambda ws: superrep.MatrixRep("r", ws.pairs["hcline"], None, (), validated=True),
+    lambda ws: superrep.MatrixRep("r", ws.pairs["hcline"], None, (),
+                                  report=ws.reps["hc-rep-2"].report),
     # the line's frequency is read off rho(z)
     lambda ws: superrep.MatrixRep("r", ws.pairs["hcline"], None, (), freq=1.0),
     lambda ws: apply_auto(ws.algebras["hc"], [[1, 0], [0, 1]],
@@ -100,7 +102,7 @@ def test_public_signatures_are_pinned():
     lambda ws: superrep.GaussianRational("1/2"),
     # the kernel flag is read off the upper bound
     lambda ws: superrep.SeminormInterval(0.0, 1.0, kernel_flag=True),
-], ids=["rep-validated", "rep-freq", "apply-auto-checked", "group-data-name",
+], ids=["rep-validated", "rep-report", "rep-freq", "apply-auto-checked", "group-data-name",
         "load-catalog-workspace", "gaussian-rational-string", "seminorm-kernel-flag"])
 def test_removed_settable_values_are_refused(workspace, call):
     with pytest.raises(TypeError):

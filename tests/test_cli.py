@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superrep import cli, crossed, dsl, reps
+from superrep import cli, crossed, dsl, groups, reps, superalgebra
 from superrep.catalog import CATALOG_NAMES, catalog_source, load_catalog
 from superrep.cli import main
 from superrep.crossed import xp_multiply
@@ -51,7 +51,9 @@ def test_pair_mismatch_exits_2(capsys):
     code, out = run(capsys, "--catalog", "hc", "--catalog", "podd",
                     "hat", "--rep", "reg4", "--elem", "a0")
     assert code == 2
-    assert "different pairs" in json.loads(out)["error"]
+    assert json.loads(out) == {
+        "error": "element 'a0' is defined on pair 'hcline', not 'z2odd'"
+    }
 
 
 @pytest.mark.parametrize("argv", [
@@ -61,8 +63,32 @@ def test_pair_mismatch_exits_2(capsys):
 def test_element_of_another_pair_exits_2(capsys, argv):
     code, out = run(capsys, "--catalog", "hc", "--catalog", "podd", *argv)
     assert code == 2
-    error = json.loads(out)["error"]
-    assert "different pairs" in error and "internal error" not in error
+    assert json.loads(out) == {
+        "error": "element 'bs' is defined on pair 'z2odd', not 'hcline'"
+    }
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("xp-mul", "--left", "bx", "--right", "ax"), "element 'ax' is defined on pair 'hcline', not 'z2odd'"),
+    (("seminorm", "--elem", "ax", "--family", "z2-all"),
+     "rep 'chi-pp' is defined on pair 'z2odd', not 'hcline'"),
+    (("seminorm", "--elem", "ax", "--family", "mixed"),
+     "rep 'reg4' is defined on pair 'z2odd', not 'hcline'"),
+    (("ccr-report", "--family", "mixed", "--elem", "a0"),
+     "rep 'reg4' is defined on pair 'z2odd', not 'hcline'"),
+    (("ccr-report", "--family", "hc-grid", "--elem", "a0", "--elem", "bs"),
+     "element 'bs' is defined on pair 'z2odd', not 'hcline'"),
+    (("roundtrip", "--rep", "reg4", "--probe", "a0"),
+     "element 'a0' is defined on pair 'hcline', not 'z2odd'"),
+    (("gamma-check", "--pair", "hcline", "--f", "gauss1", "--h", "d1"),
+     "function 'd1' is defined on pair 'z2odd', not 'hcline'"),
+], ids=["xp-mul", "seminorm", "seminorm-mixed-family", "ccr-report-mixed-family",
+        "ccr-report", "roundtrip", "gamma-check"])
+def test_every_name_lives_on_the_pair_of_the_first(capsys, tmp_path, argv, error):
+    src = tmp_path / "mixed.sexp"
+    src.write_text("(family mixed hc-rep-1 reg4)\n")
+    code, out = run(capsys, "--catalog", "hc", "--catalog", "podd", "--file", str(src), *argv)
+    assert (code, json.loads(out)) == (2, {"error": error})
 
 
 def test_invalid_pair_rejected_at_parse(capsys, tmp_path):
@@ -1056,6 +1082,83 @@ def test_merged_snapshots_are_the_catalogs_parsed_together():
     assert list(ws._sites.items()) == list(fresh._sites.items())
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", "--pair", "hcline"),
+    ("validate", "--algebra", "hc"),
+    ("rep-check", "--rep", "hc-rep-2"),
+], ids=lambda argv: " ".join(argv))
+def test_validate_and_rep_check_validate_nothing_again(capsys, monkeypatch, argv):
+    """From new snapshots, parsing validates each definition once, and the
+    handler prints the reports kept then; a second run validates nothing."""
+    hc = load_catalog("hc")
+    calls = []  # (validator, definition name, whether inside the handler)
+    in_handler = []
+
+    def counted(module, name):
+        # rebound on every superrep module that imports it by name
+        real = getattr(module, name)
+        wrapper = lambda x: calls.append((name, x.name, bool(in_handler))) or real(x)
+        for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "superrep"]:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, wrapper)
+
+    counted(superalgebra, "validate_superalgebra")
+    counted(groups, "validate_pair")
+    counted(reps, "validate_rep")
+    handler = "cmd_" + argv[0].replace("-", "_")
+    real_handler = getattr(cli, handler)
+
+    def traced(*args):
+        in_handler.append(True)
+        try:
+            return real_handler(*args)
+        finally:
+            in_handler.pop()
+
+    monkeypatch.setattr(cli, handler, traced)
+    cli._snapshot.cache_clear()
+    try:
+        assert run(capsys, "--catalog", "hc", *argv)[0] == 0
+        assert sorted(calls) == sorted(
+            [("validate_superalgebra", n, False) for n in hc.algebras]
+            + [("validate_pair", n, False) for n in hc.pairs]
+            + [("validate_rep", n, False) for n in hc.reps])
+        calls.clear()
+        assert run(capsys, "--catalog", "hc", *argv)[0] == 0
+        assert calls == []
+    finally:
+        cli._snapshot.cache_clear()
+
+
+def _fresh_reports():
+    """(argv, the document validating afresh gives) for every shipped
+    algebra, pair and rep."""
+    out = []
+
+    def case(catalog, command, flag, name, doc):
+        argv = ("--catalog", catalog, command, flag, name)
+        out.append(pytest.param(argv, doc, id=" ".join(argv[2:])))
+
+    for catalog in CATALOG_NAMES:
+        ws = load_catalog(catalog)
+        for name, alg in ws.algebras.items():
+            case(catalog, "validate", "--algebra", name,
+                 superalgebra.validate_superalgebra(alg).to_dict())
+        for name, pair in ws.pairs.items():
+            both = [groups.validate_pair(pair), superalgebra.validate_superalgebra(pair.algebra)]
+            case(catalog, "validate", "--pair", name,
+                 {"subject": name, "ok": all(r.ok for r in both),
+                  "checks": [c for r in both for c in r.to_dict()["checks"]]})
+        for name, rep in ws.reps.items():
+            case(catalog, "rep-check", "--rep", name, reps.validate_rep(rep).to_dict())
+    return out
+
+
+@pytest.mark.parametrize("argv, fresh", _fresh_reports())
+def test_a_kept_report_prints_as_a_fresh_validation(capsys, argv, fresh):
+    assert run(capsys, *argv) == (0, json.dumps(fresh, indent=2) + "\n")
+
+
 def test_load_catalog_shares_nothing_with_the_snapshots():
     for name in CATALOG_NAMES:
         fresh, shared = load_catalog(name), cli._snapshot(name)
@@ -1103,7 +1206,7 @@ def test_handlers_leave_the_shared_catalogs_unchanged(capsys, monkeypatch):
         for entry in _GOLDEN:
             assert run(capsys, *entry["argv"]) == (entry["exit"], entry["stdout"])
     assert [print_workspace(cli._snapshot(name)) for name in CATALOG_NAMES] == before
-    assert all(rep.validated for name in CATALOG_NAMES
+    assert all(rep.report.ok for name in CATALOG_NAMES
                for rep in cli._snapshot(name).reps.values())
 
 

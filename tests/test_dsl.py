@@ -365,6 +365,28 @@ def test_printing_gives_back_the_floats_read(name):
     assert again.elements == ws.elements
 
 
+@pytest.mark.parametrize("source", [
+    "(rep zr hcline (grading 1 -1) (rho z ((-0.0i 0) (0 -0.0i))))",
+    "(rep zr hcline (grading 1 -1) (rho z (((c -0.0 -0.0) 0) (-0.0 0))))",
+    "(rep zp z2odd (grading 1 -1) (pi s ((1.0 -0.0) (-0.0 1.0))))",
+    "(rep zp z2odd (grading 1 -1) (pi s ((1.0 0.0) (0.0 (c 1.0 -0.0)))))",
+], ids=["rho-negative-imaginary-zeros", "rho-both-parts-negative", "pi-negative-zeros",
+        "pi-negative-imaginary-zero"])
+def test_signed_zeros_of_a_matrix_survive_print_and_parse(source):
+    """A matrix is left out of the printout only when its bytes are the
+    builder's default, and every entry is printed so that it reads back with
+    the signs of both of its zeros."""
+    ws = load_catalog("hc", "podd")
+    parse(source, ws)
+    again = parse(print_workspace(ws))
+
+    def arrays(rep):
+        return [m.tobytes() for m in (rep.grading, *rep.rho, *(rep.pi_table or ()))]
+
+    assert {k: arrays(r) for k, r in again.reps.items()} == {
+        k: arrays(r) for k, r in ws.reps.items()}
+
+
 # A line pair on lines 1-2 and a finite pair on lines 3-4; each malformed
 # form below sits on line 5.
 PRELUDE = (

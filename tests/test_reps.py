@@ -751,9 +751,35 @@ def test_ccr_flags_and_span(z2odd, hc_grid, workspace):
 @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
 def test_a_non_finite_matrix_is_refused(entry):
     mat = np.array([[1.0, entry], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(OverflowError, match="matrix with a non-finite entry"):
-        operator_norm(mat)
+    for m in (mat, mat.real) if np.isfinite(mat.imag).all() else (mat,):
+        with pytest.raises(OverflowError, match="matrix with a non-finite entry"):
+            operator_norm(m)
     assert operator_norm(np.eye(2) * 1e308) == 1e308
+
+
+_NORM_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(-1e6, 1e6),
+)
+_NORM_MATRICES = st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda shape: st.one_of(
+        st.lists(st.tuples(_NORM_ENTRIES, _NORM_ENTRIES), min_size=shape[0] * shape[1],
+                 max_size=shape[0] * shape[1]).map(
+            lambda parts: np.array([complex(*p) for p in parts], dtype=complex).reshape(shape)),
+        st.lists(_NORM_ENTRIES, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]).map(
+            lambda xs: np.array(xs, dtype=float).reshape(shape)),
+        st.lists(st.integers(-2**40, 2**40), min_size=shape[0] * shape[1],
+                 max_size=shape[0] * shape[1]).map(
+            lambda ns: np.array(ns, dtype=np.int64).reshape(shape)),
+    ))
+
+
+@settings(max_examples=300)
+@given(_NORM_MATRICES)
+def test_operator_norm_is_the_float_of_numpy_s_spectral_norm(mat):
+    """One SVD call gives the float np.linalg.norm(mat, 2) gives, bit for
+    bit, signed zeros, subnormals and huge entries included."""
+    assert operator_norm(mat).hex() == float(np.linalg.norm(mat, 2)).hex()
 
 
 @pytest.mark.parametrize("call", [

@@ -145,7 +145,7 @@ def allclose_validate_rep(rep: MatrixRep, tol: float = 1e-9) -> ValidationReport
                 cov_bad.append(_label(label, moved, target))
     report.add("covariance", not cov_bad, ", ".join(cov_bad))
 
-    rep.validated = report.ok
+    rep.report = report
     return report
 
 
@@ -288,11 +288,12 @@ def test_group_shape_failure_follows_a_passing_rho_shape(name, field, last):
 def test_grading_that_is_not_square_is_the_only_failing_row(grading):
     shipped = next(r for r in SHIPPED if r.name == "hc-rep-2")
     rep = MatrixRep("bad", shipped.pair, grading, shipped.rho)
-    rep.validated = True
-    assert _check_names(validate_rep(rep)) == [
+    rep.report = shipped.report
+    report = validate_rep(rep)
+    assert _check_names(report) == [
         ("grading_shape", False, "grading must be a square matrix"),
     ]
-    assert rep.validated is False
+    assert rep.report is report
 
 
 @pytest.mark.parametrize("name, field, value, row", [
@@ -318,18 +319,19 @@ def test_a_group_field_of_the_other_kind_is_refused(name, field, value, row):
     ("reg4", "rho", "wide"),
 ])
 def test_failing_revalidation_clears_validated(name, field, value):
-    """A representation that validated once and is then broken in shape is
-    no longer marked validated, so that rep_hat validates it again."""
+    """A representation that validated once and is then broken in shape
+    keeps the failed report, so that rep_hat validates it again."""
     shipped = next(r for r in SHIPPED if r.name == name)
     rep = MatrixRep(name, shipped.pair, shipped.grading, shipped.rho, pi_table=shipped.pi_table)
-    assert validate_rep(rep).ok and rep.validated
+    passed = validate_rep(rep)
+    assert passed.ok and rep.report is passed
     if value == "first":
         value = rep.rho[:1]
     elif value == "wide":
         value = tuple(np.zeros((rep.dim, rep.dim + 1)) for _ in rep.rho)
     setattr(rep, field, value)
-    assert not validate_rep(rep).ok
-    assert rep.validated is False
+    failed = validate_rep(rep)
+    assert not failed.ok and rep.report is failed
     a = next(e for e in load_catalog().elements.values() if e.pair == rep.pair)
     with pytest.raises(StructureError, match="failed validation"):
         rep_hat(rep, a)
