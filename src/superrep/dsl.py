@@ -54,7 +54,7 @@ from .groups import (
     Supergroup,
     build_pair,
 )
-from .reps import MatrixRep, validate_rep
+from .reps import MatrixRep
 from .scalars import GR_ZERO, GaussianRational
 from .superalgebra import EVEN, ODD, build_superalgebra
 
@@ -646,9 +646,8 @@ def _build_rep(ws: Workspace, form: SList, name: str, pair: Supergroup):
     table = pair.group.finite and tuple(pi_table.get(g, np.eye(dim, dtype=complex))
                                         for g in range(pair.group.finite.size))
     rep = MatrixRep(name, pair, grading, rho_list, pi_table=table)
-    report = validate_rep(rep)
-    if not report.ok:
-        raise DslError(f"representation {name!r} fails validation ({report.summary()})",
+    if not rep.report.ok:
+        raise DslError(f"representation {name!r} fails validation ({rep.report.summary()})",
                        form.line, form.col)
     return rep
 
@@ -791,6 +790,9 @@ def print_workspace(ws: Workspace) -> str:
             word = " ".join(alg.basis_names[i] for i in w)
             ue = f"(ue (1 {word}))" if word else "(ue (1))"
             terms.append(f"  (tensor {ue} {_print_function(elem.pair, elem.terms[w])})")
+        if not terms:  # the zero element, as one zero tensor
+            zero = "(finitefunc)" if elem.pair.group.kind == FINITE else "(linefunc)"
+            terms.append(f"  (tensor (ue) {zero})")
         out.append(f"(element {name} {elem.pair.name}\n" + "\n".join(terms) + ")")
     for name, rep in ws.reps.items():
         lines = [f"(rep {name} {rep.pair.name}"]

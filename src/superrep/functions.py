@@ -152,6 +152,15 @@ def _term(coeffs: tuple[complex, ...], rate: float, center: float) -> GaussTerm:
     return t
 
 
+def _computed_term(coeffs: tuple[complex, ...], rate: float, center: float) -> GaussTerm:
+    """A term from a computed rate and center, checked once: a rate that
+    underflows to 0 or overflows, or a center that overflows, has left the
+    float range (OverflowError), where ``GaussTerm`` refuses bad input."""
+    if not (0 < rate < inf and -inf < center < inf):
+        raise OverflowError("Gaussian rate or center outside the float range")
+    return _term(coeffs, rate, center)
+
+
 def _poly_trim(coeffs: list[complex]) -> tuple[complex, ...]:
     """A list of complex coefficients without its trailing zeros, as a
     tuple; the list is consumed."""
@@ -297,7 +306,7 @@ class GaussianPoly:
         tau = float(tau)
 
         def shift(t: GaussTerm) -> GaussTerm:
-            return GaussTerm(_poly_shift(t.coeffs, -tau), t.rate, t.center + tau)
+            return _computed_term(_poly_shift(t.coeffs, -tau), t.rate, t.center + tau)
 
         # c + tau can round two centers together, so the result is merged
         return GaussianPoly(map(shift, self.plus), map(shift, self.eps))
@@ -409,7 +418,7 @@ def _term_convolve(a: GaussTerm, b: GaussTerm) -> GaussTerm | None:
         if m:
             out[j] += c * m
     coeffs = _poly_trim(out)
-    return GaussTerm(coeffs, p * q / A, a.center + b.center) if coeffs else None
+    return _computed_term(coeffs, p * q / A, a.center + b.center) if coeffs else None
 
 
 def _convolve_sides(f_terms, h_terms):

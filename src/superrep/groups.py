@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import KW_ONLY, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, inf
+from numbers import Real
 from typing import NamedTuple
 
 from . import linalg
@@ -140,11 +141,13 @@ class Supergroup:
         return GroupPoint(p.base + q.base, p.eps ^ q.eps)
 
     def require_point(self, point):
-        """On a finite pair, refuse (StructureError) all but its own points."""
-        if self.group.kind == FINITE and not (
-                isinstance(point, GroupPoint) and type(point.base) is int
-                and 0 <= point.base < self.group.finite.size and type(point.eps) is bool):
-            raise StructureError(f"{self.name}: {point!r} is not a point of the finite pair")
+        """Refuse (StructureError) all but the pair's own points: a bool eps
+        with an element index on a finite pair, with a finite real on a line."""
+        kind = self.group.kind
+        if not (isinstance(point, GroupPoint) and type(point.eps) is bool and (
+                type(point.base) is int and 0 <= point.base < self.group.finite.size
+                if kind == FINITE else isinstance(point.base, Real) and -inf < point.base < inf)):
+            raise StructureError(f"{self.name}: {point!r} is not a point of the {kind} pair")
 
     def inverse(self, p: GroupPoint) -> GroupPoint:
         if self.group.kind == FINITE:

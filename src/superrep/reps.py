@@ -4,17 +4,19 @@ A representation consists of a diagonal +-1 grading matrix (the image of the
 epsilon element), a group layer (a unitary matrix per element for finite
 groups; for the line, pi(t) = exp(t rho(z)) with rho(z) = i diag(nu_j) the
 line generator's matrix), and one complex matrix per algebra basis element.
-The axioms of a unitary representation are checked with explicit witness
-matrices: each check is ``np.allclose(lhs, rhs, atol=TOL, rtol=1e-5)`` per
-matrix, and all of them are evaluated in one fused comparison.
+Its fields cannot be reassigned, so the axioms of a unitary representation
+are checked once per representation (``MatrixRep.report``) with explicit
+witness matrices: each check is ``np.allclose(lhs, rhs, atol=TOL, rtol=1e-5)``
+per matrix, and all of them are evaluated in one fused comparison.
 
 The bridge ``rep_hat`` sends D (x) f to rho(D) pi(f), skipping a term whose
-rho(D) is the zero matrix; it is the one way into matrices, and it refuses an
-image with a NaN or an infinite entry (OverflowError).  Its operator norm over
-an explicit family gives the lower end of the seminorm interval.  The upper
-end, valid for every representation at once, is a certified fold over the
-odd letters of each stored word: each is peeled by Cauchy-Schwarz, which
-turns its square, a multiple of the central z, into one more derivative of f.
+rho(D) is the zero matrix; it is the one way into matrices, and it refuses a
+representation whose report failed and an image with a NaN or an infinite
+entry (OverflowError).  Its operator norm over an explicit family gives the
+lower end of the seminorm interval.  The upper end, valid for every
+representation at once, is a certified fold over the odd letters of each
+stored word: each is peeled by Cauchy-Schwarz, which turns its square, a
+multiple of the central z, into one more derivative of f.
 """
 
 from __future__ import annotations
@@ -51,24 +53,26 @@ def operator_norm(mat: np.ndarray) -> float:
     return float(np.linalg.svd(_finite(mat), compute_uv=False)[0]) if mat.size else 0.0
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MatrixRep:
-    """A unitary representation given by explicit matrices."""
+    """A unitary representation given by explicit matrices, frozen and equal only to itself."""
 
     name: str
     pair: Supergroup
     grading: np.ndarray  # diagonal +-1 matrix, the image of epsilon
     rho: tuple[np.ndarray, ...]  # one matrix per algebra basis element
     pi_table: tuple[np.ndarray, ...] | None = None  # finite: per group element
-    # the report of the last validate_rep, which alone sets it; rep_hat
-    # validates again unless it passed
-    report: ValidationReport | None = field(default=None, init=False, compare=False, repr=False)
-    # rho(word) per word taken, filled by rho_word; outside equality and repr
-    words: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # rho(word) per word taken, filled by rho_word; outside repr
+    words: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.grading.shape[0]
+
+    @cached_property
+    def report(self) -> ValidationReport:
+        """``validate_rep(self)``, computed once; ``rep_hat`` raises from it."""
+        return validate_rep(self)
 
     @cached_property
     def _pieces(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
@@ -143,7 +147,7 @@ def _complex_matrices(matrices, d: int) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def validate_rep(rep: MatrixRep) -> ValidationReport:
     """Check the unitary-representation axioms with explicit witnesses,
-    afresh, and keep the report as ``rep.report``.
+    afresh; ``MatrixRep.report`` keeps the first result.
 
     Each witnessed check is ``np.allclose(lhs, rhs, atol=TOL)`` (so rtol
     1e-5) on one matrix per label, and its detail joins the labels whose
@@ -158,7 +162,6 @@ def validate_rep(rep: MatrixRep) -> ValidationReport:
     shape = np.shape(rep.grading)
     if len(shape) != 2 or shape[0] != shape[1]:  # the only row of its report
         report.add("grading_shape", False, "grading must be a square matrix")
-        rep.report = report
         return report
     pair = rep.pair
     algebra = pair.algebra
@@ -252,20 +255,18 @@ def validate_rep(rep: MatrixRep) -> ValidationReport:
         report.add(name, not bad, fmt.format(", ".join(bad)))
     if stop:
         report.add(*stop)
-    rep.report = report
     return report
 
 
 # an errstate instance of its own: numpy < 2 keeps the saved state on the
-# instance, and rep_hat may call validate_rep
+# instance, and rep_hat may call validate_rep through rep.report
 @np.errstate(over="ignore", invalid="ignore")
 def rep_hat(rep: MatrixRep, a: CrossedElement) -> np.ndarray:
     """The bridge: sum of rho(D) pi(f) over the canonical terms, formed with
     numpy's overflow and invalid-value warnings off; a term whose rho(D) is
-    the zero matrix adds nothing, even where pi(f) overflows.  An image with
-    a NaN or an infinite entry is refused (OverflowError)."""
-    if rep.report is None or not rep.report.ok:
-        validate_rep(rep).raise_if_failed()
+    the zero matrix adds nothing, even where pi(f) overflows.  A rep whose
+    report failed is refused, and so is a non-finite image (OverflowError)."""
+    rep.report.raise_if_failed()
     if a.pair != rep.pair:
         raise MismatchError("element and representation live over different pairs")
     out = np.zeros((rep.dim, rep.dim), dtype=complex)

@@ -643,6 +643,22 @@ def test_non_finite_result_exits_1(capsys, tmp_path, gauss, argv):
     assert error.startswith("non-finite result: ")
 
 
+@pytest.mark.parametrize("gauss", ["(gauss 1e-200 0 1)", "(gauss 1e300 1e300 1)"],
+                         ids=["rate-underflows", "rate-overflows"])
+@pytest.mark.parametrize("argv", [
+    ("xp-mul", "--left", "a", "--right", "a"),
+    ("gamma-check", "--pair", "hcline", "--f", "f", "--h", "f"),
+], ids=["xp-mul", "gamma-check"])
+def test_a_convolution_outside_the_float_range_exits_1(capsys, tmp_path, gauss, argv):
+    # the convolved rate p q / (p + q) underflows to 0.0 or overflows to inf
+    src = tmp_path / "range.sexp"
+    src.write_text(f"(function f hcline (linefunc (plus {gauss})))\n"
+                   "(element a hcline (tensor (ue (1)) f))\n")
+    code, out = run(capsys, "--catalog", "hc", "--file", str(src), *argv)
+    assert code == 1
+    assert json.loads(out)["error"].startswith("non-finite result: ")
+
+
 def test_a_moment_too_small_to_form_bounds_above_zero(capsys, tmp_path):
     # rate ** 2.5 overflows, while the degree-4 moment is about 1e-750
     src = tmp_path / "steep.sexp"

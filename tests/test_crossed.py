@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -24,7 +25,7 @@ from superrep.enveloping import ODD_MAJOR_ORDER, UEElement, normal_form
 from superrep.errors import MismatchError, StructureError, UnsupportedInstanceError
 from superrep.functions import FiniteFunction, GaussianPoly, fourier_at
 from superrep.groups import GroupPoint
-from superrep.reps import prop33_bound, taylor_norm_check
+from superrep.reps import prop33_bound, reconstruct_pi, taylor_norm_check
 from superrep.scalars import GR_ONE, GR_ZERO, GaussianRational
 
 from test_functions import S3PERM
@@ -460,6 +461,32 @@ def test_mul_group_refuses_a_point_not_of_the_finite_pair(z2odd, point):
     with pytest.raises(StructureError) as exc:
         mul_group(z2odd, point)
     assert str(exc.value) == f"z2odd: {point!r} is not a point of the finite pair"
+
+
+@pytest.mark.parametrize("point", [
+    GroupPoint(math.nan), GroupPoint(math.inf), GroupPoint(-math.inf), GroupPoint("abc"),
+    GroupPoint(None), GroupPoint(1.0, 1), (1.0, False),
+], ids=["nan-base", "inf-base", "minus-inf-base", "str-base", "none-base", "int-eps",
+        "plain-tuple"])
+def test_mul_group_refuses_a_point_not_of_the_line_pair(workspace, point):
+    # a NaN or an infinite base failed only in the Gaussian terms it made, a
+    # str or None base with a ValueError or TypeError
+    hcline, ax = workspace.pairs["hcline"], workspace.elements["ax"]
+    message = f"hcline: {point!r} is not a point of the line pair"
+    with pytest.raises(StructureError) as exc:
+        mul_group(hcline, point).lam(ax)
+    assert str(exc.value) == message
+    with pytest.raises(StructureError) as exc:
+        reconstruct_pi(workspace.reps["hc-rep-2"], point, ax, np.ones(2))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("base", [0, Fraction(1, 2), np.float64(-0.25), 1e300],
+                         ids=["int", "fraction", "numpy-float", "large"])
+def test_mul_group_takes_any_finite_real_on_the_line_pair(workspace, base):
+    hcline, ax = workspace.pairs["hcline"], workspace.elements["ax"]
+    moved = mul_group(hcline, GroupPoint(base, True)).lam(ax)
+    assert moved == mul_group(hcline, GroupPoint(float(base), True)).lam(ax)
 
 
 def test_mul_lie_index_acts_as_its_unit_vector(workspace):

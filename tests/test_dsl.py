@@ -387,6 +387,28 @@ def test_signed_zeros_of_a_matrix_survive_print_and_parse(source):
         k: arrays(r) for k, r in ws.reps.items()}
 
 
+@pytest.mark.parametrize("source", [
+    "(element e hcline (tensor (ue (0 x)) (linefunc (plus (gauss 1 0 1)))))",
+    "(element e hcline (tensor (ue (1 x)) (linefunc (plus (gauss 1 0 1))))"
+    " (tensor (ue (-1 x)) (linefunc (plus (gauss 1 0 1)))))",
+    "(function nil hcline (linefunc)) (element e hcline (tensor (ue (1 x)) nil))",
+    "(element e z2odd (tensor (ue (0 x)) d1))",
+    "(element e z2odd (tensor (ue (1)) d1) (tensor (ue (-1)) d1))",
+    "(element e z2odd (tensor (ue (1 x)) (finitefunc)))",
+], ids=["line-zero-coefficient", "line-cancelling", "line-zero-function",
+        "finite-zero-coefficient", "finite-cancelling", "finite-zero-function"])
+def test_a_zero_element_prints_as_a_zero_tensor_and_parses_back(source):
+    """An element with no terms prints as one tensor of the empty ue and the
+    zero function of its pair, which parses back to the zero element."""
+    ws = load_catalog("hc", "podd")
+    parse(source, ws)
+    assert ws.elements["e"].is_zero()
+    once = print_workspace(ws)
+    again = parse(once)
+    assert again.elements["e"].is_zero()
+    assert print_workspace(again) == once
+
+
 # A line pair on lines 1-2 and a finite pair on lines 3-4; each malformed
 # form below sits on line 5.
 PRELUDE = (

@@ -262,6 +262,20 @@ def test_gauss_term_requires_positive_rate(rate, center):
         GaussianPoly.gaussian(rate, center)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: convolve(GaussianPoly.gaussian(1e-200), GaussianPoly.gaussian(1e-200)),
+    lambda: convolve(GaussianPoly.gaussian(1e300, 1e300), GaussianPoly.gaussian(1e300, 1e300)),
+    lambda: convolve(GaussianPoly.gaussian(1.0, 1e308), GaussianPoly.gaussian(1.0, 1e308)),
+    lambda: GaussianPoly.gaussian(1.0, 1e308).translate(1e308),
+], ids=["convolved-rate-underflows", "convolved-rate-overflows", "convolved-center-overflows",
+        "translated-center-overflows"])
+def test_a_computed_term_outside_the_float_range_overflows(make):
+    """A rate or center computed from valid terms that leaves the float
+    range is a float overflow, not a refusal of the input."""
+    with pytest.raises(OverflowError, match="outside the float range"):
+        make()
+
+
 @pytest.mark.parametrize("coeffs", [(math.nan,), (1.0, math.inf), (complex(0.0, -math.inf),)])
 def test_gaussian_refuses_non_finite_coefficients(coeffs):
     with pytest.raises(StructureError, match="coefficients must be finite"):

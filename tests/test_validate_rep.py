@@ -1,6 +1,7 @@
 """The fused representation check: one comparison per representation, with
 reports equal to the per-matrix ``np.allclose`` checks it replaced."""
 
+import dataclasses
 import math
 import os
 
@@ -144,8 +145,6 @@ def allclose_validate_rep(rep: MatrixRep, tol: float = 1e-9) -> ValidationReport
                 label = f"Ad{point!r} on {algebra.basis_names[i]}"
                 cov_bad.append(_label(label, moved, target))
     report.add("covariance", not cov_bad, ", ".join(cov_bad))
-
-    rep.report = report
     return report
 
 
@@ -274,8 +273,7 @@ def test_wrongly_shaped_pi_fails_pi_table():
 ])
 def test_group_shape_failure_follows_a_passing_rho_shape(name, field, last):
     rep = next(r for r in SHIPPED if r.name == name)
-    bad = MatrixRep("bad", rep.pair, rep.grading, rep.rho, pi_table=rep.pi_table)
-    setattr(bad, field, None)
+    bad = dataclasses.replace(rep, name="bad", **{field: None})
     assert [(c.name, c.ok) for c in validate_rep(bad).checks] == [
         ("grading_diagonal_sign", True), ("grading_involutive", True),
         ("rho_shape", True), (last, False),
@@ -288,12 +286,11 @@ def test_group_shape_failure_follows_a_passing_rho_shape(name, field, last):
 def test_grading_that_is_not_square_is_the_only_failing_row(grading):
     shipped = next(r for r in SHIPPED if r.name == "hc-rep-2")
     rep = MatrixRep("bad", shipped.pair, grading, shipped.rho)
-    rep.report = shipped.report
     report = validate_rep(rep)
     assert _check_names(report) == [
         ("grading_shape", False, "grading must be a square matrix"),
     ]
-    assert rep.report is report
+    assert _check_names(rep.report) == _check_names(report)
 
 
 @pytest.mark.parametrize("name, field, value, row", [
@@ -302,8 +299,7 @@ def test_grading_that_is_not_square_is_the_only_failing_row(grading):
 ], ids=["line-with-pi-table"])
 def test_a_group_field_of_the_other_kind_is_refused(name, field, value, row):
     shipped = next(r for r in SHIPPED if r.name == name)
-    rep = MatrixRep(name, shipped.pair, shipped.grading, shipped.rho, pi_table=shipped.pi_table)
-    setattr(rep, field, value)
+    rep = dataclasses.replace(shipped, **{field: value})
     report = validate_rep(rep)
     assert _check_names(report) == [
         ("grading_diagonal_sign", True, ""), ("grading_involutive", True, ""),
@@ -312,29 +308,51 @@ def test_a_group_field_of_the_other_kind_is_refused(name, field, value, row):
     assert report.to_dict() == allclose_validate_rep(rep).to_dict()
 
 
+@pytest.mark.parametrize("field", ["name", "pair", "grading", "rho", "pi_table", "words"])
+def test_fields_cannot_be_reassigned(field):
+    rep = next(r for r in SHIPPED if r.name == "reg4")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(rep, field, getattr(rep, field))
+
+
 @pytest.mark.parametrize("name, field, value", [
     ("hc-rep-2", "rho", "first"),
     ("hc-rep-2", "rho", "wide"),
     ("reg4", "pi_table", None),
     ("reg4", "rho", "wide"),
 ])
-def test_failing_revalidation_clears_validated(name, field, value):
-    """A representation that validated once and is then broken in shape
-    keeps the failed report, so that rep_hat validates it again."""
+def test_a_broken_copy_carries_its_own_failing_report(name, field, value):
+    """A copy of a validated representation, broken in shape, fails its own
+    report, which rep_hat refuses; the original keeps its passing one."""
     shipped = next(r for r in SHIPPED if r.name == name)
-    rep = MatrixRep(name, shipped.pair, shipped.grading, shipped.rho, pi_table=shipped.pi_table)
-    passed = validate_rep(rep)
-    assert passed.ok and rep.report is passed
     if value == "first":
-        value = rep.rho[:1]
+        value = shipped.rho[:1]
     elif value == "wide":
-        value = tuple(np.zeros((rep.dim, rep.dim + 1)) for _ in rep.rho)
-    setattr(rep, field, value)
-    failed = validate_rep(rep)
-    assert not failed.ok and rep.report is failed
+        value = tuple(np.zeros((shipped.dim, shipped.dim + 1)) for _ in shipped.rho)
+    rep = dataclasses.replace(shipped, **{field: value})
+    assert shipped.report.ok and not rep.report.ok
     a = next(e for e in load_catalog().elements.values() if e.pair == rep.pair)
-    with pytest.raises(StructureError, match="failed validation"):
+    with pytest.raises(StructureError, match=f"representation {name} failed validation"):
         rep_hat(rep, a)
+
+
+def test_reps_with_equal_arrays_are_distinct_and_hashable():
+    shipped = next(r for r in SHIPPED if r.name == "reg4")
+    copy = MatrixRep(shipped.name, shipped.pair, shipped.grading.copy(),
+                     tuple(m.copy() for m in shipped.rho),
+                     pi_table=tuple(m.copy() for m in shipped.pi_table))
+    assert copy != shipped and not copy == shipped and copy == copy
+    assert len({copy, shipped}) == 2
+
+
+def test_the_report_is_computed_once_and_validate_rep_computes_afresh():
+    shipped = next(r for r in SHIPPED if r.name == "hc-rep-2")
+    rep = dataclasses.replace(shipped)
+    kept = rep.report
+    assert rep.report is kept and kept.ok
+    fresh = validate_rep(rep)
+    assert fresh is not kept and fresh.to_dict() == kept.to_dict()
+    assert rep.report is kept
 
 
 def test_an_unvalidated_rep_gets_no_norm_and_no_interval():
