@@ -420,7 +420,7 @@ def _build_pair(ws: Workspace, form: SList, name: str, algebra):
     kind = _head(gform)
     if kind == "line":
         _shaped(gform, "group form", "line group is (line GENERATOR)", 2, 2)
-        group = GroupData(LINE, generator_name=_expect_symbol(gform.items[1], "generator"))
+        group = GroupData(generator_name=_expect_symbol(gform.items[1], "generator"))
     elif kind == "finite":
         elements = table = None
         clauses, ad_sites = {}, {}  # sites of the set-once clauses and ad names
@@ -458,7 +458,7 @@ def _build_pair(ws: Workspace, form: SList, name: str, algebra):
         identity_mat = tuple(map(tuple, linalg.identity_matrix(algebra.dim)))
         mats = tuple(tuple(map(tuple, ad[nm])) if nm in ad else identity_mat
                      for nm in elements)
-        group = GroupData(FINITE, finite=fg, ad_matrices=mats)
+        group = GroupData(finite=fg, ad_matrices=mats)
     else:
         raise DslError(f"unknown group kind {kind!r}", gform.line, gform.col)
     try:

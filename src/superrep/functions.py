@@ -17,7 +17,7 @@ from math import comb, exp, gamma, inf, isnan, nextafter, pi, sqrt
 from numbers import Real
 
 from .errors import MismatchError, StructureError
-from .groups import FINITE, GroupPoint, Supergroup
+from .groups import FINITE, GroupPoint, Supergroup, _is_point
 from .scalars import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussianRational
 
 # ---------------------------------------------------------------------------
@@ -485,8 +485,18 @@ def breve(f):
     raise MismatchError("unsupported function class")
 
 
+def _require_point(g: GroupPoint, f):
+    """Refuse (StructureError) a ``g`` that is not a point of ``f``'s group:
+    of its pair for a finite function, of the line otherwise."""
+    if isinstance(f, FiniteFunction):
+        f.pair.require_point(g)
+    elif not _is_point(g, None):
+        raise StructureError(f"{g!r} is not a point of the line")
+
+
 def left_translate(g: GroupPoint, f):
-    """L_g f (g') = f(g^{-1} g')."""
+    """L_g f (g') = f(g^{-1} g'); refuses a point not of f's group."""
+    _require_point(g, f)
     if isinstance(f, FiniteFunction):
         p = f.pair
         return FiniteFunction._raw(p, {p.multiply(g, q): v for q, v in f.values.items()})
@@ -499,7 +509,8 @@ def left_translate(g: GroupPoint, f):
 
 
 def right_translate(g: GroupPoint, f):
-    """R_g f (g') = f(g' g)."""
+    """R_g f (g') = f(g' g); refuses a point not of f's group."""
+    _require_point(g, f)
     if isinstance(f, FiniteFunction):
         p = f.pair
         gi = p.inverse(g)

@@ -13,7 +13,7 @@ flip.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, inf
@@ -101,17 +101,29 @@ class FiniteGroup:
         return b
 
 
-@dataclass(frozen=True)
+def _is_point(point, finite: FiniteGroup | None) -> bool:
+    """``point`` is a GroupPoint with a bool eps and, as its base, an element
+    index of ``finite`` or, where ``finite`` is None, a finite real."""
+    return isinstance(point, GroupPoint) and type(point.eps) is bool and (
+        isinstance(point.base, Real) and -inf < point.base < inf if finite is None
+        else type(point.base) is int and 0 <= point.base < finite.size)
+
+
+@dataclass(frozen=True, kw_only=True)
 class GroupData:
     """Realization of G: a finite group with per-element adjoint matrices,
-    or the real line generated by one even basis element."""
+    or, when no finite group is given, the real line generated by the even
+    basis element named ``generator_name``."""
 
-    kind: str
-    _: KW_ONLY
     finite: FiniteGroup | None = None
     # adjoint matrix per finite group element, rows of rationals
     ad_matrices: tuple[tuple[tuple[Fraction, ...], ...], ...] | None = None
     generator_name: str | None = None
+
+    @property
+    def kind(self) -> str:
+        """FINITE when a finite group is given, LINE otherwise."""
+        return LINE if self.finite is None else FINITE
 
 
 @dataclass(frozen=True)
@@ -143,11 +155,9 @@ class Supergroup:
     def require_point(self, point):
         """Refuse (StructureError) all but the pair's own points: a bool eps
         with an element index on a finite pair, with a finite real on a line."""
-        kind = self.group.kind
-        if not (isinstance(point, GroupPoint) and type(point.eps) is bool and (
-                type(point.base) is int and 0 <= point.base < self.group.finite.size
-                if kind == FINITE else isinstance(point.base, Real) and -inf < point.base < inf)):
-            raise StructureError(f"{self.name}: {point!r} is not a point of the {kind} pair")
+        if not _is_point(point, self.group.finite):
+            raise StructureError(
+                f"{self.name}: {point!r} is not a point of the {self.group.kind} pair")
 
     def inverse(self, p: GroupPoint) -> GroupPoint:
         if self.group.kind == FINITE:
@@ -238,9 +248,8 @@ def validate_pair(pair: Supergroup) -> ValidationReport:
 
     if group.kind == FINITE:
         fg = group.finite
-        if fg is None or group.generator_name is not None:
-            report.add("group_table", False, "finite pair needs a finite group" if fg is None
-                       else "finite pair takes no generator")
+        if group.generator_name is not None:
+            report.add("group_table", False, "finite pair takes no generator")
             return report
         grp_report = fg.validate()
         report.add("group_table", grp_report.ok, grp_report.summary())
@@ -274,44 +283,39 @@ def validate_pair(pair: Supergroup) -> ValidationReport:
         report.add("ad_identity", ident_ok)
         return report
 
-    if group.kind == LINE:
-        report.add("even_part_line", len(algebra.even_indices()) == 1,
-                   "the even part of a line pair must be 1-dimensional")
-        if group.finite is not None or group.ad_matrices is not None:
-            report.add("generator", False, "line pair takes no finite group"
-                       if group.finite is not None else "line pair takes no adjoint matrices")
-            return report
-        try:
-            z = algebra.index(group.generator_name)
-        except StructureError as exc:
-            report.add("generator", False, str(exc))
-            return report
-        report.add("generator_even", algebra.parity[z] == EVEN,
-                   f"generator {group.generator_name} is odd")
-        terms = pair.line_ad_terms
-        report.add("ad_generator_nilpotent", terms is not None,
-                   "ad z is not nilpotent; the exact exponential is unavailable")
-        if terms is None:
-            return report
-        # the first-order term M_1 of Ad(exp tz) is ad z: column j is [z, b_j]
-        m1 = terms[0] if terms else ((0,) * n,) * n
-        deriv_bad = [
-            algebra.basis_names[j] for j in range(n)
-            if [row[j] for row in m1] != list(algebra.constants[z][j])
-        ]
-        report.add("ad_derivative_matches_bracket", not deriv_bad, ", ".join(deriv_bad))
-        # the exponential of a bracket derivation preserves bracket and parity
-        sample = linalg.transpose(pair.line_ad_matrix(Fraction(1)))
-        parity, bracket = check_automorphism(algebra, sample).checks
-        report.add("ad_parity", parity.ok)
-        report.add("ad_bracket", bracket.ok, bracket.detail)
-        hom_ok = linalg.mat_mul(pair.line_ad_matrix(Fraction(1, 2)),
-                                pair.line_ad_matrix(Fraction(1, 3))) == pair.line_ad_matrix(
-            Fraction(5, 6))
-        report.add("ad_one_parameter", hom_ok)
+    report.add("even_part_line", len(algebra.even_indices()) == 1,
+               "the even part of a line pair must be 1-dimensional")
+    if group.ad_matrices is not None:
+        report.add("generator", False, "line pair takes no adjoint matrices")
         return report
-
-    report.add("kind", False, f"unknown group kind {group.kind!r}")
+    try:
+        z = algebra.index(group.generator_name)
+    except StructureError as exc:
+        report.add("generator", False, str(exc))
+        return report
+    report.add("generator_even", algebra.parity[z] == EVEN,
+               f"generator {group.generator_name} is odd")
+    terms = pair.line_ad_terms
+    report.add("ad_generator_nilpotent", terms is not None,
+               "ad z is not nilpotent; the exact exponential is unavailable")
+    if terms is None:
+        return report
+    # the first-order term M_1 of Ad(exp tz) is ad z: column j is [z, b_j]
+    m1 = terms[0] if terms else ((0,) * n,) * n
+    deriv_bad = [
+        algebra.basis_names[j] for j in range(n)
+        if [row[j] for row in m1] != list(algebra.constants[z][j])
+    ]
+    report.add("ad_derivative_matches_bracket", not deriv_bad, ", ".join(deriv_bad))
+    # the exponential of a bracket derivation preserves bracket and parity
+    sample = linalg.transpose(pair.line_ad_matrix(Fraction(1)))
+    parity, bracket = check_automorphism(algebra, sample).checks
+    report.add("ad_parity", parity.ok)
+    report.add("ad_bracket", bracket.ok, bracket.detail)
+    hom_ok = linalg.mat_mul(pair.line_ad_matrix(Fraction(1, 2)),
+                            pair.line_ad_matrix(Fraction(1, 3))) == pair.line_ad_matrix(
+        Fraction(5, 6))
+    report.add("ad_one_parameter", hom_ok)
     return report
 
 

@@ -4,10 +4,11 @@ A representation consists of a diagonal +-1 grading matrix (the image of the
 epsilon element), a group layer (a unitary matrix per element for finite
 groups; for the line, pi(t) = exp(t rho(z)) with rho(z) = i diag(nu_j) the
 line generator's matrix), and one complex matrix per algebra basis element.
-Its fields cannot be reassigned, so the axioms of a unitary representation
-are checked once per representation (``MatrixRep.report``) with explicit
-witness matrices: each check is ``np.allclose(lhs, rhs, atol=TOL, rtol=1e-5)``
-per matrix, and all of them are evaluated in one fused comparison.
+Its fields cannot be reassigned and its arrays are read-only copies, so the
+axioms of a unitary representation are checked once per representation
+(``MatrixRep.report``) with explicit witness matrices: each check is
+``np.allclose(lhs, rhs, atol=TOL, rtol=1e-5)`` per matrix, and all of them
+are evaluated in one fused comparison.
 
 The bridge ``rep_hat`` sends D (x) f to rho(D) pi(f), skipping a term whose
 rho(D) is the zero matrix; it is the one way into matrices, and it refuses a
@@ -64,6 +65,19 @@ class MatrixRep:
     pi_table: tuple[np.ndarray, ...] | None = None  # finite: per group element
     # rho(word) per word taken, filled by rho_word; outside repr
     words: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        """Keep read-only copies of the arrays, so that no write to them can
+        leave ``report`` stale; the caller's arrays stay writeable."""
+        def frozen(mat):
+            mat = np.array(mat)
+            mat.flags.writeable = False
+            return mat
+
+        object.__setattr__(self, "grading", frozen(self.grading))
+        object.__setattr__(self, "rho", tuple(map(frozen, self.rho)))
+        if self.pi_table is not None:
+            object.__setattr__(self, "pi_table", tuple(map(frozen, self.pi_table)))
 
     @property
     def dim(self) -> int:

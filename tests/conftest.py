@@ -6,9 +6,7 @@ import pytest
 from hypothesis import settings
 
 from superrep.catalog import load_catalog
-from superrep.groups import GroupData, LINE, build_pair
 from superrep.reps import MatrixRep, validate_rep
-from superrep.superalgebra import build_superalgebra
 
 # every property draws the same examples on every run, with no time limit per
 # example and no example database written to disk

@@ -7,7 +7,6 @@ Tolerances are pinned per criterion and stated next to each assertion.
 
 import functools
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -15,7 +14,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from superrep.catalog import load_catalog
 from superrep.cli import main as cli_main
 from superrep.crossed import (
     CrossedElement,
@@ -45,7 +43,6 @@ from superrep.reps import (
     rep_hat,
     seminorm_interval,
     taylor_norm_check,
-    validate_rep,
 )
 from superrep.scalars import GaussianRational
 

@@ -20,7 +20,7 @@ SIGNATURES = {
     "FiniteGroup": ("name", "element_names", "table"),
     "GaussianPoly": ("plus=", "eps="),
     "GaussianRational": ("re=", "im="),
-    "GroupData": ("kind", "*", "finite=", "ad_matrices=", "generator_name="),
+    "GroupData": ("*", "finite=", "ad_matrices=", "generator_name="),
     "GroupPoint": ("base", "eps="),
     "MatrixRep": ("name", "pair", "grading", "rho", "pi_table="),
     "MismatchError": None,
@@ -98,12 +98,15 @@ def test_public_signatures_are_pinned():
                           superrep.UEElement.unit(ws.algebras["hc"]), checked=True),
     # the second positional field was a group name
     lambda ws: superrep.GroupData(LINE, "R", generator_name="z"),
+    # the group kind is read off the fields
+    lambda ws: superrep.GroupData(LINE, generator_name="z"),
     lambda ws: superrep.load_catalog("hc", workspace=superrep.Workspace()),
     lambda ws: superrep.GaussianRational("1/2"),
     # the kernel flag is read off the upper bound
     lambda ws: superrep.SeminormInterval(0.0, 1.0, kernel_flag=True),
 ], ids=["rep-validated", "rep-report", "rep-freq", "apply-auto-checked", "group-data-name",
-        "load-catalog-workspace", "gaussian-rational-string", "seminorm-kernel-flag"])
+        "group-data-kind", "load-catalog-workspace", "gaussian-rational-string",
+        "seminorm-kernel-flag"])
 def test_removed_settable_values_are_refused(workspace, call):
     with pytest.raises(TypeError):
         call(workspace)

@@ -23,7 +23,7 @@ from superrep.crossed import (
 from superrep.dsl import parse
 from superrep.enveloping import ODD_MAJOR_ORDER, UEElement, normal_form
 from superrep.errors import MismatchError, StructureError, UnsupportedInstanceError
-from superrep.functions import FiniteFunction, GaussianPoly, fourier_at
+from superrep.functions import FiniteFunction, GaussianPoly
 from superrep.groups import GroupPoint
 from superrep.reps import prop33_bound, reconstruct_pi, taylor_norm_check
 from superrep.scalars import GR_ONE, GR_ZERO, GaussianRational

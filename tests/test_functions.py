@@ -714,3 +714,21 @@ def test_functions_refusals(workspace, call, error, message):
     with pytest.raises(error) as exc:
         call(workspace)
     assert str(exc.value) == message
+
+
+# each was accepted or raised OverflowError, IndexError or TypeError
+@pytest.mark.parametrize("translate", [left_translate, right_translate], ids=["left", "right"])
+@pytest.mark.parametrize("point, finite, message", [
+    (GroupPoint(math.nan), False, "(nan) is not a point of the line"),
+    (GroupPoint(-math.inf), False, "(-inf) is not a point of the line"),
+    (GroupPoint("1.5"), False, "(1.5) is not a point of the line"),
+    (GroupPoint(0.5, 1), False, "(0.5, eps) is not a point of the line"),
+    (GroupPoint(5), True, "z2odd: (5) is not a point of the finite pair"),
+    (GroupPoint(1.0), True, "z2odd: (1.0) is not a point of the finite pair"),
+], ids=["nan", "inf", "str", "integer-eps", "out-of-range", "float-on-finite"])
+def test_translations_refuse_a_point_not_of_the_function(workspace, translate, point, finite,
+                                                         message):
+    f = _finite(workspace) if finite else GaussianPoly.gaussian()
+    with pytest.raises(StructureError) as exc:
+        translate(point, f)
+    assert str(exc.value) == message

@@ -66,7 +66,7 @@ def test_finite_pair_needs_trivial_even_part(hc):
     ident = tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(2)) for i in range(2)
     )
-    group = GroupData(FINITE, finite=fg, ad_matrices=(ident, ident))
+    group = GroupData(finite=fg, ad_matrices=(ident, ident))
     report = validate_pair(Supergroup("bad", group, hc))
     assert any(c.name == "even_part_trivial" for c in report.failures())
 
@@ -75,7 +75,7 @@ def test_ad_must_be_homomorphism(podd):
     fg = FiniteGroup("z2", ("e", "s"), ((0, 1), (1, 0)))
     # Ad(s) = 2 is parity-preserving and bracket-preserving (brackets vanish)
     # but Ad(s)^2 != Ad(e)
-    group = GroupData(FINITE, finite=fg, ad_matrices=(((Fraction(1),),), ((Fraction(2),),)))
+    group = GroupData(finite=fg, ad_matrices=(((Fraction(1),),), ((Fraction(2),),)))
     report = validate_pair(Supergroup("bad", group, podd))
     assert any(c.name == "ad_homomorphism" for c in report.failures())
 
@@ -84,7 +84,7 @@ def test_line_pair_rejects_odd_generator():
     alg = build_superalgebra(
         "flip", ["z", "x"], [0, 1], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
     )
-    group = GroupData(LINE, generator_name="x")
+    group = GroupData(generator_name="x")
     report = validate_pair(Supergroup("bad", group, alg))
     assert any(c.name == "generator_even" for c in report.failures())
 
@@ -102,7 +102,7 @@ def heis3_line_pair():
             [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
         ],
     )
-    return build_pair("heis3line", GroupData(LINE, generator_name="z"), alg)
+    return build_pair("heis3line", GroupData(generator_name="z"), alg)
 
 
 def test_line_one_parameter_exponential():
@@ -158,7 +158,7 @@ def hc_finite_pair(name, *ad_rest):
     mats = (ident,) + tuple(
         tuple(tuple(Fraction(v) for v in row) for row in mat) for mat in ad_rest
     )
-    group = GroupData(FINITE, finite=FiniteGroup("cyc", names, table), ad_matrices=mats)
+    group = GroupData(finite=FiniteGroup("cyc", names, table), ad_matrices=mats)
     return Supergroup(name, group, alg)
 
 
@@ -209,7 +209,7 @@ def rotation_line_pair():
             [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
         ],
     )
-    return Supergroup("rotline", GroupData(LINE, generator_name="z"), alg)
+    return Supergroup("rotline", GroupData(generator_name="z"), alg)
 
 
 def shear_line_pair():
@@ -225,7 +225,7 @@ def shear_line_pair():
             [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
         ],
     )
-    return build_pair("shearline", GroupData(LINE, generator_name="z"), alg)
+    return build_pair("shearline", GroupData(generator_name="z"), alg)
 
 
 def test_line_pair_reports():
@@ -352,35 +352,62 @@ def _pair(workspace, group, algebra="podd"):
     (lambda ws: NO_IDENTITY.identity, StructureError, "group g has no identity"),
     (lambda ws: NO_INVERSE.inverse(1), StructureError, "group g: element 1 has no inverse"),
     # a failed table ends the report, so the missing adjoint matrices go unreported
-    (lambda ws: _pair(ws, GroupData(FINITE, finite=FiniteGroup("g", ("e", "s"), ((0, 1), (1,))))),
+    (lambda ws: _pair(ws, GroupData(finite=FiniteGroup("g", ("e", "s"), ((0, 1), (1,))))),
      StructureError, "pair q failed validation: group_table: table_shape: "),
     (lambda ws: ws.pairs["z2odd"].generator_index,
      UnsupportedInstanceError, "generator_index only exists for line groups"),
-    (lambda ws: _pair(ws, GroupData(FINITE, finite=ws.pairs["z2odd"].group.finite,
+    (lambda ws: _pair(ws, GroupData(finite=ws.pairs["z2odd"].group.finite,
                                     ad_matrices=(((1,),),))),
      StructureError,
      "pair q failed validation: ad_shape: one adjoint matrix per group element required"),
-    (lambda ws: _pair(ws, GroupData(LINE, generator_name="w"), "hc"),
+    (lambda ws: _pair(ws, GroupData(generator_name="w"), "hc"),
      StructureError, "pair q failed validation: generator: hc: unknown basis element 'w'"),
-    (lambda ws: _pair(ws, GroupData(FINITE)),
-     StructureError, "pair q failed validation: group_table: finite pair needs a finite group"),
-    (lambda ws: _pair(ws, GroupData(FINITE, finite=ws.pairs["z2odd"].group.finite,
+    (lambda ws: _pair(ws, GroupData(finite=ws.pairs["z2odd"].group.finite,
                                     ad_matrices=ws.pairs["z2odd"].group.ad_matrices,
                                     generator_name="x")),
      StructureError, "pair q failed validation: group_table: finite pair takes no generator"),
-    (lambda ws: _pair(ws, GroupData(LINE, generator_name="z",
-                                    finite=ws.pairs["z2odd"].group.finite), "hc"),
-     StructureError, "pair q failed validation: generator: line pair takes no finite group"),
-    (lambda ws: _pair(ws, GroupData(LINE, generator_name="z", ad_matrices=(((1,),),)), "hc"),
+    (lambda ws: _pair(ws, GroupData(generator_name="z", ad_matrices=(((1,),),)), "hc"),
      StructureError, "pair q failed validation: generator: line pair takes no adjoint matrices"),
-    (lambda ws: _pair(ws, GroupData("torus")),
-     StructureError, "pair q failed validation: kind: unknown group kind 'torus'"),
 ], ids=["table-shape", "not-closed", "no-identity", "not-associative", "no-inverse",
         "identity-of-table-without-one", "inverse-of-element-without-one",
         "pair-with-bad-table", "generator-index-on-finite-pair", "ad-shape", "unknown-generator",
-        "finite-without-group", "finite-with-generator", "line-with-finite-group",
-        "line-with-ad-matrices", "unknown-kind"])
+        "finite-with-generator", "line-with-ad-matrices"])
 def test_groups_refusals(workspace, call, error, message):
     with pytest.raises(error) as exc:
         call(workspace)
     assert str(exc.value) == message
+
+
+# each combination of GroupData's fields on two algebras: hc (z even, x odd)
+# and podd (x odd); the finite group is z2odd's, acting by identities
+KIND_CASES = [
+    ("hc", "", LINE, ["generator"]),
+    ("hc", "generator_name", LINE, []),
+    ("hc", "ad_matrices", LINE, ["generator"]),
+    ("hc", "ad_matrices generator_name", LINE, ["generator"]),
+    ("hc", "finite", FINITE, ["even_part_trivial", "ad_shape"]),
+    ("hc", "finite generator_name", FINITE, ["group_table"]),
+    ("hc", "finite ad_matrices", FINITE, ["even_part_trivial"]),
+    ("hc", "finite ad_matrices generator_name", FINITE, ["group_table"]),
+    ("podd", "", LINE, ["even_part_line", "generator"]),
+    ("podd", "generator_name", LINE, ["even_part_line", "generator"]),
+    ("podd", "ad_matrices", LINE, ["even_part_line", "generator"]),
+    ("podd", "ad_matrices generator_name", LINE, ["even_part_line", "generator"]),
+    ("podd", "finite", FINITE, ["ad_shape"]),
+    ("podd", "finite generator_name", FINITE, ["group_table"]),
+    ("podd", "finite ad_matrices", FINITE, []),
+    ("podd", "finite ad_matrices generator_name", FINITE, ["group_table"]),
+]
+
+
+@pytest.mark.parametrize("algebra, fields, kind, failing", KIND_CASES,
+                         ids=[f"{a}-{f.replace(' ', '+') or 'none'}" for a, f, *_ in KIND_CASES])
+def test_the_kind_is_read_off_the_fields(workspace, algebra, fields, kind, failing):
+    alg = workspace.algebras[algebra]
+    ident = tuple(tuple(Fraction(int(i == j)) for j in range(alg.dim)) for i in range(alg.dim))
+    given = {"finite": workspace.pairs["z2odd"].group.finite, "ad_matrices": (ident, ident),
+             "generator_name": "z"}
+    group = GroupData(**{name: given[name] for name in fields.split()})
+    assert group.kind == kind
+    report = validate_pair(Supergroup("q", group, alg))
+    assert [c.name for c in report.failures()] == failing

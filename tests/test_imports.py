@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in that module, and every
-package module imports only modules of earlier layers."""
+"""Every name a package or test module imports is used in that module, and
+every package module imports only modules of earlier layers."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,7 @@ import pytest
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "superrep"
 _MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
+_TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 # each module may import only modules before it
 LAYERS = ["errors", "validation", "linalg", "scalars", "superalgebra", "enveloping", "groups",
           "functions", "crossed", "reps", "dsl", "catalog", "cli"]
@@ -35,7 +36,7 @@ def test_unused_imports_are_found():
     assert unused_imports("from __future__ import annotations\n") == []
 
 
-@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", _MODULES + _TESTS, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -5,7 +5,6 @@ import functools
 import gc
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from superrep.crossed import (
     CrossedElement,
     gamma_integral,
     mul_group,
-    mul_lie,
     xp_multiply,
     xp_star,
 )
@@ -44,7 +42,6 @@ from superrep.reps import (
     taylor_norm_check,
     validate_rep,
 )
-from superrep.scalars import GaussianRational
 
 from conftest import make_hc_rep
 from test_crossed import (

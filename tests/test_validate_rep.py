@@ -15,7 +15,14 @@ from superrep.dsl import DslError, parse
 from superrep.groups import FINITE, GroupPoint
 from superrep.linalg import transpose
 from superrep.errors import StructureError
-from superrep.reps import MatrixRep, rep_hat, seminorm_interval, validate_rep
+from superrep.reps import (
+    MatrixRep,
+    operator_norm,
+    prop33_bound,
+    rep_hat,
+    seminorm_interval,
+    validate_rep,
+)
 from superrep.validation import ValidationReport
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "bench", "fixtures", "bench.sexp")
@@ -313,6 +320,36 @@ def test_fields_cannot_be_reassigned(field):
     rep = next(r for r in SHIPPED if r.name == "reg4")
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(rep, field, getattr(rep, field))
+
+
+@pytest.mark.parametrize("name", ["hc-rep-2", "reg4"])
+def test_the_arrays_are_read_only_copies(name):
+    """A representation keeps read-only copies of its arrays, and so does a
+    dataclasses.replace copy; the caller's arrays stay writeable."""
+    shipped = next(r for r in SHIPPED if r.name == name)
+    grading = shipped.grading.copy()
+    rho = tuple(m.copy() for m in shipped.rho)
+    pi_table = shipped.pi_table and tuple(m.copy() for m in shipped.pi_table)
+    rep = MatrixRep(name, shipped.pair, grading, rho, pi_table=pi_table)
+    for built in (rep, dataclasses.replace(rep), shipped):
+        for mat in [built.grading, *built.rho, *(built.pi_table or ())]:
+            with pytest.raises(ValueError, match="read-only"):
+                mat[0, 0] += 1
+    for mat in [grading, *rho, *(pi_table or ())]:
+        mat[0, 0] += 1
+    assert validate_rep(rep).to_dict() == shipped.report.to_dict()
+
+
+def test_a_write_to_a_validated_rep_cannot_change_a_verdict():
+    """The in-place write that once left hc-rep-2's report passing while
+    validate_rep failed, with a norm of 32.6 over a certified bound of 1.33."""
+    ws = load_catalog("hc")
+    rep, ax = ws.reps["hc-rep-2"], ws.elements["ax"]
+    with pytest.raises(ValueError, match="read-only"):
+        rep.rho[1][0, 1] *= 50
+    rep.words.clear()
+    assert rep.report.ok and validate_rep(rep).ok
+    assert operator_norm(rep_hat(rep, ax)) <= prop33_bound(ax)
 
 
 @pytest.mark.parametrize("name, field, value", [
