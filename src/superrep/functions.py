@@ -169,6 +169,25 @@ def _poly_trim(coeffs: list[complex]) -> tuple[complex, ...]:
     return tuple(coeffs)
 
 
+def _poly_derivative(p, c0: float, c1: float) -> tuple[complex, ...]:
+    """Coefficients of p'(t) + (c0 + c1 t) p(t), the polynomial of the
+    derivative of p(t) exp(-a (t - mu)^2) for c0 = 2 a mu and c1 = -2a.  The
+    linear part lin[k] = (0j + p[k-1] c1) + p[k] c0 is trimmed, then added
+    to p'[k] = (k + 1) p[k+1]; past the end of either, the other is added to 0."""
+    lin, carry = [], 0j
+    for c in p:
+        lin.append(carry + c * c0)
+        carry = 0j + c * c1
+    lin.append(carry)
+    while lin and lin[-1] == 0:
+        lin.pop()
+    last = len(p) - 1
+    out = [k * p[k] + x for k, x in enumerate(lin[:last], 1)]
+    out += [0 + x for x in lin[last:]]
+    out += [k * p[k] + 0 for k in range(len(lin) + 1, last + 1)]
+    return _poly_trim(out)
+
+
 def _poly_shift(coeffs, shift: complex) -> tuple[complex, ...]:
     """Coefficients of p(t + shift) given those of p(t); each power of
     ``shift`` is formed once."""
@@ -186,6 +205,8 @@ def _poly_shift(coeffs, shift: complex) -> tuple[complex, ...]:
 # 40 digits with no exponent limit, and pi to 46 digits
 _WIDE = Context(prec=40, Emin=MIN_EMIN, Emax=MAX_EMAX)
 _PI = Decimal("3.141592653589793238462643383279502884197169399")
+# the zeroth moment's numerator, gamma((0 + 1) / 2.0)
+_GAMMA_HALF = gamma(0.5)
 
 
 def _abs_moment(k: int, rate: float, up: bool = True) -> float:
@@ -312,22 +333,12 @@ class GaussianPoly:
         return GaussianPoly(map(shift, self.plus), map(shift, self.eps))
 
     def derivative(self) -> "GaussianPoly":
-        """d/dt on each component."""
+        """d/dt on each component: each term's coefficients go through the
+        coefficient kernel the L1 row kernel walks (``_poly_derivative``)."""
 
         def d(term: GaussTerm) -> GaussTerm:
-            p, a, mu = term.coeffs, term.rate, term.center
-            dp = [k * p[k] for k in range(1, len(p))]
-            # -2a(t - mu) p(t) = (2a mu - 2a t) p(t)
-            c0, c1 = 2.0 * a * mu, -2.0 * a
-            lin = [0j] * (len(p) + 1)
-            for k, c in enumerate(p):
-                lin[k] += c * c0
-                lin[k + 1] += c * c1
-            lin = _poly_trim(lin)
-            return _term(_poly_trim([
-                (dp[k] if k < len(dp) else 0) + (lin[k] if k < len(lin) else 0)
-                for k in range(max(len(dp), len(lin)))
-            ]), a, mu)
+            a, mu = term.rate, term.center
+            return _term(_poly_derivative(term.coeffs, 2.0 * a * mu, -2.0 * a), a, mu)
 
         return self._map(d)
 
@@ -431,21 +442,52 @@ def _convolve_sides(f_terms, h_terms):
     return tuple(out)
 
 
-def _term_l1_bound(term: GaussTerm, center_slack: float = 0.0) -> float:
-    """Certified upper bound on the L1 norm of one term via moment bounds.
-    ``center_slack`` widens the bound so it also covers every translate of
-    the term by at most that amount."""
-    a, mu = term.rate, abs(term.center) + center_slack
-    n = len(term.coeffs)
-    moments = [_abs_moment(j, a) for j in range(n)]
-    powers = [mu ** e for e in range(n)]
-    total = 0.0
-    for k, c in enumerate(term.coeffs):
-        if c == 0:
-            continue
-        # |t|^k <= sum_j C(k,j) |mu|^(k-j) |u|^j with u = t - center
-        total += abs(c) * sum([comb(k, j) * powers[k - j] * moments[j] for j in range(k + 1)])
-    return total
+def _l1_row(f: GaussianPoly, m: int, r: int, center_slack: float = 0.0) -> list[float]:
+    """``[l1_bound(f^(m), center_slack), ..., l1_bound(f^(m+r), center_slack)]``
+    bit for bit, with the slack unchecked, from one walk down each term's
+    chain of derivative coefficients.  A term's moments, powers of its
+    widened center and inner sums are formed once for its whole chain; a
+    term whose coefficients trim to empty leaves it.  Nothing is kept
+    across calls.
+
+    The bound of a term p(t) exp(-a (t - mu)^2) is the sum over the nonzero
+    p[k] of |p[k]| S_k, with S_k the sum over j <= k of C(k, j) |mu|^(k-j)
+    M_j, where |t|^k <= sum_j C(k, j) |mu|^(k-j) |t - mu|^j, M_j bounds the
+    j-th absolute moment, and ``center_slack`` widens |mu| so that the bound
+    also covers every translate by at most that amount."""
+    sides = []
+    for terms in (f.plus, f.eps):
+        cols = [[] for _ in range(r + 1)]
+        for term in terms:
+            p, a = term.coeffs, term.rate
+            c0, c1 = 2.0 * a * term.center, -2.0 * a
+            mu = abs(term.center) + center_slack
+            moments, powers, sums = [], [], []
+            for order in range(m + r + 1):
+                if order:
+                    p = _poly_derivative(p, c0, c1)
+                    if not p:
+                        break
+                if order < m:
+                    continue
+                for k in range(len(sums), len(p)):
+                    moments.append(_abs_moment(k, a))
+                    powers.append(mu ** k)
+                    sums.append(sum([comb(k, j) * powers[k - j] * moments[j]
+                                     for j in range(k + 1)]))
+                total = 0.0
+                for c, s in zip(p, sums):
+                    if c:
+                        total += abs(c) * s
+                cols[order - m].append(total)
+        sides.append(cols)
+    row = []
+    for plus, eps in zip(*sides):
+        total = sum(plus, 0.0) + sum(eps, 0.0)
+        # every stored coefficient starts finite, so a NaN comes from an
+        # overflow (inf - inf, or inf * 0 in a derivative), and inf bounds it
+        row.append(inf if isnan(total) else total)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -520,20 +562,22 @@ def right_translate(g: GroupPoint, f):
     return left_translate(GroupPoint(-float(g.base), g.eps), f)
 
 
+def _checked_slack(center_slack: float) -> float:
+    """``center_slack`` itself; one that is not a finite number >= 0 is
+    refused (StructureError)."""
+    if not (isinstance(center_slack, Real) and 0 <= center_slack < inf):
+        raise StructureError("center slack must be a finite number >= 0")
+    return center_slack
+
+
 def l1_bound(f, center_slack: float = 0.0) -> float:
     """Certified upper bound on the L1 norm over the epsilon-extension; a
     ``center_slack`` that is not a finite number >= 0 is refused."""
-    if not (isinstance(center_slack, Real) and 0 <= center_slack < inf):
-        raise StructureError("center slack must be a finite number >= 0")
+    center_slack = _checked_slack(center_slack)
     if isinstance(f, FiniteFunction):
         return float(sum(abs(v) for v in f.values.values()))
     if isinstance(f, GaussianPoly):
-        total = sum((_term_l1_bound(t, center_slack) for t in f.plus), 0.0) + sum(
-            (_term_l1_bound(t, center_slack) for t in f.eps), 0.0
-        )
-        # every stored coefficient starts finite, so a NaN comes from an
-        # overflow (inf - inf, or inf * 0 in a derivative), and inf bounds it
-        return inf if isnan(total) else total
+        return _l1_row(f, 0, 0, center_slack)[0]
     raise MismatchError("unsupported function class")
 
 
@@ -558,7 +602,8 @@ def fourier_at(f: GaussianPoly, freq: float, component: str = "plus") -> complex
     for term in terms:
         coeffs, a, mu = term.coeffs, term.rate, term.center
         if len(coeffs) == 1:
-            total = coeffs[0] * _gauss_moment(0, a)
+            # _gauss_moment(0, a): the direct quotient, in range for every valid rate
+            total = coeffs[0] * (_GAMMA_HALF / a ** 0.5)
         else:
             shifted = _poly_shift(coeffs, ifreq / (2.0 * a) + mu)
             total = sum([c * _gauss_moment(k, a) for k, c in enumerate(shifted)])

@@ -13,23 +13,27 @@ are evaluated in one fused comparison.
 The bridge ``rep_hat`` sends D (x) f to rho(D) pi(f), skipping a term whose
 rho(D) is the zero matrix; it is the one way into matrices, and it refuses a
 representation whose report failed and an image with a NaN or an infinite
-entry (OverflowError).  Its operator norm over an explicit family gives the
-lower end of the seminorm interval.  The upper end, valid for every
-representation at once, is a certified fold over the odd letters of each
-stored word: each is peeled by Cauchy-Schwarz, which turns its square, a
-multiple of the central z, into one more derivative of f.
+entry (OverflowError).  Each representation forms a word's rho(D) once, and
+keeps it read-only in a private cache together with whether it vanishes.
+Its operator norm over an explicit family gives the lower end of the
+seminorm interval.  The upper end, valid for every representation at once,
+is a certified fold over the odd letters of each stored word: each is peeled
+by Cauchy-Schwarz, which turns its square, a multiple of the central z, into
+one more derivative of f.  The L1 bounds of those derivatives come as one
+row per term from the functions layer's kernel, which walks each Gaussian
+term's chain of derivatives once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
 from .crossed import CrossedElement, mul_group, mul_lie
 from .errors import MismatchError, StructureError, UnsupportedInstanceError
-from .functions import fourier_at, l1_bound
+from .functions import _l1_row, fourier_at, l1_bound
 from .groups import FINITE, LINE, GroupPoint, Supergroup
 from .superalgebra import is_nilpotent, is_odd_generated
 from .validation import ValidationReport
@@ -63,8 +67,6 @@ class MatrixRep:
     grading: np.ndarray  # diagonal +-1 matrix, the image of epsilon
     rho: tuple[np.ndarray, ...]  # one matrix per algebra basis element
     pi_table: tuple[np.ndarray, ...] | None = None  # finite: per group element
-    # rho(word) per word taken, filled by rho_word; outside repr
-    words: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         """Keep read-only copies of the arrays, so that no write to them can
@@ -110,19 +112,27 @@ class MatrixRep:
                                    for nu, proj, _ in self._pieces))
         return base @ self.grading if point.eps else base
 
-    def rho_word(self, word: Word) -> np.ndarray:
-        """rho(b_w1) ... rho(b_wk): the complex identity multiplied on the
-        right by each letter's matrix in turn.  Formed once per word and kept
-        read-only in ``words``, as rho is fixed once the representation is
-        built."""
-        out = self.words.get(word)
+    @cached_property
+    def _words(self) -> dict[Word, tuple[np.ndarray, bool]]:
+        """(rho_word(w), whether it is the zero matrix) per word w taken."""
+        return {}
+
+    def _word(self, word: Word) -> tuple[np.ndarray, bool]:
+        """``rho_word(word)`` and whether it vanishes, formed once per word,
+        as rho is fixed once the representation is built."""
+        out = self._words.get(word)
         if out is None:
-            out = np.eye(self.dim, dtype=complex)
+            mat = np.eye(self.dim, dtype=complex)
             for i in word:
-                out = out @ self.rho[i]
-            out.flags.writeable = False
-            self.words[word] = out
+                mat = mat @ self.rho[i]
+            mat.flags.writeable = False
+            out = self._words[word] = (mat, not mat.any())
         return out
+
+    def rho_word(self, word: Word) -> np.ndarray:
+        """rho(b_w1) ... rho(b_wk), read-only: the complex identity multiplied
+        on the right by each letter's matrix in turn."""
+        return self._word(word)[0]
 
     def _pi_function(self, f) -> np.ndarray:
         """pi(f): the function integrated against the group layer; f is a
@@ -285,8 +295,8 @@ def rep_hat(rep: MatrixRep, a: CrossedElement) -> np.ndarray:
         raise MismatchError("element and representation live over different pairs")
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
     for word, f in a.terms.items():
-        rho = rep.rho_word(word)
-        if rho.any():
+        rho, vanishes = rep._word(word)
+        if not vanishes:
             out += rho @ rep._pi_function(f)
     return _finite(out)
 
@@ -308,23 +318,22 @@ def _word_bounds(a: CrossedElement) -> tuple[dict[Word, float], float]:
     and their sum, ``prop33_bound(a)``.  Each word is read as it stands: its
     odd letters y_1 ... y_r and m = len(word) - r letters z, as on every pair
     the bound accepts z is central and each [y, y] is c_y z or 0.  The row
-    L1(f^(m)), ..., L1(f^(m+r)) of z-derivatives (an L1 norm drops the sign
-    of R_z f = -f') is peeled by y_r, ..., y_1: peeling y sets row[k] to
-    _peel(row[k], |c_y| row[k+1]) for each k but the last."""
+    L1(f^(m)), ..., L1(f^(m+r)) of z-derivatives, from one ``_l1_row`` call
+    (an L1 norm drops the sign of R_z f = -f'), is peeled by y_r, ..., y_1:
+    peeling y sets row[k] to _peel(row[k], |c_y| row[k+1]) for each k but
+    the last."""
     a.pair.require_trivial_line_ad()
     algebra = a.pair.algebra
+    line = a.pair.group.kind == LINE
     bounds = {}
     for word, f in a.terms.items():
         squares = [algebra.bracket_terms[y][y] for y in word if algebra.parity[y]]
         if not all(squares):
             bounds[word] = 0.0  # a vanishing [y, y] forces rho(y) = 0 in every representation
             continue
-        for _ in range(len(word) - len(squares)):
-            f = f.derivative()
-        row = [l1_bound(f)]
-        for _ in squares:
-            f = f.derivative()
-            row.append(l1_bound(f))
+        # a finite pair has no even letter, so there a word with no vanishing
+        # square is the empty word, whose row is L1(f)
+        row = _l1_row(f, len(word) - len(squares), len(squares)) if line else [l1_bound(f)]
         for i in reversed(range(len(squares))):
             [(_, cy)] = squares[i]
             weight = abs(float(cy))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superrep import cli, crossed, dsl, groups, reps, superalgebra
+from superrep import cli, crossed, dsl, functions, groups, reps, superalgebra
 from superrep.catalog import CATALOG_NAMES, catalog_source, load_catalog
 from superrep.cli import main
 from superrep.crossed import xp_multiply
@@ -22,7 +22,7 @@ from superrep.functions import GaussianPoly
 
 from test_crossed import random_line_element
 from test_dsl import MUTATION, mutated_source
-from test_reps import HC2LINE_SOURCE, OCLINE_SOURCE
+from test_reps import HC2LINE_SOURCE, OCLINE_SOURCE, counted, counted_rows
 
 
 def run(capsys, *argv):
@@ -824,24 +824,20 @@ def test_roundtrip_forms_one_bridge_matrix_per_reconstruction(
 
 
 def test_bound_runs_the_recursion_once_per_term(capsys, monkeypatch):
-    # one pass over the words, doing the work of one prop33_bound call
-    calls, word_bounds, l1_bound = {"pass": 0, "l1_bound": 0}, cli._word_bounds, reps.l1_bound
-
-    def counted_pass(a):
-        calls["pass"] += 1
-        return word_bounds(a)
-
-    def counted_l1(f):
-        calls["l1_bound"] += 1
-        return l1_bound(f)
-
-    monkeypatch.setattr(cli, "_word_bounds", counted_pass)
-    monkeypatch.setattr(reps, "l1_bound", counted_l1)
+    # one pass over the words, doing the work of one prop33_bound call: one
+    # L1 row per term, and one coefficient derivative per Gaussian term and order
+    calls = {"_word_bounds": 0, "_l1_row": 0, "entries": 0, "_poly_derivative": 0}
+    counted(cli, "_word_bounds", calls, monkeypatch)
+    counted_rows(calls, monkeypatch)
+    counted(functions, "_poly_derivative", calls, monkeypatch)
     code, out = run(capsys, "--catalog", "hc", "bound", "--elem", "axz")
     assert code == 0 and len(json.loads(out)["terms"]) == 2
-    by_cli, calls["l1_bound"] = calls["l1_bound"], 0
+    by_cli = dict(calls)
+    calls.update(_l1_row=0, entries=0, _poly_derivative=0)
     reps.prop33_bound(cli._snapshot("hc").table("element")["axz"])
-    assert (calls["pass"], by_cli) == (1, calls["l1_bound"]) == (1, 4)
+    # x (x) f: L1(f), L1(f'); z x (x) g: L1(g'), L1(g'')
+    assert by_cli == calls == {"_word_bounds": 1, "_l1_row": 2, "entries": 4,
+                               "_poly_derivative": 3}
 
 
 def test_bound_reads_the_terms_as_they_are(capsys, monkeypatch):

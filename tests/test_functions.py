@@ -2,6 +2,7 @@
 
 import cmath
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -598,6 +599,137 @@ def test_fourier_and_l1_kernels_match_the_reference_bit_for_bit(plus, eps, const
     got = l1_bound(f, slack)
     # a float for the empty function too
     assert type(got) is float and got.hex() == expected.hex()
+
+
+# the chain of derivatives and L1 bounds as it was before the L1 row kernel:
+# one GaussianPoly.derivative per order, each term's coefficients formed as
+# below, then one L1 bound per order, every moment, power and inner sum
+# formed afresh for each term
+
+
+def _ref_derivative(f):
+    def d(term):
+        p, a, mu = term.coeffs, term.rate, term.center
+        dp = [k * p[k] for k in range(1, len(p))]
+        c0, c1 = 2.0 * a * mu, -2.0 * a
+        lin = [0j] * (len(p) + 1)
+        for k, c in enumerate(p):
+            lin[k] += c * c0
+            lin[k + 1] += c * c1
+        lin = functions._poly_trim(lin)
+        return GaussTerm(functions._poly_trim([
+            (dp[k] if k < len(dp) else 0) + (lin[k] if k < len(lin) else 0)
+            for k in range(max(len(dp), len(lin)))
+        ]), a, mu)
+
+    return GaussianPoly._keyed(map(d, f.plus), map(d, f.eps))
+
+
+def _ref_chain_term_l1(term, center_slack):
+    a, mu = term.rate, abs(term.center) + center_slack
+    n = len(term.coeffs)
+    moments = [functions._abs_moment(j, a) for j in range(n)]
+    powers = [mu ** e for e in range(n)]
+    total = 0.0
+    for k, c in enumerate(term.coeffs):
+        if c == 0:
+            continue
+        total += abs(c) * sum([math.comb(k, j) * powers[k - j] * moments[j]
+                               for j in range(k + 1)])
+    return total
+
+
+def _ref_l1_row(f, m, r, center_slack):
+    row = []
+    for order in range(m + r + 1):
+        if order:
+            f = _ref_derivative(f)
+        if order >= m:
+            total = sum((_ref_chain_term_l1(t, center_slack) for t in f.plus), 0.0) + sum(
+                (_ref_chain_term_l1(t, center_slack) for t in f.eps), 0.0)
+            row.append(math.inf if math.isnan(total) else total)
+    return row
+
+
+def _outcome(run, *args):
+    """The float.hex of each entry of ``run(*args)``, or the exception type."""
+    try:
+        return [x.hex() for x in run(*args)]
+    except OverflowError as err:
+        return type(err)
+
+
+def _parts_hex(f):
+    return [[(t.rate, t.center, [(c.real.hex(), c.imag.hex()) for c in t.coeffs])
+             for t in side] for side in (f.plus, f.eps)]
+
+
+# rates across the float range, centers whose powers overflow, and
+# coefficients with signed zero parts, of degree 0 to 7; moderate rates and
+# centers are drawn twice as often, so that most rows stay finite
+_CHAIN_RATES = [5e-324, 1e-300, 1e-3, 1.0, 1e3, 1e300, sys.float_info.max]
+_chain_terms = st.lists(
+    st.builds(
+        GaussTerm,
+        st.lists(_coeffs, min_size=1, max_size=8).map(lambda c: functions._poly_trim(list(c))),
+        st.one_of(st.sampled_from(_CHAIN_RATES), *[st.floats(0.1, 4.0)] * 2),
+        st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300]), *[st.floats(-3.0, 3.0)] * 2),
+    ),
+    max_size=3,
+    unique_by=lambda t: (t.rate, t.center),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chain_terms, _chain_terms, st.integers(0, 8), st.integers(0, 8),
+       st.sampled_from([0.0, 0.05, 2.0]))
+# test_an_overflowing_derivative_bounds_to_inf in test_reps: inf parts, and
+# inf - inf in the derivatives of a finite coefficient
+@example([GaussTerm((complex(1e308, 1e308),), 1.0)], [], 0, 1, 0.0)
+@example([GaussTerm((1e308 + 0j,), 1.0)], [], 1, 1, 0.0)
+# a negative center widened by the slack
+@example([GaussTerm((1 + 0j, -0.5j), 1.0, -1.0)], [GaussTerm((2 + 0j,), 0.5, 0.25)], 1, 2, 2.0)
+# a linear part that underflows to zero above p', whose -0.0 parts a + 0 drops
+@example([GaussTerm((complex(-5e-324, -0.0),) * 3, 5e-324)], [], 0, 1, 0.0)
+def test_l1_row_kernel_matches_the_derivative_chain_bit_for_bit(plus, eps, m, r, slack):
+    r = min(r, 8 - m)  # orders 0 to 8
+    f = GaussianPoly._keyed(plus, eps)
+    # the keyed build keeps -0.0 parts, and the conjugate flips them
+    for g in (f, f.conjugate()):
+        assert _outcome(functions._l1_row, g, m, r, slack) == _outcome(_ref_l1_row, g, m, r, slack)
+        assert _parts_hex(g.derivative()) == _parts_hex(_ref_derivative(g))
+    if (m, r) == (0, 0):
+        assert _outcome(lambda: [l1_bound(f, slack)]) == _outcome(_ref_l1_row, f, 0, 0, slack)
+
+
+# complex numbers with parts 0.0, -0.0, 1.0 and -1.0
+_SIGNED = [complex(x, y) for x in (0.0, -0.0, 1.0, -1.0) for y in (0.0, -0.0, 1.0, -1.0)]
+
+
+def test_derivative_coefficients_keep_the_zero_signs_of_the_chain():
+    # every coefficient tuple of degree 0 to 2 over _SIGNED, at centers of
+    # both signs: each sign of a zero part is the old chain's
+    for n in (1, 2, 3):
+        for p in itertools.product(_SIGNED, repeat=n):
+            if p[-1] == 0:
+                continue
+            for center in (0.0, -0.0, 1.5, -1.5):
+                f = GaussianPoly._keyed((GaussTerm(p, 1.0, center),), ())
+                assert _parts_hex(f.derivative()) == _parts_hex(_ref_derivative(f))
+
+
+@pytest.mark.parametrize("rate", _CHAIN_RATES)
+def test_the_constant_fourier_term_reads_the_zeroth_moment(rate):
+    assert (math.gamma(0.5) / rate ** 0.5).hex() == functions._gauss_moment(0, rate).hex()
+    for c in (1 + 0j, complex(-0.0, 2.5), complex(-3.0, -0.0), 1e300 + 1e300j):
+        for center in (0.0, -0.0, -0.75, 1e300):
+            f = GaussianPoly._keyed((GaussTerm((c,), rate, center),), ())
+            for freq in (0.0, -0.0, 1.5):
+                value = (cmath.exp(1j * freq * center) * math.exp(-freq * freq / (4.0 * rate))
+                         * (c * functions._gauss_moment(0, rate)))
+                got, expected = fourier_at(f, freq), sum([value], 0j)
+                assert (got.real.hex(), got.imag.hex()) == (
+                    expected.real.hex(), expected.imag.hex())
 
 
 def test_gauss_term_is_an_immutable_value():

@@ -1,5 +1,5 @@
-"""Every name a package or test module imports is used in that module, and
-every package module imports only modules of earlier layers."""
+"""Every name a package, test or benchmark module imports is used in that
+module, and every package module imports only modules of earlier layers."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,7 @@ import pytest
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "superrep"
 _MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
 _TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+_BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
 # each module may import only modules before it
 LAYERS = ["errors", "validation", "linalg", "scalars", "superalgebra", "enveloping", "groups",
           "functions", "crossed", "reps", "dsl", "catalog", "cli"]
@@ -36,7 +37,8 @@ def test_unused_imports_are_found():
     assert unused_imports("from __future__ import annotations\n") == []
 
 
-@pytest.mark.parametrize("path", _MODULES + _TESTS, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", _MODULES + _TESTS + _BENCH,
+                         ids=lambda p: f"bench-{p.stem}" if p in _BENCH else p.stem)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

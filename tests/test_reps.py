@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superrep import reps
+from superrep import functions, reps
 from superrep.catalog import load_catalog
 from superrep.crossed import (
     CrossedElement,
     gamma_integral,
     mul_group,
+    orbit_derivative_check,
     xp_multiply,
     xp_star,
 )
@@ -350,25 +351,44 @@ def counted(owner, name, calls, monkeypatch):
     monkeypatch.setattr(owner, name, call)
 
 
+def counted_rows(calls, monkeypatch):
+    """Patch the bound's L1 row kernel to count its calls in
+    ``calls["_l1_row"]`` and the entries of its rows in ``calls["entries"]``."""
+    real = reps._l1_row
+
+    def call(*args):
+        row = real(*args)
+        calls["_l1_row"] += 1
+        calls["entries"] += len(row)
+        return row
+
+    monkeypatch.setattr(reps, "_l1_row", call)
+
+
 def test_bound_matches_reference_recursion_bit_for_bit(hcline, monkeypatch):
     hc2line = parse(HC2LINE_SOURCE).pairs["hc2tline"]
     rng = random.Random(212)
-    calls = {"derivative": 0}
-    counted(GaussianPoly, "derivative", calls, monkeypatch)
+    calls = {"_poly_derivative": 0, "_l1_row": 0, "entries": 0}
+    counted(functions, "_poly_derivative", calls, monkeypatch)
+    counted_rows(calls, monkeypatch)
     deepest = 0
     for pair in (hcline, hc2line):
         for _ in range(8):
             a = random_line_element(rng, pair, max_deg=4)
             b = random_line_element(rng, pair, max_deg=4)
             for elem in (a, b, xp_multiply(a, b)):
-                calls["derivative"] = 0
+                calls.update(dict.fromkeys(calls, 0))
                 bound = prop33_bound(elem)
-                # read before the reference, which derives through the same method
-                made = calls["derivative"]
+                # read before the reference, which derives through the same kernel
+                made = dict(calls)
                 reference, derived = reference_prop33(elem)
                 assert bound == reference
-                # one derivative per distinct (term, non-empty even word)
-                assert made == len(derived)
+                # one row per term, and one coefficient derivative per Gaussian
+                # term of each distinct (term, non-empty even word)
+                assert made["_l1_row"] == len(elem.terms)
+                assert made["_poly_derivative"] == sum(
+                    len(elem.terms[word].plus) + len(elem.terms[word].eps)
+                    for word, _ in derived)
                 deepest = max([deepest] + [len(even) for _, even in derived])
     assert deepest == 6
 
@@ -386,25 +406,28 @@ def test_bound_peels_each_word_pair_once_bit_for_bit(n, monkeypatch):
     pair = deep_odd_line(n)
     f = GaussianPoly.gaussian(1.0) + GaussianPoly.gaussian(0.5, -0.75, (0.25, 1j, -2.0), "eps")
     a = CrossedElement(pair, {tuple(range(1, n + 1)): f})  # the monomial x1...xn
-    calls, visited = {"derivative": 0, "l1_bound": 0, "_peel": 0}, []
+    calls, visited = {"_poly_derivative": 0, "_l1_row": 0, "entries": 0, "_peel": 0}, []
     reference = reference_bound_term
 
     def counted_reference(pair, odd_word, even_word, f, seen):
         visited.append((odd_word, even_word))
         return reference(pair, odd_word, even_word, f, seen)
 
-    counted(GaussianPoly, "derivative", calls, monkeypatch)
-    counted(reps, "l1_bound", calls, monkeypatch)
+    counted(functions, "_poly_derivative", calls, monkeypatch)
+    counted_rows(calls, monkeypatch)
     counted(reps, "_peel", calls, monkeypatch)
     monkeypatch.setitem(globals(), "reference_bound_term", counted_reference)
     bound = prop33_bound(a)
-    # read before the reference, which derives through the same method
+    # read before the reference, which derives through the same kernel
     made = dict(calls)
     assert bound.hex() == reference_prop33(a)[0].hex()
-    # one leaf per derivative order and one peel per distinct (odd word, even
-    # word) above them: 45 nodes at n = 8, where the reference makes 511 calls
-    assert made == {"derivative": n, "l1_bound": n + 1, "_peel": n * (n + 1) // 2}
-    assert len(set(visited)) == made["l1_bound"] + made["_peel"] == (n + 1) * (n + 2) // 2
+    # one row whose entries are the leaves, one per derivative order, each of
+    # f's two Gaussian terms derived once per order, and one peel per distinct
+    # (odd word, even word) above the leaves: 45 nodes at n = 8, where the
+    # reference makes 511 calls
+    assert made == {"_poly_derivative": 2 * n, "_l1_row": 1, "entries": n + 1,
+                    "_peel": n * (n + 1) // 2}
+    assert len(set(visited)) == made["entries"] + made["_peel"] == (n + 1) * (n + 2) // 2
     assert len(visited) == 2 ** (n + 1) - 1
 
 
@@ -412,6 +435,8 @@ def test_bound_peels_each_word_pair_once_bit_for_bit(n, monkeypatch):
 # and the hc-grid family
 _GARBAGE_FREE = {
     "prop33_bound": lambda line, finite, grid: [prop33_bound(a) for a in line],
+    "orbit_derivative_check": lambda line, finite, grid: [
+        orbit_derivative_check(a.pair, a, h) for a in line for h in (0.1, 0.05)],
     "xp_multiply-finite": lambda line, finite, grid: [
         xp_multiply(a, b) for a in finite for b in finite],
     "xp_multiply-line": lambda line, finite, grid: [

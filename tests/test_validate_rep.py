@@ -315,7 +315,7 @@ def test_a_group_field_of_the_other_kind_is_refused(name, field, value, row):
     assert report.to_dict() == allclose_validate_rep(rep).to_dict()
 
 
-@pytest.mark.parametrize("field", ["name", "pair", "grading", "rho", "pi_table", "words"])
+@pytest.mark.parametrize("field", ["name", "pair", "grading", "rho", "pi_table"])
 def test_fields_cannot_be_reassigned(field):
     rep = next(r for r in SHIPPED if r.name == "reg4")
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -347,9 +347,26 @@ def test_a_write_to_a_validated_rep_cannot_change_a_verdict():
     rep, ax = ws.reps["hc-rep-2"], ws.elements["ax"]
     with pytest.raises(ValueError, match="read-only"):
         rep.rho[1][0, 1] *= 50
-    rep.words.clear()
     assert rep.report.ok and validate_rep(rep).ok
     assert operator_norm(rep_hat(rep, ax)) <= prop33_bound(ax)
+
+
+def test_no_public_word_cache_reaches_the_bridge():
+    """The ρ-word cache once was a public, writeable field: storing 50 I as
+    ρ(x) left hc-rep-2's report passing while rep_hat's norm read 32.6 over a
+    certified bound of 1.33.  The cache is private, and each word it hands
+    out is read-only."""
+    ws = load_catalog("hc")
+    rep, ax = ws.reps["hc-rep-2"], ws.elements["ax"]
+    with pytest.raises(AttributeError):
+        rep.words[(1,)] = 50 * np.eye(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.words = {(1,): 50 * np.eye(2)}
+    with pytest.raises(ValueError, match="read-only"):
+        rep.rho_word((1,))[0, 1] *= 50
+    assert rep.report.ok and validate_rep(rep).ok
+    assert operator_norm(rep_hat(rep, ax)) <= prop33_bound(ax)
+    assert np.array_equal(rep.rho_word((1,)), rep.rho[1])
 
 
 @pytest.mark.parametrize("name, field, value", [
